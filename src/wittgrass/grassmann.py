@@ -133,8 +133,7 @@ def points_lattice(I, q=None, shift=0, check_stable=True, verify_closure=True):
                 if tuple(s * x for x in a) not in pset:
                     raise NotStable("point set not closed under the scalar action")
 
-    # one digit beyond the kernel level N; canonical keys for windows up to
-    # (N-1)/n stay exact, larger windows still classify correctly
+    # one digit beyond the kernel level N, the deepest pivot the reduction meets
     prec = N + 1
     columns = [
         [
@@ -164,7 +163,7 @@ def standard_cell_lattice(field, lam, prec=None):
     from .lattice import WittMatrix
 
     mat = WittMatrix(field, [[cols[j][i] for j in range(n)] for i in range(n)])
-    return Lattice(mat, window)
+    return Lattice(mat)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,14 @@ raising the shift is the direction that needs perfectness.
 
 On top of that: Smith normal form over the discrete valuation ring W(F_q)
 at finite precision, Schubert-cell classification, the dominance order,
-first-column basis normalization, the two-parameter degeneration matrices,
-and brute-force enumeration of special lattices in a symmetric window.
+first-column basis normalization and the two-parameter degeneration matrices.
+
+Lattices rest on one routine, column_reduce, which brings generating columns
+to the reduced column Hermite form: pivots exactly p^a_i, zeros above them,
+and each entry below the pivot of row i cut to its digits below a_i.  That
+form is finite and unique, so it is the identity of a lattice (no window or
+precision enters it), the basis lattice_from_columns builds, and the object
+enumerate_lattices walks to list the special lattices of a symmetric window.
 """
 
 from __future__ import annotations
@@ -34,7 +40,9 @@ from .fields import GF
 from .rings import LaurentRing
 from .witt import WittVector, teichmuller, witt_arith, witt_inv
 
-ENUM_GUARD = 1 << 24
+# Hermite forms enumerate_lattices may visit; each costs a reduction and a
+# Smith form at precision 2*window + n.
+ENUM_GUARD = 1 << 20
 
 
 class PadicWittNumber:
@@ -553,48 +561,66 @@ def degeneration_rhs(e, d, p=2, q=None, N=None):
 
 
 # ---------------------------------------------------------------------------
-# lattices: canonical forms, enumeration
+# lattices: the reduced column Hermite form, identity, enumeration
 # ---------------------------------------------------------------------------
 
-def column_reduce(columns, n, prec, ring):
-    """Reduce a list of integral padic columns; returns pivot exponents and
-    reduced basis columns (one per pivot row, rows without pivot omitted)."""
-    cols = [list(c) for c in columns]
+def column_reduce(columns, n):
+    """Reduced column Hermite form of the lattice spanned by `columns`.
+
+    Returns (exps, basis): n columns, column i with entry exactly p^exps[i] in
+    row i and zeros above it, each entry below the pivot of row i reduced to
+    its digits below exps[i].  Generators beyond a basis reduce to zero and
+    are dropped.  Raises PrecisionLoss when a row has no visible pivot, or
+    when an entry is not known far enough to decide its row's pivot or its
+    digits below that pivot.
+    """
+    rest = [list(c) for c in columns]
     basis = []
-    exps = {}
+    exps = []
     for row in range(n):
-        # pick the column whose entry in this row has minimal valuation
-        best = None
-        best_val = None
-        for idx, c in enumerate(cols):
+        best = a = None
+        for idx, c in enumerate(rest):
             v = c[row].val_or_none()
-            if v is None:
-                continue
-            if best_val is None or v < best_val:
-                best, best_val = idx, v
-        if best is None or best_val >= prec:
-            continue
-        piv_col = cols.pop(best)
-        unit = piv_col[row].unit_part()
-        uinv = unit.inv()
-        piv_col = [x * uinv for x in piv_col]
-        for c in cols:
+            if v is not None and (a is None or v < a):
+                best, a = idx, v
+        if best is None:
+            raise PrecisionLoss(f"no pivot in row {row} at this precision")
+        piv = rest.pop(best)
+        uinv = piv[row].unit_part().inv()
+        piv = [x * uinv for x in piv]
+        for c in rest:
             if c[row].is_zero():
+                if c[row].abs_prec < a:
+                    raise PrecisionLoss(f"row {row} is not known down to its pivot p^{a}")
                 continue
-            factor = c[row] / piv_col[row]
-            for r in range(n):
-                c[r] = c[r] - factor * piv_col[r]
-        exps[row] = best_val
-        basis.append((row, piv_col))
-    return exps, basis
+            factor = c[row] / piv[row]
+            for r in range(row, n):
+                c[r] = c[r] - factor * piv[r]
+        for c in basis:
+            low, high = c[row].split(a)
+            if low.abs_prec < a:
+                raise PrecisionLoss(f"digits below the pivot p^{a} of row {row} are not known")
+            if high.is_zero():
+                continue
+            for r in range(row, n):
+                c[r] = c[r] - high * piv[r]
+        basis.append(piv)
+        exps.append(a)
+    return tuple(exps), basis
+
+
+def _digits_below(x, a):
+    """x mod p^a as (shift, Witt digits), normalized; x is known mod p^a."""
+    t = x.truncate_abs(a)
+    t = PadicWittNumber(t.ring, t.shift, t.mantissa)
+    return t.shift, t.mantissa
 
 
 class Lattice:
-    """A lattice p^N_w W^n <= L <= p^-N_w W^n given by a column basis."""
+    """A lattice in W(F_q)[1/p]^n given by a square column basis."""
 
-    def __init__(self, basis, window):
+    def __init__(self, basis):
         self.basis = basis  # WittMatrix, columns span L
-        self.window = window
         self._canon = None
 
     @property
@@ -609,65 +635,19 @@ class Lattice:
         return sum(self.cell()) == 0
 
     def canonical_key(self):
-        """Column Hermite normal form rendered as a hashable key."""
-        if self._canon is not None:
-            return self._canon
-        n = self.n
-        W = self.basis.copy()
-        pivots = []
-        for i in range(n):
-            best = None
-            best_val = None
-            for j in range(i, n):
-                v = W.entries[i][j].val_or_none()
-                if v is None:
-                    continue
-                if best_val is None or v < best_val:
-                    best, best_val = j, v
-            if best is None:
-                raise PrecisionLoss("basis is singular at this precision")
-            if best != i:
-                for r in range(n):
-                    W.entries[r][i], W.entries[r][best] = (
-                        W.entries[r][best],
-                        W.entries[r][i],
-                    )
-            unit = W.entries[i][i].unit_part()
-            uinv = unit.inv()
-            for r in range(n):
-                W.entries[r][i] = W.entries[r][i] * uinv
-            a_i = W.entries[i][i].val()
-            pivots.append(a_i)
-            for j in range(n):
-                if j == i:
-                    continue
-                ent = W.entries[i][j]
-                if ent.is_zero():
-                    continue
-                if j > i:
-                    factor = ent / W.entries[i][i]
-                else:
-                    _, factor = ent.split(a_i)  # reduce mod p^{a_i}
-                if factor.is_zero():
-                    continue
-                for r in range(n):
-                    W.entries[r][j] = W.entries[r][j] - factor * W.entries[r][i]
-        # render digits up to the window-determined precision
-        horizon = self.window * self.n + 1
-        key = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                ent = W.entries[i][j]
-                digits = []
-                if not ent.is_zero():
-                    v = ent.val()
-                    for k, c in enumerate(ent.mantissa):
-                        if v + k < horizon:
-                            digits.append((v + k, c))
-                row.append(tuple(digits))
-            key.append(tuple(row))
-        self._canon = (n, self.window, tuple(key))
+        """(n, pivot exponents, digits below the pivots) of the reduced column
+        Hermite form: equal exactly for equal lattices, whatever the basis and
+        its precision.  Raises PrecisionLoss when those digits are not known."""
+        if self._canon is None:
+            n = self.n
+            ents = self.basis.entries
+            exps, basis = column_reduce(
+                [[ents[i][j] for i in range(n)] for j in range(n)], n
+            )
+            digits = tuple(
+                _digits_below(basis[j][i], exps[i]) for i in range(n) for j in range(i)
+            )
+            self._canon = (n, exps, digits)
         return self._canon
 
     def __eq__(self, other):
@@ -677,107 +657,75 @@ class Lattice:
         return hash(self.canonical_key())
 
     def __repr__(self):
-        return f"Lattice(window={self.window}, cell={self.cell()})\n{self.basis!r}"
-
-
-def standard_lattice(ring, n, window=0, prec=None):
-    prec = prec if prec is not None else 2 * n * max(window, 1) + 2
-    return Lattice(WittMatrix.identity(ring, n, prec), window)
+        return f"Lattice(cell={self.cell()})\n{self.basis!r}"
 
 
 def lattice_from_columns(columns, n, window, ring, prec):
-    """Build a lattice from integral generating columns plus p^(2*window) W^n."""
-    exps, basis = column_reduce(columns, n, prec, ring)
+    """The lattice p^-window (M + p^(2*window) W^n), M spanned by the integral
+    columns; the forced columns carry `prec` digits."""
     forced = 2 * window
-    cols = []
-    have = {row: col for row, col in basis}
+    columns = list(columns)
     for row in range(n):
-        if row in have and exps[row] <= forced:
-            cols.append(have[row])
-        else:
-            col = [padic_zero(ring, prec + forced) for _ in range(n)]
-            col[row] = padic_p_power(ring, forced, prec)
-            cols.append(col)
-    mat = WittMatrix(ring, [[cols[j][i] for j in range(n)] for i in range(n)])
-    return Lattice(mat.p_times(-window), window)
+        col = [padic_zero(ring, prec + forced) for _ in range(n)]
+        col[row] = padic_p_power(ring, forced, prec)
+        columns.append(col)
+    _, basis = column_reduce(columns, n)
+    mat = WittMatrix(ring, [[basis[j][i] for j in range(n)] for i in range(n)])
+    return Lattice(mat.p_times(-window))
+
+
+def _hermite_exponents(n, window):
+    """Pivot exponents of the Hermite forms of p^window L for special L in the
+    window: n integers in [0, 2*window] summing to n*window."""
+    top = 2 * window
+    for head in itertools.product(range(top + 1), repeat=n - 1):
+        last = n * window - sum(head)
+        if 0 <= last <= top:
+            yield head + (last,)
 
 
 def enumerate_lattices(n, q, window):
     """All special lattices with p^window W^n <= L <= p^-window W^n.
 
-    Brute force: enumerate the submodules of W_{2*window}(F_q)^n by closure
-    (precomputed index tables make ring operations array lookups), keep those
-    whose basis determinant has valuation n*window, and classify each by its
-    Smith normal form.  Returns (Lattice, cell) pairs, each lattice once.
+    Walks the reduced column Hermite forms of M = p^window L directly: every
+    pivot exponent vector b of _hermite_exponents and every residue mod p^b_i
+    below the pivot of row i, each form a distinct lattice.  M lies in the
+    window when it contains p^(2*window) W^n (Smith exponents mu_1 <=
+    2*window); exactly then adding that sublattice in lattice_from_columns
+    leaves a cell summing to zero.  The forms are counted against ENUM_GUARD,
+    in closed form, before any Witt arithmetic.  Returns (Lattice, cell) pairs.
     """
+    if n < 1 or window < 0:
+        raise UsageError("lattice enumeration needs n >= 1 and window >= 0")
     field = GF(q)
-    if window == 0:
-        lat = standard_lattice(field, n)
-        return [(lat, tuple([0] * n))]
-    P = 2 * window
-    msize = field.q ** (P * n)
-    if msize * msize > ENUM_GUARD:
-        raise SizeGuard(f"module of size {msize} exceeds the enumeration guard")
-    # enough digits to detect pivots up to p^(2w) and to render canonical keys
+    forms = 0
+    for exps in _hermite_exponents(n, window):
+        forms += q ** sum(i * b for i, b in enumerate(exps))
+        if forms > ENUM_GUARD:
+            raise SizeGuard(
+                f"n={n}, q={q}, window={window} has more than {ENUM_GUARD} "
+                "Hermite forms to visit; lower the window, n or q"
+            )
+    # digits enough to find pivots up to p^(2w) and the digits below them
     prec = 2 * window + n
+    pad = (field.zero,) * prec
 
-    ring_elems = [
-        WittVector(field, coords)
-        for coords in itertools.product(field.elements(), repeat=P)
-    ]
-    index = {w: i for i, w in enumerate(ring_elems)}
-    m = len(ring_elems)
-    add_t = [[index[ring_elems[i] + ring_elems[j]] for j in range(m)] for i in range(m)]
-    mul_t = [[index[ring_elems[i] * ring_elems[j]] for j in range(m)] for i in range(m)]
-    zero_idx = index[WittVector(field, (field.zero,) * P)]
+    def lift(coords):
+        return PadicWittNumber(field, 0, coords + pad[len(coords):])
 
-    zero_vec = (zero_idx,) * n
-    all_elems = list(itertools.product(range(m), repeat=n))
-
-    def extend(S, v):
-        out = set(S)
-        for c in range(m):
-            cv = tuple(mul_t[c][a] for a in v)
-            for s in S:
-                out.add(tuple(add_t[x][y] for x, y in zip(s, cv)))
-        return frozenset(out)
-
-    start = frozenset([zero_vec])
-    seen = {start}
-    queue = [start]
-    submodules = []
-    while queue:
-        S = queue.pop()
-        submodules.append(S)
-        for v in all_elems:
-            if v in S:
-                continue
-            T = extend(S, v)
-            if T not in seen:
-                seen.add(T)
-                queue.append(T)
-
+    elems = field.elements()
+    zero = lift(())
+    below = [(i, j) for i in range(n) for j in range(i)]
     out = []
-    for S in submodules:
-        columns = [
-            [
-                PadicWittNumber(
-                    field,
-                    0,
-                    ring_elems[a].coords + (field.zero,) * (prec - P),
-                )
-                for a in vec
-            ]
-            for vec in S
-            if vec != zero_vec
-        ]
-        for row in range(n):  # forced sublattice p^P W^n
-            col = [padic_zero(field, prec) for _ in range(n)]
-            col[row] = padic_p_power(field, P, prec)
-            columns.append(col)
-        lat = lattice_from_columns(columns, n, window, field, prec)
-        mu = lat.cell()
-        if sum(mu) != 0:
-            continue  # not special
-        out.append((lat, mu))
+    for exps in _hermite_exponents(n, window):
+        pivots = [lift((field.zero,) * b + (field.one,)) for b in exps]
+        residues = [itertools.product(elems, repeat=exps[i]) for i, _ in below]
+        for digits in itertools.product(*residues):
+            cols = [[pivots[j] if i == j else zero for i in range(n)] for j in range(n)]
+            for (i, j), r in zip(below, digits):
+                cols[j][i] = lift(r)
+            lat = lattice_from_columns(cols, n, window, field, prec)
+            mu = lat.cell()
+            if sum(mu) == 0:
+                out.append((lat, mu))
     return out

@@ -40,10 +40,6 @@ def uneg(field, a):
     return tuple(-x for x in a)
 
 
-def usub(field, a, b):
-    return uadd(field, a, uneg(field, b))
-
-
 def umul(field, a, b):
     if not a or not b:
         return ()
@@ -88,12 +84,6 @@ def ugcd(field, a, b):
     if a:
         a = uscale(field, a[-1].inv(), a)  # monic normalization
     return a
-
-
-def umonic(field, a):
-    if not a:
-        return a
-    return uscale(field, a[-1].inv(), a)
 
 
 def urender(field, a, var="t"):

@@ -111,10 +111,6 @@ def ip_pow(a, n):
     return out
 
 
-def ip_eq(a, b):
-    return a == b
-
-
 def ghost(p, n, var):
     """w_n as a packed polynomial in one letter block (var = xvar or yvar)."""
     out = {}
@@ -166,7 +162,7 @@ def term_limit():
         try:
             return int(raw)
         except ValueError:
-            pass
+            raise UsageError(f"{_ENV_LIMIT} must be an integer, not {raw!r}") from None
     return DEFAULT_TERM_LIMIT
 
 
@@ -187,32 +183,34 @@ def _ghost_target(p, n, op):
     raise UsageError(f"unknown Witt operation {op!r}")
 
 
-def _check_limits(p, n, op, limit):
-    cost = level_cost(p, n, op)
-    if cost > limit:
-        raise TableLimit(
-            f"structure table {op} level {n} for p={p} has a potential support of "
-            f"{cost} monomials, beyond the limit of {limit}; this is out of reach "
-            f"for exact generation (set {_ENV_LIMIT} to override at your own risk)"
-        )
-
-
-def solve_levels(p, op, N, known=None):
-    """Return levels 0..N-1 of the op table, reusing any known prefix.
-
-    Raises TableLimit before starting a level whose potential monomial support
-    exceeds the configured bound.
-    """
+def _check_limits(p, op, start, N):
+    """Raise TableLimit unless levels start..N-1 of the op table are in reach."""
     if p not in SUPPORTED_PRIMES:
         raise TableLimit(f"prime {p} not supported; supported: {SUPPORTED_PRIMES}")
     if not (1 <= N <= MAX_N):
         raise TableLimit(f"table length {N} outside 1..{MAX_N}")
     limit = term_limit()
+    for n in range(start, N):
+        cost = level_cost(p, n, op)
+        if cost > limit:
+            raise TableLimit(
+                f"structure table {op} level {n} for p={p} has a potential support of "
+                f"{cost} monomials, beyond the limit of {limit}; this is out of reach "
+                f"for exact generation (set {_ENV_LIMIT} to override at your own risk)"
+            )
+
+
+def solve_levels(p, op, N, known=None):
+    """Return levels 0..N-1 of the op table, reusing any known prefix.
+
+    Raises TableLimit, before solving any level, when one of the missing
+    levels has a potential monomial support beyond the configured bound.
+    """
     levels = [dict(t) for t in (known or [])][:N]
+    _check_limits(p, op, len(levels), N)
     # pow_cache[i] holds T_i^(p^(n-1-i)) while processing level n
     pow_cache = {}
     for n in range(len(levels), N):
-        _check_limits(p, n, op, limit)
         numerator = _ghost_target(p, n, op)
         for i in range(n):
             prev = pow_cache.get(i)
@@ -253,7 +251,7 @@ def verify_ghost(p, op, levels):
                 cur = ip_pow(prev, p)
             pow_cache[i] = cur
             ip_add_inplace(acc, cur, scale=p**i)
-        if not ip_eq(acc, _ghost_target(p, n, op)):
+        if acc != _ghost_target(p, n, op):
             return False
     return True
 
@@ -414,23 +412,23 @@ class StructurePolynomialTable:
 
     @classmethod
     def get(cls, p, N, cache_dir=None):
-        key = (p, N)
+        cdir = resolve_cache_dir(cache_dir)
+        key = (p, N, cdir)
         hit = cls._registry.get(key)
         if hit is not None:
             return hit
-        cdir = resolve_cache_dir(cache_dir)
         try:
             cached = load_cache(p, cdir)
         except CacheCorrupt:
             raise
         except OSError:
             cached = {"add": [], "mul": [], "neg": []}
-        need_write = False
-        for op in ("add", "mul", "neg"):
-            if len(cached[op]) < N:
-                cached[op] = solve_levels(p, op, N, known=cached[op])
-                need_write = True
-        if need_write:
+        missing = [op for op in ("add", "mul", "neg") if len(cached[op]) < N]
+        for op in missing:  # refuse before solving any op
+            _check_limits(p, op, len(cached[op]), N)
+        for op in missing:
+            cached[op] = solve_levels(p, op, N, known=cached[op])
+        if missing:
             try:
                 write_cache(p, cdir, cached)
             except OSError:

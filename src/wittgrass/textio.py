@@ -84,10 +84,6 @@ def parse_witt_vector(ring, text, N=None):
     return WittVector(ring, coords)
 
 
-def render_witt_vector(w):
-    return repr(w)
-
-
 def parse_padic(ring, text, N=None):
     """``p^v*(a0,...)`` or plain ``(a0,...)``; v may be negative."""
     text = text.strip()

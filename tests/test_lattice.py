@@ -1,6 +1,8 @@
 """Valuation-shifted arithmetic, Smith forms, cells, and degenerations."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,9 +11,12 @@ from wittgrass.errors import (
     NotDominant,
     PrecisionLoss,
     SizeGuard,
+    UsageError,
     ZeroAtPrecision,
 )
 from wittgrass.fields import GF
+from wittgrass.grassmann import points_lattice, standard_cell_lattice
+from wittgrass.hilbert import GradedIdeal, ambient_ring, ideal_I_lambda
 from wittgrass.lattice import (
     Lattice,
     PadicWittNumber,
@@ -337,3 +342,76 @@ def test_enumerate_window_one_q2():
 def test_enumerate_guard():
     with pytest.raises(SizeGuard):
         enumerate_lattices(3, 5, 2)
+
+
+@pytest.mark.parametrize("n,window", [(0, 1), (2, -1)])
+def test_enumerate_rejects_empty_ranges(n, window):
+    with pytest.raises(UsageError):
+        enumerate_lattices(n, 2, window)
+
+
+def macdonald_count(lam, q):
+    """|Gr_lam(F_q)| = q^<2rho,lam> W(1/q) / W_lam(1/q) (Macdonald, 1971)."""
+
+    def poincare(m):  # the Poincare polynomial of S_m at 1/q
+        out = Fraction(1)
+        for k in range(1, m + 1):
+            out *= sum(Fraction(1, q**i) for i in range(k))
+        return out
+
+    n = len(lam)
+    two_rho = sum(lam[i] - lam[j] for i in range(n) for j in range(i + 1, n))
+    stabilizer = Fraction(1)
+    for v in set(lam):
+        stabilizer *= poincare(lam.count(v))
+    count = q**two_rho * poincare(n) / stabilizer
+    assert count.denominator == 1
+    return int(count)
+
+
+def window_counts(n, q, window):
+    return {
+        lam: macdonald_count(lam, q)
+        for lam in itertools.product(range(window, -window - 1, -1), repeat=n)
+        if sum(lam) == 0 and list(lam) == sorted(lam, reverse=True)
+    }
+
+
+def test_macdonald_counts_by_hand():
+    assert window_counts(2, 2, 2) == {(0, 0): 1, (1, -1): 6, (2, -2): 24}
+    assert macdonald_count((1, 0, -1), 2) == 42
+
+
+@pytest.mark.parametrize("n,q,window", [(2, 2, 1), (2, 4, 1), (3, 2, 1), (2, 2, 2)])
+def test_enumeration_matches_closed_form(n, q, window):
+    out = enumerate_lattices(n, q, window)
+    cells = {}
+    for _, cell in out:
+        cells[cell] = cells.get(cell, 0) + 1
+    assert cells == window_counts(n, q, window)
+    assert len({lat.canonical_key() for lat, _ in out}) == len(out)
+
+
+@pytest.mark.parametrize("lam", [(0, 0), (1, -1)])
+def test_key_ignores_basis_window_and_precision(lam):
+    if lam == (0, 0):  # a boundary ideal of the (1,-1) family
+        R = ambient_ring(F2, 2, 2)
+        ideal = GradedIdeal(R, 2, 2, [R.var(0) + R.var(2), R.var(2) ** 2])
+    else:
+        ideal = ideal_I_lambda(F2, lam, 3)
+    keys = {
+        standard_cell_lattice(F2, lam, prec=3).canonical_key(),
+        standard_cell_lattice(F2, lam, prec=6).canonical_key(),
+        points_lattice(ideal, shift=1).canonical_key(),
+    }
+    assert len(keys) == 1
+
+
+def test_canonical_key_needs_the_digits_below_each_pivot():
+    # the entry under the pivot p^2 of row 1 is known only modulo p
+    A = WittMatrix(F2, [
+        [one_at(F2, 0, 4), padic_zero(F2, 6)],
+        [PadicWittNumber(F2, 0, (F2.one,)), one_at(F2, 2, 4)],
+    ])
+    with pytest.raises(PrecisionLoss):
+        Lattice(A).canonical_key()

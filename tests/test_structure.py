@@ -5,7 +5,7 @@ import os
 import pytest
 
 from wittgrass import structure as st
-from wittgrass.errors import CacheCorrupt, TableLimit
+from wittgrass.errors import CacheCorrupt, TableLimit, UsageError
 
 
 def poly_text(levels):
@@ -92,3 +92,15 @@ def test_support_counts_monotone():
     costs = [st.level_cost(3, n, "add") for n in range(5)]
     assert costs == sorted(costs)
     assert st.level_cost(5, 4, "add") > st.DEFAULT_TERM_LIMIT
+
+
+def test_malformed_table_limit_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("WITTGRASS_TABLE_LIMIT", "lots")
+    with pytest.raises(UsageError, match="WITTGRASS_TABLE_LIMIT"):
+        st.term_limit()
+
+
+def test_each_cache_dir_gets_its_own_table(tmp_path):
+    for name in ("a", "b"):
+        st.StructurePolynomialTable.get(2, 2, cache_dir=str(tmp_path / name))
+        assert (tmp_path / name / "structure_p2.txt").exists()
