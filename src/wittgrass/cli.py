@@ -328,8 +328,6 @@ def build_parser():
 
     st = sub.add_parser("selftest", help="run the invariant suite")
     st.add_argument("--quick", action="store_true")
-    st.add_argument("--p", type=int, help="reject unsupported parameters early")
-    st.add_argument("--N", type=int)
     st.set_defaults(fn=cmd_selftest)
 
     return top
@@ -340,14 +338,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.cache_dir:
         os.environ[_ENV_CACHE] = args.cache_dir
-    if args.command == "selftest" and (args.p is not None or args.N is not None):
-        from .fields import SUPPORTED_PRIMES
-        from .structure import MAX_N
-
-        if args.p is not None and args.p not in SUPPORTED_PRIMES:
-            parser.error(f"prime {args.p} unsupported; choose from {SUPPORTED_PRIMES}")
-        if args.N is not None and not (1 <= args.N <= MAX_N):
-            parser.error(f"length {args.N} outside 1..{MAX_N}")
     try:
         return args.fn(args)
     except UsageError as exc:

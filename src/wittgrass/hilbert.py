@@ -2,26 +2,29 @@
 
 The ambient ring is k[x[i,j] : 1 <= i <= n, 0 <= j < N] with deg x[i,j] = p^j,
 the grading that makes the realized W_N-module operations on affine nN-space
-graded.  This module owns Groebner normalization, multigraded Hilbert
-functions, the submodule-scheme stability test, the realized group action on
-ideals, and flat limits of one-parameter families.
+graded.  This module owns multigraded Hilbert functions, the submodule-scheme
+stability test, the realized group action on ideals, and flat limits of
+one-parameter families.  It borrows the rest: Groebner bases from
+``groebner``, and the comorphisms of the module operations from ordinary Witt
+arithmetic on generic vectors (``greenberg.generic_vectors``).
 
 Flat limits work degree by degree: the degree-a slice of a family over F_q(t)
 is a module over the local ring of t = 0; its Smith normal form yields the
 t-saturation, whose fiber at t = 0 is the limit's degree-a piece.  The limit
 Hilbert function equals the generic one by construction, which the tests
-cross-check by independent monomial enumeration.
+cross-check by independent monomial enumeration.  Slices and linear
+independence come from one slice builder and one elimination pass, shared by
+the Hilbert function and the flat limit.
 """
 
 from __future__ import annotations
 
 from .errors import SaturationGuard, UsageError, WindowTooSmall
-from .greenberg import coord_ring, realize_action
+from .greenberg import coord_ring, generic_vectors, realize_action
 from .lattice import dominant_or_raise
 from .groebner import buchberger, ideal_contains, ideal_equal, normal_form
 from .poly import PolyRing, Polynomial
 from .rings import RationalFunctionField
-from .structure import MAX_SLOTS, StructurePolynomialTable
 from .witt import mat_inv
 
 
@@ -192,136 +195,108 @@ def hilbert_function_linalg(I, bound):
     The degree-a piece of the ideal is spanned by monomial multiples of the
     generators; h(a) is the slice dimension minus the rank of that span.
     """
-    field = I.ring.coeff
     values = []
     for a in range(bound + 1):
-        slice_monos = monomials_of_weight(I.ring, a)
-        pos = {m: k for k, m in enumerate(slice_monos)}
-        rows = []
-        for g in I.generators:
-            d = g.wdeg()
-            if d > a:
-                continue
-            for m in monomials_of_weight(I.ring, a - d):
-                vec = [field.zero] * len(slice_monos)
-                for gm, c in g.terms.items():
-                    mm = tuple(x + y for x, y in zip(m, gm))
-                    vec[pos[mm]] = vec[pos[mm]] + c
-                rows.append(vec)
-        values.append(len(slice_monos) - _rank(rows, field))
+        monos, rows = _slice_rows(I, a)
+        values.append(len(monos) - len(_independent(rows)))
     return HilbertFunction(values)
 
 
-def _rank(rows, field):
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    lead = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
+def _slice_rows(I, a):
+    """The weight-a monomials, and the monomial multiples of the generators
+    that land in weight a as coefficient rows in that monomial basis."""
+    zero = I.ring.coeff.zero
+    monos = monomials_of_weight(I.ring, a)
+    pos = {m: k for k, m in enumerate(monos)}
+    rows = []
+    for g in I.generators:
+        d = g.wdeg()
+        if d > a:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        for m in monomials_of_weight(I.ring, a - d):
+            vec = [zero] * len(monos)
+            for gm, c in g.terms.items():
+                k = pos[tuple(x + y for x, y in zip(m, gm))]
+                vec[k] = vec[k] + c
+            rows.append(vec)
+    return monos, rows
+
+
+def _independent(rows, base=()):
+    """The rows, in order, that are independent modulo the span of ``base``
+    and of the rows kept before them; one incremental echelon pass.
+
+    Each echelon row is zero at the pivots of the rows before it, so reducing
+    a candidate against the echelon rows in order clears every pivot.
+    """
+    echelon = []  # (pivot column, row scaled to 1 at the pivot)
+
+    def absorb(row):
+        vec = list(row)
+        for col, ech in echelon:
+            c = vec[col]
+            if not c.is_zero():
+                vec = [x - c * y for x, y in zip(vec, ech)]
+        col = next((k for k, x in enumerate(vec) if not x.is_zero()), None)
+        if col is None:
+            return False
+        inv = vec[col].inv()
+        echelon.append((col, [x * inv for x in vec]))
+        return True
+
+    for row in base:
+        absorb(row)
+    return [row for row in rows if absorb(row)]
 
 
 # ---------------------------------------------------------------------------
 # module stability (the lattice-scheme condition)
 # ---------------------------------------------------------------------------
 
-def _table_poly(ring, level_terms, images_x, images_y):
-    """Build a structure polynomial inside `ring` with the given variable
-    images: slot i of the X letter -> images_x[i], same for Y."""
-    acc = ring.zero
-    for exps, c in level_terms:
-        term = ring.from_int(c)
-        for slot, e in exps:
-            base = images_x[slot] if slot < MAX_SLOTS else images_y[slot - MAX_SLOTS]
-            term = term * base**e
-        acc = acc + term
-    return acc
+def _coords(vectors):
+    return [c for v in vectors for c in v.coords]
+
+
+def _lands_in(gens, ring, images, gb):
+    """Does every generator, its variables sent to ``images``, lie in (gb)?"""
+    return all(ideal_contains(gb, g.map_into(ring, images)) for g in gens)
 
 
 def is_module_stable(I):
     """Is V(I) stable under the realized W_N-module operations?
 
-    Checks, for every generator: the negation comorphism keeps it in I; the
-    addition comorphism lands in I' + I'' in the doubled coordinate ring; the
-    generic-scalar comorphism lands in the extension of I by the scalar
-    coordinates.  The zero section is automatic for homogeneous ideals under
-    a positive grading.
+    The comorphisms are Witt arithmetic on generic vectors, whose coordinates
+    are polynomial variables (as in ``greenberg.realize_poly_map``).  Checks,
+    for every generator: the negation comorphism (-x) keeps it in I; the
+    addition comorphism (y + z) lands in I(y) + I(z) in the doubled coordinate
+    ring; the generic-scalar comorphism (s * x) lands in the extension of I by
+    the scalar coordinates.  The zero section is automatic for homogeneous
+    ideals under a positive grading.
     """
     n, N = I.n, I.N
     field = I.ring.coeff
-    p = field.p
-    table = StructurePolynomialTable.get(p, N)
     gb = I.basis()
 
-    # negation: x[i,j] -> N_j(x[i,*])
-    neg_images = []
-    for i in range(1, n + 1):
-        xs = [I.ring.var(var_index(n, N, i, j)) for j in range(N)]
-        for j in range(N):
-            neg_images.append(_table_poly(I.ring, table.neg_p[j], xs, xs))
-    for g in I.generators:
-        if not ideal_contains(gb, g.map_into(I.ring, neg_images)):
-            return False
+    _, xs = generic_vectors(field, n, N, ring=I.ring)
+    if not _lands_in(I.generators, I.ring, _coords(-x for x in xs), gb):
+        return False
 
-    # addition: x[i,j] -> S_j(y[i,*], z[i,*]) against I(y) + I(z)
-    dn = [f"y[{i},{j}]" for i in range(1, n + 1) for j in range(N)]
-    dn += [f"z[{i},{j}]" for i in range(1, n + 1) for j in range(N)]
-    dw = tuple(p**j for i in range(n) for j in range(N)) * 2
-    doubled = PolyRing(field, dn, dw)
-    halfway = n * N
-    y_of = lambda i, j: doubled.var((i - 1) * N + j)
-    z_of = lambda i, j: doubled.var(halfway + (i - 1) * N + j)
-    add_images = []
-    for i in range(1, n + 1):
-        ys = [y_of(i, j) for j in range(N)]
-        zs = [z_of(i, j) for j in range(N)]
-        for j in range(N):
-            add_images.append(_table_poly(doubled, table.add_p[j], ys, zs))
-    to_y = [y_of(i, j) for i in range(1, n + 1) for j in range(N)]
-    to_z = [z_of(i, j) for i in range(1, n + 1) for j in range(N)]
     # Groebner bases of ideals in disjoint variable blocks stay Groebner, and
     # so does their union (coprime leading terms).
-    doubled_gb = [g.map_into(doubled, to_y) for g in gb]
-    doubled_gb += [g.map_into(doubled, to_z) for g in gb]
-    for g in I.generators:
-        if not ideal_contains(doubled_gb, g.map_into(doubled, add_images)):
-            return False
+    doubled, yz = generic_vectors(field, 2 * n, N)
+    ys, zs = yz[:n], yz[n:]
+    doubled_gb = [g.map_into(doubled, _coords(ys)) for g in gb]
+    doubled_gb += [g.map_into(doubled, _coords(zs)) for g in gb]
+    sums = _coords(y + z for y, z in zip(ys, zs))
+    if not _lands_in(I.generators, doubled, sums, doubled_gb):
+        return False
 
-    # generic scalar: x[i,j] -> M_j(s[*], x[i,*]) against I extended by s[*]
-    sn = [f"s[0,{j}]" for j in range(N)]
-    sn += list(I.ring.names)
-    sw = tuple(p**j for j in range(N)) + I.ring.weights
-    scal = PolyRing(field, sn, sw)
-    svars = [scal.var(j) for j in range(N)]
-    x_of = lambda i, j: scal.var(N + (i - 1) * N + j)
-    scal_images = []
-    for i in range(1, n + 1):
-        xs = [x_of(i, j) for j in range(N)]
-        for j in range(N):
-            scal_images.append(_table_poly(scal, table.mul_p[j], svars, xs))
-    to_x = [x_of(i, j) for i in range(1, n + 1) for j in range(N)]
     # extension of I: the lifted basis is still a Groebner basis because the
-    # scalar variables sit in front and the order restricts to the old one
-    scal_gb = [g.map_into(scal, to_x) for g in gb]
-    for g in I.generators:
-        if not ideal_contains(scal_gb, g.map_into(scal, scal_images)):
-            return False
-    return True
+    # scalar block sits in front and the order restricts to the old one
+    scal, sx = generic_vectors(field, n + 1, N)
+    s, xs = sx[0], sx[1:]
+    scal_gb = [g.map_into(scal, _coords(xs)) for g in gb]
+    return _lands_in(I.generators, scal, _coords(s * x for x in xs), scal_gb)
 
 
 def act_on_ideal(g, I):
@@ -367,8 +342,8 @@ def _at_zero(r, field):
 
 
 def _dvr_saturated_fiber(rows, ncols, K):
-    """Rows span a module over the local ring at t = 0; return (rank, basis of
-    the t-saturation's fiber at t = 0) as vectors over the residue field.
+    """Rows span a module over the local ring at t = 0; return a basis of the
+    t-saturation's fiber at t = 0, as vectors over the residue field.
 
     Smith normal form over the DVR: row/column eliminations with minimal
     t-valuation pivots, tracking only the column operations' effect on a
@@ -415,8 +390,7 @@ def _dvr_saturated_fiber(rows, ncols, K):
                 row[j] = row[j] - f * row[k]
             V[k] = [x + f * y for x, y in zip(V[k], V[j])]
         rank += 1
-    fiber = [[_at_zero(x, field) for x in V[i]] for i in range(rank)]
-    return rank, fiber
+    return [[_at_zero(x, field) for x in V[i]] for i in range(rank)]
 
 
 def flat_limit(family, bound=None, guard_band=None):
@@ -439,27 +413,10 @@ def flat_limit(family, bound=None, guard_band=None):
     ring = ambient_ring(field, n, N)
 
     pieces = {}  # degree -> list of k-vectors (in the slice monomial basis)
-    ranks = {}
     slices = {}
     for a in range(bound + 1):
-        slice_monos = monomials_of_weight(family.ring, a)
-        slices[a] = slice_monos
-        pos = {m: k for k, m in enumerate(slice_monos)}
-        rows = []
-        for g in family.generators:
-            d = g.wdeg()
-            if d > a:
-                continue
-            for m in monomials_of_weight(family.ring, a - d):
-                vec = [K.zero] * len(slice_monos)
-                for gm, c in g.terms.items():
-                    mm = tuple(x + y for x, y in zip(m, gm))
-                    vec[pos[mm]] = vec[pos[mm]] + c
-                rows.append(vec)
-        if not rows:
-            pieces[a], ranks[a] = [], 0
-            continue
-        ranks[a], pieces[a] = _dvr_saturated_fiber(rows, len(slice_monos), K)
+        slices[a], rows = _slice_rows(family, a)
+        pieces[a] = _dvr_saturated_fiber(rows, len(slices[a]), K) if rows else []
 
     # minimal generators: piece modulo (variables times lower pieces)
     gens = []
@@ -470,7 +427,7 @@ def flat_limit(family, bound=None, guard_band=None):
         old = []
         for vi, w in enumerate(ring.weights):
             b = a - w
-            if b < 0 or b not in pieces:
+            if b < 0:
                 continue
             for vec in pieces[b]:
                 lifted = [field.zero] * len(slices[a])
@@ -481,7 +438,7 @@ def flat_limit(family, bound=None, guard_band=None):
                     mm[vi] += 1
                     lifted[pos[tuple(mm)]] = lifted[pos[tuple(mm)]] + c
                 old.append(lifted)
-        new_vecs = _complement_basis(old, pieces[a], field)
+        new_vecs = _independent(pieces[a], base=old)
         if new_vecs and a > bound - guard_band:
             raise SaturationGuard(
                 f"flat limit still acquires generators at degree {a}, "
@@ -498,20 +455,3 @@ def flat_limit(family, bound=None, guard_band=None):
 def generic_hilbert(family, bound):
     """Hilbert function of the generic fiber of a family over F_q(t)."""
     return hilbert_function_linalg(family, bound)
-
-
-def _complement_basis(old_rows, new_rows, field):
-    """Vectors of new_rows independent modulo the span of old_rows."""
-    rows = [list(r) for r in old_rows]
-    base_rank = _rank(rows, field)
-    out = []
-    work = [list(r) for r in old_rows]
-    cur = base_rank
-    for cand in new_rows:
-        trial = work + [list(cand)]
-        r = _rank(trial, field)
-        if r > cur:
-            out.append(cand)
-            work = trial
-            cur = r
-    return out

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .fields import GF
 from .rings import LaurentRing
-from .witt import WittVector, teichmuller, witt_arith, witt_inv
+from .witt import WittVector, mat_det, mat_mul, teichmuller, witt_arith, witt_inv
 
 # Hermite forms enumerate_lattices may visit; each costs a reduction and a
 # Smith form at precision 2*window + n.
@@ -294,32 +294,10 @@ class WittMatrix:
         )
 
     def mul(self, other):
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(other.n):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for l in range(1, n):
-                    acc = acc + self.entries[i][l] * other.entries[l][j]
-                row.append(acc)
-            out.append(row)
-        return WittMatrix(self.ring, out)
+        return WittMatrix(self.ring, mat_mul(self.entries, other.entries))
 
     def det(self):
-        n = self.n
-        if n == 1:
-            return self.entries[0][0]
-        acc = None
-        for j in range(n):
-            minor = WittMatrix(
-                self.ring, [row[:j] + row[j + 1:] for row in self.entries[1:]]
-            )
-            term = self.entries[0][j] * minor.det()
-            if j % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc
+        return mat_det(self.entries)
 
     def eq_at_precision(self, other):
         return all(

@@ -43,6 +43,7 @@ MAX_SLOTS = 8          # one block of variable slots per letter
 SHIFT = 16             # bits per exponent field
 EXP_MASK = (1 << SHIFT) - 1
 
+OPS = ("add", "mul", "neg")
 DEFAULT_TERM_LIMIT = 200_000
 _ENV_CACHE = "WITTGRASS_CACHE_DIR"
 _ENV_LIMIT = "WITTGRASS_TABLE_LIMIT"
@@ -330,7 +331,7 @@ def _cache_path(cache_dir, p):
 def load_cache(p, cache_dir):
     """Read cached levels for prime p; returns {op: [levels...]} (may be empty)."""
     path = _cache_path(cache_dir, p)
-    tables = {"add": [], "mul": [], "neg": []}
+    tables = {op: [] for op in OPS}
     if not os.path.exists(path):
         return tables
     with open(path, "r", encoding="ascii") as fh:
@@ -360,7 +361,7 @@ def write_cache(p, cache_dir, tables):
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(f"# wittgrass structure polynomials, p={p}\n")
-            for op in ("add", "mul", "neg"):
+            for op in OPS:
                 for n, poly in enumerate(tables[op]):
                     fh.write(f"{op.upper()} {n}: {render_ip(poly)}\n")
         os.replace(tmp, path)
@@ -375,11 +376,14 @@ def write_cache(p, cache_dir, tables):
 # ---------------------------------------------------------------------------
 
 class StructurePolynomialTable:
-    """Integer structure polynomials for (p, N) plus mod-p evaluation forms.
+    """Integer structure polynomials for the prime p plus mod-p evaluation forms.
 
-    ``add``/``mul``/``neg`` hold the exact integer levels; ``add_p`` etc hold
-    the mod-p reductions as lists of (exponent-assignment, coefficient) pairs
-    ready for evaluation over any ring of characteristic p.
+    ``levels(op)`` holds the exact integer levels; ``reduced(op)`` holds their
+    mod-p reductions as lists of (exponent-assignment, coefficient) pairs
+    ready for evaluation over any ring of characteristic p.  A table of length
+    N serves every length up to N: Witt arithmetic reads only the levels below
+    its operands' length.  There is one table per prime and cache directory,
+    holding every level the cache file holds and at least the lengths asked for.
     """
 
     _registry: dict = {}
@@ -387,12 +391,10 @@ class StructurePolynomialTable:
     def __init__(self, p, N, tables):
         self.p = p
         self.N = N
-        self.add = tables["add"][:N]
-        self.mul = tables["mul"][:N]
-        self.neg = tables["neg"][:N]
-        self.add_p = [self._reduce(t) for t in self.add]
-        self.mul_p = [self._reduce(t) for t in self.mul]
-        self.neg_p = [self._reduce(t) for t in self.neg]
+        self._levels = {op: tables[op][:N] for op in OPS}
+        self._reduced = {
+            op: [self._reduce(t) for t in levels] for op, levels in self._levels.items()
+        }
 
     def _reduce(self, poly):
         out = []
@@ -405,35 +407,34 @@ class StructurePolynomialTable:
         return out
 
     def levels(self, op):
-        return {"add": self.add, "mul": self.mul, "neg": self.neg}[op]
+        return self._levels[op]
 
     def reduced(self, op):
-        return {"add": self.add_p, "mul": self.mul_p, "neg": self.neg_p}[op]
+        return self._reduced[op]
 
     @classmethod
     def get(cls, p, N, cache_dir=None):
         cdir = resolve_cache_dir(cache_dir)
-        key = (p, N, cdir)
+        key = (p, cdir)
         hit = cls._registry.get(key)
-        if hit is not None:
+        if hit is not None and hit.N >= N:
             return hit
         try:
             cached = load_cache(p, cdir)
-        except CacheCorrupt:
-            raise
         except OSError:
-            cached = {"add": [], "mul": [], "neg": []}
-        missing = [op for op in ("add", "mul", "neg") if len(cached[op]) < N]
+            cached = {op: [] for op in OPS}
+        length = max(N, min(len(cached[op]) for op in OPS))
+        missing = [op for op in OPS if len(cached[op]) < length]
         for op in missing:  # refuse before solving any op
-            _check_limits(p, op, len(cached[op]), N)
+            _check_limits(p, op, len(cached[op]), length)
         for op in missing:
-            cached[op] = solve_levels(p, op, N, known=cached[op])
+            cached[op] = solve_levels(p, op, length, known=cached[op])
         if missing:
             try:
                 write_cache(p, cdir, cached)
             except OSError:
                 pass  # cache is an optimization; arithmetic works without it
-        table = cls(p, N, cached)
+        table = cls(p, length, cached)
         cls._registry[key] = table
         return table
 
@@ -444,6 +445,6 @@ class StructurePolynomialTable:
 
 def gen_structure_polys(p, N, op, cache_dir=None):
     """Levels 0..N-1 of the requested operation table (exact integer polys)."""
-    if op not in ("add", "mul", "neg"):
+    if op not in OPS:
         raise UsageError(f"op must be add, mul or neg, not {op!r}")
-    return StructurePolynomialTable.get(p, N, cache_dir=cache_dir).levels(op)
+    return StructurePolynomialTable.get(p, N, cache_dir=cache_dir).levels(op)[:N]

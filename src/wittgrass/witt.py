@@ -133,8 +133,7 @@ def witt_arith(op, a, b=None):
     if a.length != b.length:
         raise RingMismatch(f"length mismatch: {a.length} vs {b.length}")
     ring = a.ring
-    table = StructurePolynomialTable.get(ring.p, a.length)
-    reduced = table.reduced(op)
+    reduced = StructurePolynomialTable.get(ring.p, a.length).reduced(op)
     coords = [
         _eval_level(reduced[n], ring, a.coords, b.coords) for n in range(a.length)
     ]
@@ -148,12 +147,12 @@ def witt_inv(a):
     ring = a.ring
     N = a.length
     p = ring.p
-    table = StructurePolynomialTable.get(p, N)
+    mul = StructurePolynomialTable.get(p, N).reduced("mul")
     inv0 = a.coords[0].inv()
     bcoords = [inv0] + [ring.zero] * (N - 1)
     target_one = [ring.one] + [ring.zero] * (N - 1)
     for n in range(1, N):
-        partial = _eval_level(table.mul_p[n], ring, a.coords, bcoords)
+        partial = _eval_level(mul[n], ring, a.coords, bcoords)
         # product component n = a_0^(p^n) * b_n + partial (b_n currently 0)
         bcoords[n] = (target_one[n] - partial) * (inv0 ** (p**n))
     return WittVector(ring, bcoords)
@@ -195,7 +194,8 @@ def witt_random(ring, N, rng):
 
 
 # ---------------------------------------------------------------------------
-# small dense matrices over W_N(A)
+# small dense matrices over W_N(A); mat_mul and mat_det use only +, - and *,
+# so they also serve the p-adic entries of lattice.WittMatrix
 # ---------------------------------------------------------------------------
 
 def mat_identity(ring, n, N):

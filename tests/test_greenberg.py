@@ -10,13 +10,15 @@ from wittgrass.greenberg import (
     RealizedMap,
     WittPolynomial,
     coord_ring,
+    generic_vectors,
     localized_transition,
     parse_witt_map,
     realize_action,
     realize_ideal,
     realize_poly_map,
 )
-from wittgrass.poly import parse_polynomial
+from wittgrass.poly import Polynomial, parse_polynomial
+from wittgrass.structure import MAX_SLOTS, gen_structure_polys, key_exponents
 from wittgrass.witt import (
     WittVector,
     mat_det,
@@ -257,3 +259,23 @@ def test_parse_witt_map_round_trip():
     R = rm.ring
     assert rm.components[0][0] == expect(R, "x[1,0]*x[2,0] + 1")
     assert rm.components[1][0] == expect(R, "x[1,0] + x[2,0]")
+
+
+def _table_level(ring, level, N):
+    """An integer structure polynomial reduced mod p, X_i -> x[1,i], Y_i -> x[2,i]."""
+    terms = {}
+    for key, c in level.items():
+        if c % ring.p:
+            exps = [0] * (2 * N)
+            for slot, e in key_exponents(key):
+                exps[slot if slot < MAX_SLOTS else N + slot - MAX_SLOTS] = e
+            terms[tuple(exps)] = ring.coeff.from_int(c)
+    return Polynomial(ring, terms)
+
+
+@pytest.mark.parametrize("p, N", [(2, 3), (3, 2)])
+def test_generic_witt_arithmetic_is_the_structure_table(p, N):
+    ring, (x, y) = generic_vectors(GF(p), 2, N)
+    for op, result in (("add", x + y), ("mul", x * y), ("neg", -x)):
+        expected = [_table_level(ring, lv, N) for lv in gen_structure_polys(p, N, op)]
+        assert list(result.coords) == expected, op

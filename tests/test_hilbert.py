@@ -9,6 +9,7 @@ from wittgrass.fields import GF
 from wittgrass.groebner import buchberger, ideal_contains
 from wittgrass.hilbert import (
     GradedIdeal,
+    _independent,
     act_on_ideal,
     ambient_ring,
     family_ring,
@@ -259,3 +260,34 @@ def test_flat_limit_of_lattice_family():
     assert limit == GradedIdeal(R, 2, 2, [R.var(2), R.var(0) ** 2])
     assert hilbert_function(limit, 8) == generic_hilbert(fam, 8)
     assert is_module_stable(limit)
+
+
+# -- the elimination pass --------------------------------------------------------
+
+def _span(rows, field, width):
+    span = {(field.zero,) * width}
+    for row in rows:
+        span = {
+            tuple(x + c * y for x, y in zip(v, row))
+            for v in span
+            for c in field.elements()
+        }
+    return span
+
+
+@pytest.mark.parametrize("field", [F2, F4], ids=["GF2", "GF4"])
+@pytest.mark.parametrize("seed", range(6))
+def test_independent_matches_brute_force_span_sizes(field, seed):
+    rng = random.Random(seed)
+    width = 4
+    draw = lambda k: [[field.random(rng) for _ in range(width)] for _ in range(k)]
+    base = draw(rng.randrange(3))
+    rows = draw(rng.randrange(1, 5))
+    rows.append([x + y for x, y in zip(rows[0], rows[-1])])  # a dependent row
+    for b in ([], base):
+        kept = _independent(rows, base=b)
+        # kept rows are input rows, in their input order
+        assert kept == [r for r in rows if any(r is k for k in kept)]
+        assert field.q ** len(kept) * len(_span(b, field, width)) == len(
+            _span(b + rows, field, width)
+        )

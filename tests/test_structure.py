@@ -104,3 +104,24 @@ def test_each_cache_dir_gets_its_own_table(tmp_path):
     for name in ("a", "b"):
         st.StructurePolynomialTable.get(2, 2, cache_dir=str(tmp_path / name))
         assert (tmp_path / name / "structure_p2.txt").exists()
+
+
+def test_table_loads_once_per_prime_and_cache_dir(tmp_path, monkeypatch):
+    loads = []
+    real_load = st.load_cache
+    monkeypatch.setattr(
+        st, "load_cache", lambda p, cdir: loads.append((p, cdir)) or real_load(p, cdir)
+    )
+    cdir = str(tmp_path / "a")
+    for N in (3, 2, 3):
+        st.StructurePolynomialTable.get(2, N, cache_dir=cdir)
+    assert loads == [(2, cdir)]
+    for op in st.OPS:
+        assert len(st.gen_structure_polys(2, 2, op, cache_dir=cdir)) == 2
+
+    # a load keeps every level the file holds, and serves shorter lengths
+    fuller = str(tmp_path / "b")
+    st.write_cache(2, fuller, {op: st.solve_levels(2, op, 3) for op in st.OPS})
+    assert st.StructurePolynomialTable.get(2, 2, cache_dir=fuller).N == 3
+    st.StructurePolynomialTable.get(2, 3, cache_dir=fuller)
+    assert loads == [(2, cdir), (2, fuller)]
