@@ -12,9 +12,12 @@ Flat limits work degree by degree: the degree-a slice of a family over F_q(t)
 is a module over the local ring of t = 0; its Smith normal form yields the
 t-saturation, whose fiber at t = 0 is the limit's degree-a piece.  The limit
 Hilbert function equals the generic one by construction, which the tests
-cross-check by independent monomial enumeration.  Slices and linear
-independence come from one slice builder and one elimination pass, shared by
-the Hilbert function and the flat limit.
+cross-check two independent ways: ``hilbert_function`` counts the standard
+monomials of the leading-term ideal from its Hilbert series, without listing
+them, and ``hilbert_function_linalg`` (behind ``generic_hilbert``) takes ranks
+of the degree slices, with no Groebner basis.  Slices and linear independence
+come from one slice builder and one elimination pass, shared by the rank-based
+Hilbert function and the flat limit.
 """
 
 from __future__ import annotations
@@ -177,16 +180,60 @@ class HilbertFunction:
 
 
 def hilbert_function(I, bound):
-    """h(a) = number of weight-a monomials outside the leading-term ideal."""
-    lts = [g.lm() for g in I.basis()]
-    values = []
-    for a in range(bound + 1):
-        count = 0
-        for m in monomials_of_weight(I.ring, a):
-            if not any(all(x >= y for x, y in zip(m, lt)) for lt in lts):
-                count += 1
-        values.append(count)
-    return HilbertFunction(values)
+    """h(a) = number of weight-a monomials outside the leading-term ideal.
+
+    Counted, not listed: the Hilbert series of the leading-term ideal is
+    K(t) / prod_w (1 - t^w) over the variable weights w, with the numerator
+    K from ``_numerator``; dividing by each 1 - t^w is a running prefix sum.
+    """
+    weights = I.ring.weights
+    h = _numerator([g.lm() for g in I.basis()], weights, bound)
+    for w in weights:
+        for a in range(w, bound + 1):
+            h[a] += h[a - w]
+    return HilbertFunction(h)
+
+
+def _numerator(monomials, weights, bound):
+    """Coefficients 0..bound of the numerator K(t) of the Hilbert series of
+    k[x] modulo the monomial ideal generated by ``monomials``.
+
+    Colon recursion (Bayer-Stillman): K(M) = K(M') - t^deg(m) K(M' : m) with
+    M' = M without m.  A generator coprime to all the others only contributes
+    the factor 1 - t^deg(m), so no ideal means K = 1, and the constant
+    monomial (coprime to everything, degree 0) gives K = 0.  Generators of
+    degree above the bound cannot change the coefficients kept.
+    """
+    def deg(m):
+        return sum(e * w for e, w in zip(m, weights))
+
+    gens = sorted({m for m in monomials if deg(m) <= bound})
+    gens = [
+        m for m in gens
+        if not any(g != m and all(x <= y for x, y in zip(g, m)) for g in gens)
+    ]
+    supports = [{i for i, e in enumerate(m) if e} for m in gens]
+    tangled = [
+        m for m, s in zip(gens, supports)
+        if any(o is not s and s & o for o in supports)
+    ]
+    if tangled:
+        # splitting on the heaviest generator leaves the shortest colon series
+        m = max(tangled, key=deg)
+        rest = [g for g in tangled if g != m]
+        d = deg(m)
+        K = _numerator(rest, weights, bound)
+        colon = [tuple(max(x - y, 0) for x, y in zip(g, m)) for g in rest]
+        for a, c in enumerate(_numerator(colon, weights, bound - d)):
+            K[a + d] -= c
+    else:
+        K = [1] + [0] * bound
+    for m in gens:
+        if m not in tangled:
+            d = deg(m)
+            for a in range(bound, d - 1, -1):
+                K[a] -= K[a - d]
+    return K
 
 
 def hilbert_function_linalg(I, bound):
@@ -348,10 +395,15 @@ def _dvr_saturated_fiber(rows, ncols, K):
     Smith normal form over the DVR: row/column eliminations with minimal
     t-valuation pivots, tracking only the column operations' effect on a
     companion matrix V, so that the saturation is the span of V's first
-    rank rows.
+    rank rows.  The t-valuations of A's entries are kept in ``vals``, swapped
+    with A and recomputed only where an elimination changed an entry of the
+    remaining block: in a row i it rewrote, at the pivot row's nonzero
+    columns.  A column elimination changes only row k, since the entries
+    below the pivot are then zero.
     """
     field = K.base
     A = [list(r) for r in rows]
+    vals = [[_tval(x) for x in r] for r in A]
     nrows = len(A)
     V = [
         [K.one if i == j else K.zero for j in range(ncols)]
@@ -362,8 +414,9 @@ def _dvr_saturated_fiber(rows, ncols, K):
         piv = None
         piv_val = None
         for i in range(k, nrows):
+            vrow = vals[i]
             for j in range(k, ncols):
-                v = _tval(A[i][j])
+                v = vrow[j]
                 if v is None:
                     continue
                 if piv_val is None or v < piv_val:
@@ -372,19 +425,23 @@ def _dvr_saturated_fiber(rows, ncols, K):
             break
         pi, pj = piv
         A[k], A[pi] = A[pi], A[k]
+        vals[k], vals[pi] = vals[pi], vals[k]
         if pj != k:
             for row in A:
                 row[k], row[pj] = row[pj], row[k]
+            for vrow in vals:
+                vrow[k], vrow[pj] = vrow[pj], vrow[k]
             V[k], V[pj] = V[pj], V[k]
         pivot = A[k][k]
+        support = [j for j in range(k + 1, ncols) if vals[k][j] is not None]
         for i in range(k + 1, nrows):
-            if _tval(A[i][k]) is None:
+            if vals[i][k] is None:
                 continue
             f = A[i][k] * pivot.inv()
             A[i] = [x - f * y for x, y in zip(A[i], A[k])]
-        for j in range(k + 1, ncols):
-            if _tval(A[k][j]) is None:
-                continue
+            for j in support:
+                vals[i][j] = _tval(A[i][j])
+        for j in support:
             f = A[k][j] * pivot.inv()  # t-integral: pivot has minimal valuation
             for row in A:
                 row[j] = row[j] - f * row[k]

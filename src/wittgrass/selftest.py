@@ -1,8 +1,9 @@
 """Self-contained invariant suite behind ``wittgrass selftest``.
 
 Each check is a named callable returning None (pass) or raising; the driver
-prints one PASS/FAIL line per property and reports overall success.  Checks
-run at fixed desk-scale parameters with fixed seeds, so output is stable.
+prints one PASS/FAIL line per property, with the check's duration, and reports
+overall success.  Checks run at fixed desk-scale parameters with fixed seeds,
+so the verdicts are stable; only the durations vary.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import os
 import random
 import tempfile
+import time
 
 from .errors import CacheCorrupt, WittgrassError
 from .fields import GF
@@ -283,11 +285,12 @@ def run_selftest(quick=False, out=print):
         if quick and name in QUICK_SKIP:
             out(f"SKIP {name}")
             continue
+        start = time.perf_counter()
         try:
             fn()
         except Exception as exc:  # report and continue
             failures += 1
-            out(f"FAIL {name}: {exc}")
+            out(f"FAIL {name} ({time.perf_counter() - start:.2f} s): {exc}")
         else:
-            out(f"PASS {name}")
+            out(f"PASS {name} ({time.perf_counter() - start:.2f} s)")
     return failures

@@ -33,6 +33,7 @@ length 4) instead of grinding without hope of finishing.
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 
 from .errors import CacheCorrupt, TableLimit, UsageError
@@ -432,8 +433,12 @@ class StructurePolynomialTable:
         if missing:
             try:
                 write_cache(p, cdir, cached)
-            except OSError:
-                pass  # cache is an optimization; arithmetic works without it
+            except OSError as exc:  # the cache is an optimization; carry on in memory
+                print(
+                    f"wittgrass: could not write structure cache "
+                    f"{_cache_path(cdir, p)}: {exc}",
+                    file=sys.stderr,
+                )
         table = cls(p, length, cached)
         cls._registry[key] = table
         return table

@@ -1,8 +1,10 @@
 """Graded ideals: Hilbert functions, stability, orbit action, flat limits."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittgrass.errors import NotDominant, UsageError, WindowTooSmall
 from wittgrass.fields import GF
@@ -291,3 +293,29 @@ def test_independent_matches_brute_force_span_sizes(field, seed):
         assert field.q ** len(kept) * len(_span(b, field, width)) == len(
             _span(b + rows, field, width)
         )
+
+
+# -- the counted Hilbert function against enumeration -------------------------
+
+@functools.lru_cache(maxsize=None)
+def _monomials_up_to(ring, bound):
+    return [monomials_of_weight(ring, a) for a in range(bound + 1)]
+
+
+def _enumerated_hilbert(ring, gens, bound):
+    """Weight-a monomials divisible by no generator, listed one by one."""
+    return [
+        sum(1 for m in monos if not any(all(x >= y for x, y in zip(m, g)) for g in gens))
+        for monos in _monomials_up_to(ring, bound)
+    ]
+
+
+@pytest.mark.parametrize("p,n,N", [(2, 2, 3), (3, 2, 2), (2, 3, 2)])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_hf_of_monomial_ideals_matches_enumeration(p, n, N, data):
+    ring = ambient_ring(GF(p), n, N)
+    exps = st.tuples(*[st.integers(0, 3)] * (n * N))
+    gens = data.draw(st.lists(exps, min_size=2, max_size=8))
+    I = GradedIdeal(ring, n, N, [ring.monomial(m) for m in gens])
+    assert hilbert_function(I, 14).values == _enumerated_hilbert(ring, gens, 14)

@@ -125,3 +125,13 @@ def test_table_loads_once_per_prime_and_cache_dir(tmp_path, monkeypatch):
     assert st.StructurePolynomialTable.get(2, 2, cache_dir=fuller).N == 3
     st.StructurePolynomialTable.get(2, 3, cache_dir=fuller)
     assert loads == [(2, cdir), (2, fuller)]
+
+
+def test_failed_cache_write_is_reported_and_table_still_works(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    table = st.StructurePolynomialTable.get(2, 2, cache_dir=str(not_a_dir))
+    assert table.levels("add") == st.solve_levels(2, "add", 2)
+    err = capsys.readouterr().err
+    assert "could not write structure cache" in err
+    assert str(not_a_dir) in err
