@@ -1,12 +1,16 @@
 """Buchberger's algorithm for the weighted orders used here.
 
-Plain sparse Buchberger with the coprime-leading-term criterion and full
-interreduction; the ideals in this package are desk scale (a handful of
-generators in at most a dozen variables), so no further pair selection
-heuristics are needed.
+Sparse Buchberger with the normal selection strategy (the S-pair whose lcm of
+leading monomials is smallest in the monomial order goes first), the
+coprime-leading-term criterion and full interreduction.  The pair order
+matters even at desk scale: with pairs taken last-in-first-out, the basis of
+one four-generator homogeneous ideal in W_5^2 ran for minutes; by increasing
+lcm it takes milliseconds.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .errors import SizeGuard
 
@@ -58,26 +62,31 @@ def s_polynomial(f, g):
 
 def buchberger(gens):
     """Reduced monic Groebner basis of the ideal generated by ``gens``."""
-    basis = [g for g in gens if not g.is_zero()]
-    if not basis:
+    gens = [g.scale(g.lc().inv()) for g in gens if not g.is_zero()]
+    if not gens:
         return []
-    ring = basis[0].ring
-    basis = [g.scale(g.lc().inv()) for g in basis]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    key = gens[0].ring.order_key
+    basis = []
+    pairs = []  # heap of (order key of lcm of leading monomials, i, j)
+
+    def add(f):
+        i, lf = len(basis), f.lm()
+        for j, g in enumerate(basis):
+            lg = g.lm()
+            if any(a and b for a, b in zip(lf, lg)):  # coprime pairs reduce to zero
+                heapq.heappush(pairs, (key(_lcm(lf, lg)), i, j))
+        basis.append(f)
+
+    for g in gens:
+        add(g)
     while pairs:
-        i, j = pairs.pop()
-        f, g = basis[i], basis[j]
-        lf, lg = f.lm(), g.lm()
-        if all(a == 0 or b == 0 for a, b in zip(lf, lg)):
-            continue  # coprime leading monomials reduce to zero
-        r = normal_form(s_polynomial(f, g), basis)
+        _, i, j = heapq.heappop(pairs)
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if r.is_zero():
             continue
-        r = r.scale(r.lc().inv())
-        basis.append(r)
-        if len(basis) > BASIS_GUARD:
+        if len(basis) >= BASIS_GUARD:
             raise SizeGuard("Groebner basis exceeded the resource guard")
-        pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
+        add(r.scale(r.lc().inv()))
     return interreduce(basis)
 
 

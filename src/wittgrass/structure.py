@@ -18,7 +18,12 @@ single integer addition.
 
 Generated tables are cached on disk, one polynomial per line, in the format
 ``ADD n: <integer polynomial>``.  Cache writes are atomic (write a temp file,
-then rename), so concurrent processes can share a cache directory.
+then rename), so concurrent processes can share a cache directory.  Loading
+checks the syntax only: each line names a known op and the next level of it,
+and each term has a nonzero integer coefficient and distinct variables X_i/Y_i
+with i < MAX_SLOTS and exponents 1..EXP_MASK, written in slot order, so no
+token can alias another monomial.  It does not re-check the ghost identities;
+a well-formed but wrong coefficient is read as it stands.
 
 Generation cost is governed by the number of monomials of weighted degree p^n
 (weights deg X_i = p^i).  That count explodes combinatorially: for p = 5 the
@@ -33,6 +38,7 @@ length 4) instead of grinding without hope of finishing.
 from __future__ import annotations
 
 import os
+import re
 import sys
 import tempfile
 
@@ -288,28 +294,51 @@ def render_ip(poly):
     return " + ".join(parts)
 
 
+_TOKEN = re.compile(r"([XY])(0|[1-9][0-9]*)(?:\^([1-9][0-9]*))?")
+# variable token (``X1``, ``Y0^3``) -> (packed exponent, lowest key of its slot);
+# a memo of _token, which validates each distinct token once, when first seen
+_TOKENS = {}
+
+
+def _token(tok):
+    m = _TOKEN.fullmatch(tok)
+    if m is None:
+        raise CacheCorrupt(f"bad variable token {tok!r}")
+    letter, index, es = m.groups()
+    i, e = int(index), int(es or 1)
+    if i >= MAX_SLOTS or e > EXP_MASK:
+        raise CacheCorrupt(f"variable token {tok!r} outside the packed key range")
+    slot = i + (MAX_SLOTS if letter == "Y" else 0)
+    hit = _TOKENS[tok] = (e << (SHIFT * slot), 1 << (SHIFT * slot))
+    return hit
+
+
 def parse_ip(text):
+    """Inverse of render_ip.
+
+    Raises CacheCorrupt on a malformed term, a zero coefficient, a variable
+    outside the packed key range, variables repeated or out of slot order
+    within a term, and a repeated monomial; render_ip writes none of these.
+    """
     text = text.strip()
     if text == "0":
         return {}
     poly = {}
+    token = _TOKENS.get
     for part in text.split(" + "):
-        bits = part.strip().split("*")
+        bits = part.split("*")
         try:
             c = int(bits[0])
         except ValueError as exc:
             raise CacheCorrupt(f"bad coefficient in {part!r}") from exc
+        if not c:
+            raise CacheCorrupt(f"zero coefficient in {part!r}")
         key = 0
         for tok in bits[1:]:
-            if "^" in tok:
-                name, _, es = tok.partition("^")
-                e = int(es)
-            else:
-                name, e = tok, 1
-            if not name or name[0] not in "XY" or not name[1:].isdigit():
-                raise CacheCorrupt(f"bad variable token {tok!r}")
-            slot = int(name[1:]) + (0 if name[0] == "X" else MAX_SLOTS)
-            key += e << (SHIFT * slot)
+            exp, floor = token(tok) or _token(tok)
+            if floor <= key:  # a slot at or below one already read
+                raise CacheCorrupt(f"variables repeated or out of order in {part!r}")
+            key += exp
         if key in poly:
             raise CacheCorrupt(f"repeated monomial in {part!r}")
         poly[key] = c
@@ -381,10 +410,13 @@ class StructurePolynomialTable:
 
     ``levels(op)`` holds the exact integer levels; ``reduced(op)`` holds their
     mod-p reductions as lists of (exponent-assignment, coefficient) pairs
-    ready for evaluation over any ring of characteristic p.  A table of length
-    N serves every length up to N: Witt arithmetic reads only the levels below
-    its operands' length.  There is one table per prime and cache directory,
-    holding every level the cache file holds and at least the lengths asked for.
+    ready for evaluation over any ring of characteristic p, in the order of
+    the level's terms.  The reduced form of an op is built the first time it
+    is asked for and kept; loading and generation reduce nothing.  A table
+    of length N serves every length up to N: Witt arithmetic reads only the
+    levels below its operands' length.  There is one table per prime and cache
+    directory, holding every level the cache file holds and at least the
+    lengths asked for.
     """
 
     _registry: dict = {}
@@ -393,25 +425,20 @@ class StructurePolynomialTable:
         self.p = p
         self.N = N
         self._levels = {op: tables[op][:N] for op in OPS}
-        self._reduced = {
-            op: [self._reduce(t) for t in levels] for op, levels in self._levels.items()
-        }
+        self._reduced = {}
 
     def _reduce(self, poly):
-        out = []
         p = self.p
-        for key, c in poly.items():
-            cp = c % p
-            if cp:
-                out.append((key_exponents(key), cp))
-        out.sort()
-        return out
+        return [(key_exponents(key), cp) for key, c in poly.items() if (cp := c % p)]
 
     def levels(self, op):
         return self._levels[op]
 
     def reduced(self, op):
-        return self._reduced[op]
+        red = self._reduced.get(op)
+        if red is None:
+            red = self._reduced[op] = [self._reduce(t) for t in self._levels[op]]
+        return red
 
     @classmethod
     def get(cls, p, N, cache_dir=None):

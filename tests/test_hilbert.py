@@ -107,6 +107,16 @@ def test_spolynomials_reduce_to_zero():
             assert normal_form(s_polynomial(G[i], G[j]), G).is_zero()
 
 
+def test_groebner_basis_of_a_translated_ideal_is_quick():
+    # with S-pairs taken last-in-first-out this basis ran for minutes; by
+    # increasing lcm it takes milliseconds
+    rng = random.Random(3)
+    I = ideal_I_lambda(F2, (2, -2), 5)
+    random_sl(F2, 2, 5, rng)
+    J = act_on_ideal(random_sl(F2, 2, 5, rng), I)
+    assert hilbert_function(J, 30) == hilbert_function(I, 30)
+
+
 # -- Hilbert functions ---------------------------------------------------------
 
 def test_hf_zero_ideal():

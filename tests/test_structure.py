@@ -3,8 +3,9 @@
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from wittgrass import structure as st
+from wittgrass import cli, structure as st
 from wittgrass.errors import CacheCorrupt, TableLimit, UsageError
 
 
@@ -135,3 +136,67 @@ def test_failed_cache_write_is_reported_and_table_still_works(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "could not write structure cache" in err
     assert str(not_a_dir) in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "1*X0^-1",  # negative exponent
+        "1*X9",  # index past the X block: would alias Y1
+        "1*X0^65536",  # exponent past its field: would alias X1
+        "1*Y8",  # index past the Y block
+        "0*X0",  # zero coefficient
+        "1*X1^",
+        "1*Z0",
+        "1**X0",
+        "1*X0*X0",  # repeated variable: render_ip writes X0^2
+        "1*X0^65535*X0",  # repeated variable: would alias X1
+        "1*Y0*X0",  # out of slot order
+        "1*X0 + 2*X0",  # repeated monomial
+    ],
+)
+def test_cache_rejects_terms_render_ip_never_writes(tmp_path, body):
+    (tmp_path / "structure_p2.txt").write_text(f"ADD 0: {body}\n")
+    with pytest.raises(CacheCorrupt):
+        st.load_cache(2, str(tmp_path))
+
+
+_slots = hst.dictionaries(
+    hst.integers(0, 2 * st.MAX_SLOTS - 1), hst.integers(1, st.EXP_MASK), max_size=5
+)
+_packed_polys = hst.dictionaries(
+    _slots.map(lambda exps: sum(e << (st.SHIFT * s) for s, e in exps.items())),
+    hst.integers(-(2**80), 2**80).filter(bool),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_packed_polys)
+def test_render_parse_round_trip_on_random_packed_polynomials(poly):
+    assert st.parse_ip(st.render_ip(poly)) == poly
+
+
+def test_tables_reduce_only_the_ops_a_call_evaluates(tmp_path, monkeypatch):
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    reduced = []
+    real_reduce = st.StructurePolynomialTable._reduce
+    monkeypatch.setattr(
+        st.StructurePolynomialTable,
+        "_reduce",
+        lambda self, poly: reduced.append(poly) or real_reduce(self, poly),
+    )
+    for op in st.OPS:
+        st.gen_structure_polys(3, 3, op)
+    assert reduced == []
+
+    def reduced_exactly(op):
+        levels = st.StructurePolynomialTable.get(3, 3).levels(op)
+        return len(reduced) == len(levels) and all(a is b for a, b in zip(reduced, levels))
+
+    for _ in range(2):  # the second call reuses the reduced form
+        assert cli.main(["witt", "add", "--p", "3", "--N", "3", "(1,2,0)", "(2,2,1)"]) == 0
+        assert reduced_exactly("add")
+    reduced.clear()
+    assert cli.main(["witt", "inv", "--p", "3", "--N", "3", "(1,2,0)"]) == 0
+    assert reduced_exactly("mul")
