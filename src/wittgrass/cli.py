@@ -70,6 +70,8 @@ def _emit(args, payload, text):
 # -- witt ----------------------------------------------------------------
 
 def cmd_witt(args):
+    if args.op in ("neg", "inv") and args.other is not None:
+        raise UsageError(f"witt {args.op} takes one vector, not a second {args.other!r}")
     ring = _coeff_ring(args)
     a = parse_witt_vector(ring, args.vector, args.N)
     if args.op in ("add", "mul"):
@@ -79,10 +81,8 @@ def cmd_witt(args):
         out = witt_arith(args.op, a, b)
     elif args.op == "neg":
         out = witt_arith("neg", a)
-    elif args.op == "inv":
-        out = witt_inv(a)
     else:
-        raise UsageError(f"unknown witt op {args.op}")
+        out = witt_inv(a)
     _emit(args, {"result": repr(out)}, repr(out))
     return 0
 
@@ -235,6 +235,13 @@ def cmd_selftest(args):
     return 0
 
 
+def length(text):
+    N = int(text)
+    if N < 1:
+        raise argparse.ArgumentTypeError(f"truncation length must be at least 1, not {N}")
+    return N
+
+
 def build_parser():
     top = argparse.ArgumentParser(
         prog="wittgrass",
@@ -246,7 +253,7 @@ def build_parser():
     def add_common(p, N=True, q=True, laurent=False):
         p.add_argument("--p", type=int, required=True, help="prime")
         if N:
-            p.add_argument("--N", type=int, required=True, help="truncation length")
+            p.add_argument("--N", type=length, required=True, help="truncation length")
         if q:
             p.add_argument("--q", type=int, help="field size (default: p)")
         if laurent:

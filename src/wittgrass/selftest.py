@@ -47,7 +47,9 @@ from .lattice import (
     padic_from_witt,
     smith_normal_form,
 )
+from .rings import LaurentRing
 from .witt import (
+    WittVector,
     frobenius,
     mat_det,
     mat_mul,
@@ -94,6 +96,23 @@ def check_inversion():
             continue
         assert a * witt_inv(a) == one
         assert witt_inv(a) * a == one
+
+
+def check_folded_tables():
+    rng = random.Random(18)
+    F = GF(4)
+    L = LaurentRing(F)  # not a finite field, so its arithmetic is not folded
+
+    def lift(v):
+        return WittVector(L, tuple(L.const(c) for c in v.coords))
+
+    for _ in range(40):
+        x, y = witt_random(F, 3, rng), witt_random(F, 3, rng)
+        assert lift(x + y) == lift(x) + lift(y)
+        assert lift(x * y) == lift(x) * lift(y)
+        assert lift(-x) == -lift(x)
+        if x.is_unit():
+            assert lift(witt_inv(x)) == witt_inv(lift(x))
 
 
 def check_shift_operators():
@@ -256,6 +275,7 @@ CHECKS = [
     ("structure ghost identities (quick grid)", check_ghost_identities),
     ("witt ring axioms", check_ring_axioms),
     ("witt inversion", check_inversion),
+    ("folded F_q tables agree with unfolded ones", check_folded_tables),
     ("frobenius/verschiebung vs p", check_shift_operators),
     ("realized determinant evaluation", check_realized_determinant),
     ("localized transition composition", check_transition_composition),

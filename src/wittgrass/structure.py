@@ -408,15 +408,28 @@ def write_cache(p, cache_dir, tables):
 class StructurePolynomialTable:
     """Integer structure polynomials for the prime p plus mod-p evaluation forms.
 
-    ``levels(op)`` holds the exact integer levels; ``reduced(op)`` holds their
-    mod-p reductions as lists of (exponent-assignment, coefficient) pairs
-    ready for evaluation over any ring of characteristic p, in the order of
-    the level's terms.  The reduced form of an op is built the first time it
-    is asked for and kept; loading and generation reduce nothing.  A table
-    of length N serves every length up to N: Witt arithmetic reads only the
-    levels below its operands' length.  There is one table per prime and cache
-    directory, holding every level the cache file holds and at least the
-    lengths asked for.
+    ``levels(op)`` holds the exact integer levels.  ``reduced(op, q)`` holds
+    their mod-p reductions in the form Witt arithmetic evaluates: per level, a
+    list of ``(mask, variables, coefficient)`` terms.  ``variables`` is a tuple
+    of ``slot << SHIFT | exponent`` for the variables the term uses, ``mask``
+    has bit ``slot`` set for each of them, and the coefficient lies in 1..p-1.
+
+    With ``q`` None the form is the plain reduction, valid over every ring of
+    characteristic p (polynomial rings, Laurent rings, F_q(t)).  For a finite
+    field F_q the form is folded by x^q = x, which holds for every coordinate:
+    each exponent e >= 1 becomes ((e - 1) mod (q - 1)) + 1 and terms that then
+    share a monomial are merged, their coefficients summed mod p.  Evaluation
+    at F_q points is unchanged, and the folded levels are far smaller (p = 3
+    ``add`` level 4: 49,278 terms, 470 over F_3).
+
+    The mod-p reduction of an op (``_reduce``, one call per level) is built the
+    first time any form of it is asked for and serves every q; each form is
+    built from it once per (op, q), in one pass over the packed keys that folds
+    them, and kept; only the merged monomials are decoded.
+    Loading and generation reduce nothing.  A table of length N serves every
+    length up to N: Witt arithmetic reads only the levels below its operands'
+    length.  There is one table per prime and cache directory, holding every
+    level the cache file holds and at least the lengths asked for.
     """
 
     _registry: dict = {}
@@ -425,20 +438,55 @@ class StructurePolynomialTable:
         self.p = p
         self.N = N
         self._levels = {op: tables[op][:N] for op in OPS}
-        self._reduced = {}
+        self._reduced = {}  # op -> per level, [(packed key, coefficient mod p)]
+        self._forms = {}  # (op, q) -> per level, the evaluation form
 
     def _reduce(self, poly):
         p = self.p
-        return [(key_exponents(key), cp) for key, c in poly.items() if (cp := c % p)]
+        return [(key, cp) for key, c in poly.items() if (cp := c % p)]
+
+    def _fold(self, level, q):
+        """Evaluation form of one reduced level, folded by x^q = x unless q is None."""
+        if q is not None:
+            period = q - 1
+            merged = {}
+            for key, c in level:
+                folded = shift = 0
+                while key:
+                    e = key & EXP_MASK
+                    if e:
+                        folded |= ((e - 1) % period + 1) << shift
+                    key >>= SHIFT
+                    shift += SHIFT
+                merged[folded] = merged.get(folded, 0) + c
+            level = merged.items()
+        p = self.p
+        form = []
+        for key, c in level:
+            if cp := c % p:
+                variables = []
+                mask = slot = 0
+                while key:
+                    e = key & EXP_MASK
+                    if e:
+                        variables.append(slot << SHIFT | e)
+                        mask |= 1 << slot
+                    key >>= SHIFT
+                    slot += 1
+                form.append((mask, tuple(variables), cp))
+        return form
 
     def levels(self, op):
         return self._levels[op]
 
-    def reduced(self, op):
-        red = self._reduced.get(op)
-        if red is None:
-            red = self._reduced[op] = [self._reduce(t) for t in self._levels[op]]
-        return red
+    def reduced(self, op, q=None):
+        form = self._forms.get((op, q))
+        if form is None:
+            red = self._reduced.get(op)
+            if red is None:
+                red = self._reduced[op] = [self._reduce(t) for t in self._levels[op]]
+            form = self._forms[(op, q)] = [self._fold(level, q) for level in red]
+        return form
 
     @classmethod
     def get(cls, p, N, cache_dir=None):

@@ -2,15 +2,21 @@
 
 Arithmetic is evaluation of the universal structure polynomials (reduced mod
 p) at the operand coordinates, so it works uniformly over finite fields,
-polynomial rings and Laurent rings.  Inversion is the componentwise triangular
-solve: the n-th component of a product depends on the n-th component of the
-second factor only through the term a_0^(p^n) * b_n.
+polynomial rings and Laurent rings.  Over a finite field F_q the tables are
+folded by x^q = x first (see ``StructurePolynomialTable``), which is exact at
+F_q points and leaves far fewer terms; other rings evaluate the plain
+reduction.  Each call marks its zero coordinates in a bitmask once, so a term
+that uses one costs a single AND, and shares one cache of coordinate powers
+across all levels.  Inversion is the componentwise triangular solve: the n-th
+component of a product depends on the n-th component of the second factor
+only through the term a_0^(p^n) * b_n.
 """
 
 from __future__ import annotations
 
 from .errors import NonUnit, NotPerfect, RingMismatch
-from .structure import MAX_SLOTS, StructurePolynomialTable
+from .fields import FiniteField
+from .structure import EXP_MASK, MAX_SLOTS, SHIFT, StructurePolynomialTable
 
 
 class WittVector:
@@ -96,27 +102,35 @@ def witt_from_int(ring, n, N):
     return acc
 
 
-def _eval_level(terms, ring, acoords, bcoords):
-    """Evaluate one reduced structure polynomial at the given coordinates."""
-    zero = ring.zero
-    acc = zero
-    powers = {}
-    for exps, c in terms:
-        prod = ring.from_int(c)
-        dead = False
-        for slot, e in exps:
-            coord = acoords[slot] if slot < MAX_SLOTS else bcoords[slot - MAX_SLOTS]
-            if coord.is_zero():
-                dead = True
-                break
-            key = (slot, e)
-            pw = powers.get(key)
+def _fold_size(ring):
+    """q for a finite field F_q, whose tables fold by x^q = x; None for other rings."""
+    return ring.q if isinstance(ring, FiniteField) else None
+
+
+def _zero_mask(coords, first_slot=0):
+    return sum(1 << (first_slot + i) for i, c in enumerate(coords) if c.is_zero())
+
+
+def _eval_level(terms, coords, zero_mask, powers, consts):
+    """Evaluate one level of an evaluation form at the given coordinates.
+
+    ``coords`` is indexed by slot (X_i at i, Y_i at MAX_SLOTS + i); a term whose
+    mask meets ``zero_mask`` vanishes.  ``powers`` caches coordinate powers by
+    variable and may be shared by the levels of one call; ``consts[c]`` is the
+    ring element c.
+    """
+    acc = consts[0]
+    get = powers.get
+    for mask, variables, c in terms:
+        if mask & zero_mask:
+            continue
+        prod = consts[c]
+        for v in variables:
+            pw = get(v)
             if pw is None:
-                pw = coord**e
-                powers[key] = pw
+                pw = powers[v] = coords[v >> SHIFT] ** (v & EXP_MASK)
             prod = prod * pw
-        if not dead:
-            acc = acc + prod
+        acc = acc + prod
     return acc
 
 
@@ -130,14 +144,18 @@ def witt_arith(op, a, b=None):
         raise RingMismatch(f"{op} needs two operands")
     if a.ring is not b.ring:
         raise RingMismatch("operands live over different coefficient rings")
-    if a.length != b.length:
-        raise RingMismatch(f"length mismatch: {a.length} vs {b.length}")
+    N = a.length
+    if N != b.length:
+        raise RingMismatch(f"length mismatch: {N} vs {b.length}")
     ring = a.ring
-    reduced = StructurePolynomialTable.get(ring.p, a.length).reduced(op)
-    coords = [
-        _eval_level(reduced[n], ring, a.coords, b.coords) for n in range(a.length)
-    ]
-    return WittVector(ring, coords)
+    forms = StructurePolynomialTable.get(ring.p, N).reduced(op, _fold_size(ring))
+    coords = a.coords + (ring.zero,) * (MAX_SLOTS - N) + b.coords
+    zero_mask = _zero_mask(a.coords) | _zero_mask(b.coords, MAX_SLOTS)
+    powers = {}
+    consts = [ring.from_int(c) for c in range(ring.p)]
+    return WittVector(
+        ring, [_eval_level(forms[n], coords, zero_mask, powers, consts) for n in range(N)]
+    )
 
 
 def witt_inv(a):
@@ -147,15 +165,20 @@ def witt_inv(a):
     ring = a.ring
     N = a.length
     p = ring.p
-    mul = StructurePolynomialTable.get(p, N).reduced("mul")
+    mul = StructurePolynomialTable.get(p, N).reduced("mul", _fold_size(ring))
     inv0 = a.coords[0].inv()
-    bcoords = [inv0] + [ring.zero] * (N - 1)
-    target_one = [ring.one] + [ring.zero] * (N - 1)
+    coords = list(a.coords) + [ring.zero] * (MAX_SLOTS - N) + [inv0] + [ring.zero] * (N - 1)
+    # b_1..b_{N-1} count as zero until solved, so no power of one is cached early
+    zero_mask = _zero_mask(a.coords) | (((1 << N) - 2) << MAX_SLOTS)
+    powers = {}
+    consts = [ring.from_int(c) for c in range(p)]
     for n in range(1, N):
-        partial = _eval_level(mul[n], ring, a.coords, bcoords)
-        # product component n = a_0^(p^n) * b_n + partial (b_n currently 0)
-        bcoords[n] = (target_one[n] - partial) * (inv0 ** (p**n))
-    return WittVector(ring, bcoords)
+        partial = _eval_level(mul[n], coords, zero_mask, powers, consts)
+        # product component n = a_0^(p^n) * b_n + partial, and must be 0
+        b_n = coords[MAX_SLOTS + n] = -partial * (inv0 ** (p**n))
+        if not b_n.is_zero():
+            zero_mask &= ~(1 << (MAX_SLOTS + n))
+    return WittVector(ring, coords[MAX_SLOTS:MAX_SLOTS + N])
 
 
 def frobenius(a):

@@ -33,3 +33,34 @@ def test_hilbert_hf_at_default_bound_counts_weighted_partitions(capsys):
         for a in range(w, bound + 1):
             want[a] += want[a - w]
     assert values == want
+
+
+def test_laurent_witt_product_is_unchanged(capsys):
+    argv = ["witt", "mul", "--p", "2", "--q", "4", "--N", "3", "--laurent",
+            "(t+u,t^-1,1)", "(u*t^2,1+t,t^-2)"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.strip() == (
+        "(u*t^3+(u+1)*t^2,u*t^3+t^2+(u+1)*t+(u+1),"
+        "u*t^8+(u+1)*t^6+(u+1)*t^5+u*t^4+u*t^3+t^2+1+(u+1)*t^-2)"
+    )
+
+
+@pytest.mark.parametrize("op", ["neg", "inv"])
+def test_unary_witt_ops_refuse_a_second_vector(capsys, op):
+    assert cli.main(["witt", op, "--p", "3", "--N", "2", "(1,2)", "(1,1)"]) == 2
+    assert f"witt {op} takes one vector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("N", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witt", "add", "--p", "3", "(1)", "(1)"],
+        ["hilbert", "hf", "--lambda", "1,-1", "--n", "2", "--p", "2"],
+    ],
+)
+def test_truncation_length_below_one_is_refused(capsys, argv, N):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--N", N])
+    assert exc.value.code == 2
+    assert f"argument --N: truncation length must be at least 1, not {N}" in capsys.readouterr().err

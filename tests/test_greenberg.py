@@ -279,3 +279,12 @@ def test_generic_witt_arithmetic_is_the_structure_table(p, N):
     for op, result in (("add", x + y), ("mul", x * y), ("neg", -x)):
         expected = [_table_level(ring, lv, N) for lv in gen_structure_polys(p, N, op)]
         assert list(result.coords) == expected, op
+
+
+def test_generic_witt_addition_over_f4_is_not_folded():
+    # coordinates of a polynomial ring do not satisfy x^4 = x: level 3 keeps
+    # its X_0^8 and Y_0^8 terms
+    p, N = 2, 4
+    ring, (x, y) = generic_vectors(GF(4), 2, N)
+    expected = [_table_level(ring, lv, N) for lv in gen_structure_polys(p, N, "add")]
+    assert list((x + y).coords) == expected

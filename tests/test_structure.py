@@ -200,3 +200,29 @@ def test_tables_reduce_only_the_ops_a_call_evaluates(tmp_path, monkeypatch):
     reduced.clear()
     assert cli.main(["witt", "inv", "--p", "3", "--N", "3", "(1,2,0)"]) == 0
     assert reduced_exactly("mul")
+
+
+def test_fold_is_built_once_per_op_and_field_size(tmp_path, monkeypatch):
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    table = st.StructurePolynomialTable
+    reduced, folds = [], []
+    real_reduce, real_fold = table._reduce, table._fold
+    monkeypatch.setattr(
+        table, "_reduce", lambda self, poly: reduced.append(poly) or real_reduce(self, poly)
+    )
+    monkeypatch.setattr(
+        table, "_fold", lambda self, level, q: folds.append(q) or real_fold(self, level, q)
+    )
+    for _ in range(2):
+        assert cli.main(["witt", "add", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,1)"]) == 0
+    assert folds == [2, 2, 2]
+    for _ in range(2):
+        assert cli.main(["witt", "add", "--p", "2", "--q", "4", "--N", "3", "(u,1,0)", "(1,0,u)"]) == 0
+    assert folds == [2, 2, 2, 4, 4, 4]
+    assert len(reduced) == 3  # F_2 and F_4 fold one reduction
+
+
+def test_folding_by_x_to_the_q_shrinks_the_tables():
+    table = st.StructurePolynomialTable.get(2, 6)
+    top = {q: len(table.reduced("add", q)[5]) for q in (None, 2, 4)}
+    assert top == {None: 4565, 2: 33, 4: 927}

@@ -1,5 +1,6 @@
 """Witt vector arithmetic over finite fields, polynomial and Laurent rings."""
 
+import itertools
 import random
 
 import pytest
@@ -159,3 +160,21 @@ def test_matrix_helpers():
         gi = mat_inv(g)
         assert mat_mul(g, gi) == mat_identity(F4, 2, 3)
         assert mat_mul(gi, g) == mat_identity(F4, 2, 3)
+
+
+@pytest.mark.parametrize("q, N", [(2, 3), (4, 2), (3, 2)])
+def test_folded_tables_agree_with_unfolded_ones_exhaustively(q, N):
+    F = GF(q)
+    L = LaurentRing(F)  # not a finite field, so its arithmetic is not folded
+
+    def lift(v):
+        return WittVector(L, tuple(L.const(c) for c in v.coords))
+
+    vectors = [WittVector(F, c) for c in itertools.product(F.elements(), repeat=N)]
+    for a in vectors:
+        assert lift(-a) == -lift(a)
+        if a.is_unit():
+            assert lift(witt_inv(a)) == witt_inv(lift(a))
+        for b in vectors:
+            assert lift(a + b) == lift(a) + lift(b)
+            assert lift(a * b) == lift(a) * lift(b)
