@@ -28,7 +28,7 @@ from .hilbert import (
     ideal_I_lambda,
     is_module_stable,
 )
-from .lattice import classify_cell, enumerate_lattices, smith_normal_form
+from .lattice import classify_cell, smith_normal_form
 from .rings import LaurentRing
 from .structure import _ENV_CACHE
 from .textio import (
@@ -44,7 +44,9 @@ SCHEMA = "wittgrass/1"
 
 
 def _field(args):
-    q = getattr(args, "q", None) or args.p
+    q = getattr(args, "q", None)
+    if q is None:
+        q = args.p
     field = GF(q)
     if field.p != args.p:
         raise UsageError(f"q={q} is not a power of p={args.p}")
@@ -128,17 +130,12 @@ def cmd_lattice_classify(args):
 
 
 def cmd_lattice_enumerate(args):
-    pairs = enumerate_lattices(args.n, args.q, args.window)
-    counts = {}
-    for _, cell in pairs:
-        counts[cell] = counts.get(cell, 0) + 1
-    cells = [
-        {"lambda": list(c), "count": counts[c]} for c in sorted(counts)
-    ]
+    table = witt_cell_table(args.n, args.q, args.window)
+    cells = table.as_dict()["cells"]
     text = "\n".join(
-        f"({','.join(map(str, c))}): {counts[c]}" for c in sorted(counts)
+        f"({','.join(map(str, c['lambda']))}): {c['count']}" for c in cells
     )
-    _emit(args, {"total": len(pairs), "cells": cells}, text)
+    _emit(args, {"total": table.total, "cells": cells}, text)
     return 0
 
 

@@ -270,6 +270,8 @@ class FiniteField:
 
 def GF(q):
     """Finite field of order q = p^e for a supported prime p."""
+    if q < 2:
+        raise UsageError(f"a finite field has at least 2 elements, not {q}")
     for p in SUPPORTED_PRIMES:
         if q % p == 0:
             e = 0

@@ -231,6 +231,8 @@ def image_check(lam, q=2, samples=20, seed=7, N=None):
     ideals that map to the standard lattice.
     """
     dominant_or_raise(lam)
+    if samples < 0:
+        raise UsageError(f"the number of samples cannot be negative, not {samples}")
     n = len(lam)
     tilde1 = lam[0] - lam[-1]
     big_lambda = -n * lam[-1]

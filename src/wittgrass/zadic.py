@@ -1,10 +1,13 @@
 """Function-field oracle: special lattices over F_q[[z]] in a finite window.
 
-This is the cross-validation path for the Witt-vector lattice enumeration and
-is deliberately self-contained: it has its own arithmetic for truncated power
-series over a prime field (plain integer tuples mod q) and its own valuation
-pivoting, sharing no code with the Witt machinery.  If both enumerations have
-a bug, they would have to have it independently.
+This is the cross-validation path for the Witt-vector lattice enumeration.  It
+walks the column Hermite forms of z^w L, as lattice.enumerate_lattices does on
+the Witt side, but what decides each form stays independent: its own
+arithmetic for truncated power series over a prime field (plain integer
+tuples mod q) and its own elementary divisors by valuation pivoting, sharing
+no code with the Witt machinery.  If both enumerations have a bug, they would
+have to have it independently.  A brute-force reference, a breadth-first
+search over every submodule, lives in tests/test_grassmann.py.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import itertools
 
 from .errors import SizeGuard, UsageError
 
-ENUM_GUARD = 1 << 24
+ENUM_GUARD = 1 << 20
 
 
 def _is_prime(q):
@@ -37,19 +40,10 @@ class SeriesRing:
             )
         self.q = q
         self.P = P
-        self.zero = (0,) * P
-        self.one = (1,) + (0,) * (P - 1)
 
-    def elements(self):
-        return [tuple(c) for c in itertools.product(range(self.q), repeat=self.P)]
-
-    def add(self, a, b):
+    def sub(self, a, b):
         q = self.q
-        return tuple((x + y) % q for x, y in zip(a, b))
-
-    def neg(self, a):
-        q = self.q
-        return tuple((-x) % q for x in a)
+        return tuple((x - y) % q for x, y in zip(a, b))
 
     def mul(self, a, b):
         q, P = self.q, self.P
@@ -123,11 +117,19 @@ def _elementary_divisors(ring, columns, n):
             # factor = e / z^piv_val (integral since piv_val is minimal)
             factor = tuple(e[piv_val:]) + (0,) * piv_val
             for rr in range(n):
-                work[cj][rr] = ring.add(
-                    work[cj][rr], ring.neg(ring.mul(factor, pcol[rr]))
-                )
+                work[cj][rr] = ring.sub(work[cj][rr], ring.mul(factor, pcol[rr]))
         exps.append(min(piv_val, P))
     return sorted(exps, reverse=True)
+
+
+def _hermite_exponents(n, window):
+    """Pivot exponents of the Hermite forms of z^window L for special L in the
+    window: n integers in [0, 2*window] summing to n*window."""
+    top = 2 * window
+    for head in itertools.product(range(top + 1), repeat=n - 1):
+        last = n * window - sum(head)
+        if 0 <= last <= top:
+            yield head + (last,)
 
 
 def zadic_oracle(n, q, window):
@@ -135,44 +137,39 @@ def zadic_oracle(n, q, window):
 
     Returns a dict mapping dominant cocharacters to the number of lattices L
     with z^window R^n <= L <= z^-window R^n of that elementary divisor type,
-    over R = F_q[[z]].
+    over R = F_q[[z]].  Walks the column Hermite forms of M = z^window L: pivot
+    z^b_i on the diagonal, below it in row i any polynomial of degree < b_i.
+    A form is kept iff its elementary divisors sum to n*window, which is
+    exactly when M contains z^(2*window) R^n; each lattice is one form.
     """
-    if window == 0:
-        return {tuple([0] * n): 1}
+    if n < 1 or window < 0:
+        raise UsageError("the z-adic oracle needs n >= 1 and window >= 0")
     P = 2 * window
     ring = SeriesRing(q, P)
-    msize = q ** (P * n)
-    if msize * msize > ENUM_GUARD:
-        raise SizeGuard(f"module of size {msize} exceeds the enumeration guard")
+    forms = 0
+    for exps in _hermite_exponents(n, window):
+        forms += q ** sum(i * b for i, b in enumerate(exps))
+        if forms > ENUM_GUARD:
+            raise SizeGuard(
+                f"n={n}, q={q}, window={window} has more than {ENUM_GUARD} "
+                "Hermite forms to visit; lower the window, n or q"
+            )
 
-    scalars = ring.elements()
-    zero_vec = (ring.zero,) * n
-    all_elems = list(itertools.product(scalars, repeat=n))
+    def poly(coeffs):
+        return tuple(coeffs) + (0,) * (P - len(coeffs))
 
-    def extend(S, v):
-        out = set(S)
-        for c in scalars:
-            cv = tuple(ring.mul(c, x) for x in v)
-            for s in S:
-                out.add(tuple(ring.add(a, b) for a, b in zip(s, cv)))
-        return frozenset(out)
-
-    start = frozenset([zero_vec])
-    seen = {start}
-    queue = [start]
+    below = [(i, j) for i in range(n) for j in range(i)]
     counts = {}
-    while queue:
-        S = queue.pop()
-        columns = [list(vec) for vec in S if vec != zero_vec]
-        mu = _elementary_divisors(ring, columns, n)
-        if sum(mu) == n * window:
-            cell = tuple(m - window for m in mu)
-            counts[cell] = counts.get(cell, 0) + 1
-        for v in all_elems:
-            if v in S:
-                continue
-            T = extend(S, v)
-            if T not in seen:
-                seen.add(T)
-                queue.append(T)
+    for exps in _hermite_exponents(n, window):
+        residues = [itertools.product(range(q), repeat=exps[i]) for i, _ in below]
+        for digits in itertools.product(*residues):
+            cols = [[poly(()) for _ in range(n)] for _ in range(n)]
+            for j, b in enumerate(exps):  # z^b; z^P is zero in the quotient
+                cols[j][j] = tuple(int(k == b) for k in range(P))
+            for (i, j), r in zip(below, digits):
+                cols[j][i] = poly(r)
+            mu = _elementary_divisors(ring, cols, n)
+            if sum(mu) == n * window:
+                cell = tuple(m - window for m in mu)
+                counts[cell] = counts.get(cell, 0) + 1
     return counts

@@ -64,3 +64,35 @@ def test_truncation_length_below_one_is_refused(capsys, argv, N):
         cli.main(argv + ["--N", N])
     assert exc.value.code == 2
     assert f"argument --N: truncation length must be at least 1, not {N}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "enumerate", "--n", "2", "--q", "0", "--window", "1"],
+        ["grass", "count", "--n", "2", "--q", "0", "--window", "1", "--oracle", "witt"],
+        ["grass", "image", "--lambda", "1,-1", "--q", "0"],
+        ["witt", "add", "--p", "2", "--q", "0", "--N", "2", "(1,1)", "(1,0)"],
+    ],
+)
+def test_field_size_zero_is_refused(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err
+
+
+def test_negative_samples_are_refused(capsys):
+    argv = ["grass", "image", "--lambda", "1,-1", "--q", "2", "--format", "json"]
+    assert cli.main(argv + ["--samples", "-3"]) == 2
+    assert "samples" in capsys.readouterr().err
+    assert cli.main(argv + ["--samples", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["samples"] == 0
+
+
+def test_default_grass_count_oracles_agree(capsys):
+    argv = ["grass", "count", "--n", "2", "--q", "2", "--window", "2", "--format", "json"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["agree"] is True
+    assert [t["provenance"] for t in payload["tables"]] == ["witt", "z-adic"]

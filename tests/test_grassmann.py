@@ -1,5 +1,6 @@
 """Cell decompositions, the point-level ideal-to-lattice map, image reports."""
 
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from wittgrass.hilbert import (
     ideal_I_lambda,
     is_module_stable,
 )
+from wittgrass import zadic
 from wittgrass.witt import random_sl
 from wittgrass.zadic import zadic_oracle
 
@@ -105,6 +107,76 @@ def test_zadic_rejects_prime_powers():
 def test_zadic_guard():
     with pytest.raises(SizeGuard):
         zadic_oracle(3, 5, 2)
+
+
+def test_zadic_guard_fires_before_any_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("elementary divisors computed before the guard")
+
+    monkeypatch.setattr(zadic, "_elementary_divisors", refuse)
+    with pytest.raises(SizeGuard, match="lower the window, n or q"):
+        zadic_oracle(3, 5, 2)
+
+
+def submodule_cells(n, q, window):
+    """Cell counts by brute force: breadth-first search over every submodule S
+    of (F_q[z]/z^P)^n, P = 2*window, for prime q.  S is special iff
+    |S| = q^(n*window); its elementary divisors mu come from the sizes
+    |z^k S| = q^(sum_i max(0, P - mu_i - k)), with no pivoting."""
+    P = 2 * window
+    zero = (0,) * (n * P)  # entry i, coefficient of z^k at index i*P + k
+
+    def add(a, b):
+        return tuple((x + y) % q for x, y in zip(a, b))
+
+    def times_z(v):
+        return tuple(0 if k % P == 0 else v[k - 1] for k in range(n * P))
+
+    def log_q(size):
+        e = 0
+        while size > 1:
+            size //= q
+            e += 1
+        return e
+
+    def span(S, v):
+        out = set(S)
+        while v != zero:
+            multiples = [zero]
+            for _ in range(q - 1):
+                multiples.append(add(multiples[-1], v))
+            out = {add(s, m) for s in out for m in multiples}
+            v = times_z(v)
+        return frozenset(out)
+
+    vectors = list(itertools.product(range(q), repeat=n * P))
+    start = frozenset([zero])
+    seen, queue, counts = {start}, [start], {}
+    while queue:
+        S = queue.pop()
+        for v in vectors:
+            if v not in S:
+                T = span(S, v)
+                if T not in seen:
+                    seen.add(T)
+                    queue.append(T)
+        if log_q(len(S)) != n * window:
+            continue
+        dims, image = [], S
+        for _ in range(P + 1):
+            dims.append(log_q(len(image)))
+            image = {times_z(v) for v in image}
+        # dims[k] - dims[k+1] rows have mu_i < P - k
+        below = [0] + [dims[P - m] - dims[P - m + 1] for m in range(1, P + 1)] + [n]
+        mu = [m for m in range(P, -1, -1) for _ in range(below[m + 1] - below[m])]
+        cell = tuple(m - window for m in mu)
+        counts[cell] = counts.get(cell, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("n,q,window", [(2, 2, 1), (2, 3, 1), (3, 2, 1)])
+def test_zadic_oracle_matches_submodule_search(n, q, window):
+    assert zadic_oracle(n, q, window) == submodule_cells(n, q, window)
 
 
 # -- non-injectivity ---------------------------------------------------------------

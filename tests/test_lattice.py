@@ -392,6 +392,13 @@ def test_enumeration_matches_closed_form(n, q, window):
     assert len({lat.canonical_key() for lat, _ in out}) == len(out)
 
 
+@pytest.mark.parametrize(
+    "n,q,window", [(2, 2, 2), (2, 3, 2), (2, 5, 1), (3, 2, 2), (3, 3, 1)]
+)
+def test_zadic_oracle_matches_closed_form(n, q, window):
+    assert zadic_oracle(n, q, window) == window_counts(n, q, window)
+
+
 @pytest.mark.parametrize("lam", [(0, 0), (1, -1)])
 def test_key_ignores_basis_window_and_precision(lam):
     if lam == (0, 0):  # a boundary ideal of the (1,-1) family
