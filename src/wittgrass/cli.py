@@ -171,7 +171,7 @@ def cmd_hilbert_limit(args):
     ring = family_ring(field, args.n, args.N)
     gens = [parse_coordinate_poly(ring, line) for line in _read_poly_lines(args.family_file)]
     fam = GradedIdeal(ring, args.n, args.N, gens)
-    limit = flat_limit(fam, bound=args.bound)
+    limit = flat_limit(fam)
     lines = [repr(g) for g in limit.generators]
     _emit(args, {"generators": lines}, "\n".join(lines))
     return 0
@@ -180,11 +180,12 @@ def cmd_hilbert_limit(args):
 # -- grass -----------------------------------------------------------------
 
 def cmd_grass_count(args):
+    # the z-adic side refuses prime powers at once, so it runs first
     tables = []
-    if args.oracle in ("witt", "both"):
-        tables.append(witt_cell_table(args.n, args.q, args.window))
     if args.oracle in ("z-adic", "both"):
         tables.append(zadic_cell_table(args.n, args.q, args.window))
+    if args.oracle in ("witt", "both"):
+        tables.insert(0, witt_cell_table(args.n, args.q, args.window))
     payload = {"tables": [t.as_dict() for t in tables]}
     if len(tables) == 2:
         payload["agree"] = tables[0].same_counts(tables[1])
@@ -306,11 +307,12 @@ def build_parser():
     hs.add_argument("--n", type=int, required=True)
     add_common(hs)
     hs.set_defaults(fn=cmd_hilbert_stable)
-    hl = hsub.add_parser("limit")
+    hl = hsub.add_parser(
+        "limit", help="exact flat limit at t = 0 of a family over F_q(t), by one t-saturation"
+    )
     hl.add_argument("--family-file", required=True)
     hl.add_argument("--n", type=int, required=True)
     add_common(hl)
-    hl.add_argument("--bound", type=int)
     hl.set_defaults(fn=cmd_hilbert_limit)
 
     gr2 = sub.add_parser("grass", help="cell tables and the image report")

@@ -59,7 +59,3 @@ class NotStable(WittgrassError):
 
 class SizeGuard(WittgrassError):
     """An enumeration would exceed the configured resource guard."""
-
-
-class SaturationGuard(WittgrassError):
-    """Flat-limit saturation did not visibly stabilize below the degree bound."""

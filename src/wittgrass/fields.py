@@ -141,10 +141,6 @@ class FiniteField:
                 self._add_t[(a.val, b.val)] = self._intern[self._add_raw(a, b).val]
                 self._mul_t[(a.val, b.val)] = self._intern[self._mul_raw(a, b).val]
 
-    @property
-    def characteristic(self):
-        return self.p
-
     def _raw_elements(self):
         p, e = self.p, self.e
         out = []

@@ -147,7 +147,7 @@ def points_lattice(I, q=None, shift=0, check_stable=True, verify_closure=True):
         col = [padic_zero(field, prec) for _ in range(n)]
         col[row] = padic_p_power(field, N, prec)
         columns.append(col)
-    return lattice_from_columns(columns, n, shift, field, prec)
+    return lattice_from_columns(columns, n, shift, field)
 
 
 def standard_cell_lattice(field, lam, prec=None):
@@ -269,7 +269,7 @@ def image_check(lam, q=2, samples=20, seed=7, N=None):
     # larger cocharacters the report covers the open orbit by sampling only.
     if lam == (1, -1):
         fam = degeneration_family_ideal(field, lam[0], lam[1], N=N)
-        limit = flat_limit(fam, bound=2 * field.p ** (N - 1))
+        limit = flat_limit(fam)
         if is_module_stable(limit):
             lat = points_lattice(limit, shift=window, check_stable=False)
             note(lat.cell(), "flat limit of the degeneration family")

@@ -197,10 +197,6 @@ class RealizedMap:
         ]
         return RealizedMap(inner.ring, inner.source_arity, self.target_arity, self.N, comps)
 
-    def substitution(self, f):
-        """Comorphism action on a polynomial of the target coordinate ring."""
-        return f.map_into(self.ring, self.flat_components())
-
     def __eq__(self, other):
         return (
             isinstance(other, RealizedMap)

@@ -8,26 +8,25 @@ one-parameter families.  It borrows the rest: Groebner bases from
 ``groebner``, and the comorphisms of the module operations from ordinary Witt
 arithmetic on generic vectors (``greenberg.generic_vectors``).
 
-Flat limits work degree by degree: the degree-a slice of a family over F_q(t)
-is a module over the local ring of t = 0; its Smith normal form yields the
-t-saturation, whose fiber at t = 0 is the limit's degree-a piece.  The limit
-Hilbert function equals the generic one by construction, which the tests
-cross-check two independent ways: ``hilbert_function`` counts the standard
-monomials of the leading-term ideal from its Hilbert series, without listing
-them, and ``hilbert_function_linalg`` (behind ``generic_hilbert``) takes ranks
-of the degree slices, with no Groebner basis.  Slices and linear independence
-come from one slice builder and one elimination pass, shared by the rank-based
-Hilbert function and the flat limit.
+Flat limits are exact: the limit at t = 0 of a family J over F_q(t) is the
+saturation J : t^inf with t set to 0, read off one Groebner basis in which
+1 - s*t is adjoined and s eliminated.  The limit Hilbert function equals the
+generic one, which the tests cross-check two independent ways:
+``hilbert_function`` counts the standard monomials of the leading-term ideal
+from its Hilbert series, without listing them, and ``hilbert_function_linalg``
+(behind ``generic_hilbert``) takes ranks of the degree slices, with no
+Groebner basis.  One slice builder and one elimination pass make that
+rank-based reference.
 """
 
 from __future__ import annotations
 
-from .errors import SaturationGuard, UsageError, WindowTooSmall
+from .errors import UsageError, WindowTooSmall
 from .greenberg import coord_ring, generic_vectors, realize_action
 from .lattice import dominant_or_raise
-from .groebner import buchberger, ideal_contains, ideal_equal, normal_form
+from .groebner import buchberger, ideal_contains, ideal_equal
 from .poly import PolyRing, Polynomial
-from .rings import RationalFunctionField
+from .rings import RationalFunctionField, udivmod, ugcd, umul
 from .witt import mat_inv
 
 
@@ -269,9 +268,9 @@ def _slice_rows(I, a):
     return monos, rows
 
 
-def _independent(rows, base=()):
-    """The rows, in order, that are independent modulo the span of ``base``
-    and of the rows kept before them; one incremental echelon pass.
+def _independent(rows):
+    """The rows, in order, that are independent of the rows kept before them;
+    one incremental echelon pass.
 
     Each echelon row is zero at the pivots of the rows before it, so reducing
     a candidate against the echelon rows in order clears every pivot.
@@ -291,8 +290,6 @@ def _independent(rows, base=()):
         echelon.append((col, [x * inv for x in vec]))
         return True
 
-    for row in base:
-        absorb(row)
     return [row for row in rows if absorb(row)]
 
 
@@ -371,142 +368,38 @@ def family_ring(field, n, N, tvar="t"):
     )
 
 
-def _tval(r):
-    """t-adic valuation of a RatFunc (num and den are coprime)."""
-    num, den = r.num, r.den
-    nv = next((i for i, c in enumerate(num) if not c.is_zero()), None)
-    if nv is None:
-        return None
-    dv = next(i for i, c in enumerate(den) if not c.is_zero())
-    return nv - dv
+def _cleared(g, st):
+    """g times the lcm of its coefficient denominators, in F_q[s, t][x]."""
+    K = g.ring.coeff
+    k = K.base
+    lcm = (k.one,)
+    for c in g.terms.values():
+        lcm = umul(k, lcm, udivmod(k, c.den, ugcd(k, lcm, c.den))[0])
+    L = K.make(lcm)
+    terms = {}
+    for m, c in g.terms.items():
+        for e, a in enumerate((c * L).num):
+            if not a.is_zero():
+                terms[(0, e) + m] = a
+    return Polynomial(st, terms)
 
 
-def _at_zero(r, field):
-    """Evaluate a t-integral RatFunc at t = 0."""
-    num = r.num[0] if r.num else field.zero
-    den = r.den[0]
-    return num * den.inv()
-
-
-def _dvr_saturated_fiber(rows, ncols, K):
-    """Rows span a module over the local ring at t = 0; return a basis of the
-    t-saturation's fiber at t = 0, as vectors over the residue field.
-
-    Smith normal form over the DVR: row/column eliminations with minimal
-    t-valuation pivots, tracking only the column operations' effect on a
-    companion matrix V, so that the saturation is the span of V's first
-    rank rows.  The t-valuations of A's entries are kept in ``vals``, swapped
-    with A and recomputed only where an elimination changed an entry of the
-    remaining block: in a row i it rewrote, at the pivot row's nonzero
-    columns.  A column elimination changes only row k, since the entries
-    below the pivot are then zero.
-    """
-    field = K.base
-    A = [list(r) for r in rows]
-    vals = [[_tval(x) for x in r] for r in A]
-    nrows = len(A)
-    V = [
-        [K.one if i == j else K.zero for j in range(ncols)]
-        for i in range(ncols)
-    ]
-    rank = 0
-    for k in range(min(nrows, ncols)):
-        piv = None
-        piv_val = None
-        for i in range(k, nrows):
-            vrow = vals[i]
-            for j in range(k, ncols):
-                v = vrow[j]
-                if v is None:
-                    continue
-                if piv_val is None or v < piv_val:
-                    piv, piv_val = (i, j), v
-        if piv is None:
-            break
-        pi, pj = piv
-        A[k], A[pi] = A[pi], A[k]
-        vals[k], vals[pi] = vals[pi], vals[k]
-        if pj != k:
-            for row in A:
-                row[k], row[pj] = row[pj], row[k]
-            for vrow in vals:
-                vrow[k], vrow[pj] = vrow[pj], vrow[k]
-            V[k], V[pj] = V[pj], V[k]
-        pivot = A[k][k]
-        support = [j for j in range(k + 1, ncols) if vals[k][j] is not None]
-        for i in range(k + 1, nrows):
-            if vals[i][k] is None:
-                continue
-            f = A[i][k] * pivot.inv()
-            A[i] = [x - f * y for x, y in zip(A[i], A[k])]
-            for j in support:
-                vals[i][j] = _tval(A[i][j])
-        for j in support:
-            f = A[k][j] * pivot.inv()  # t-integral: pivot has minimal valuation
-            for row in A:
-                row[j] = row[j] - f * row[k]
-            V[k] = [x + f * y for x, y in zip(V[k], V[j])]
-        rank += 1
-    return [[_at_zero(x, field) for x in V[i]] for i in range(rank)]
-
-
-def flat_limit(family, bound=None, guard_band=None):
+def flat_limit(family):
     """Fiber at t = 0 of the t-saturation of a homogeneous family.
 
-    ``family`` is a GradedIdeal over F_q(t) coefficients.  Degree by degree,
-    the slice of the family is saturated with respect to t and evaluated at
-    t = 0; minimal generators of the resulting ideal are extracted up to the
-    degree bound.  Raises SaturationGuard if generators still appear within
-    ``guard_band`` of the bound, since completeness can then not be certified.
+    ``family`` is a GradedIdeal over F_q(t).  Its generators, cleared of
+    denominators into F_q[s, t][x], and 1 - s*t have a Groebner basis for an
+    order eliminating s; the basis elements free of s generate J : t^inf, and
+    setting t = 0 in them gives the limit, returned by its reduced basis.
     """
-    K = family.ring.coeff
-    field = K.base
     n, N = family.n, family.N
-    p = field.p
-    if bound is None:
-        bound = default_bound(p, N)
-    if guard_band is None:
-        guard_band = max(p ** (N - 1), max((g.wdeg() for g in family.generators), default=1))
-    ring = ambient_ring(field, n, N)
-
-    pieces = {}  # degree -> list of k-vectors (in the slice monomial basis)
-    slices = {}
-    for a in range(bound + 1):
-        slices[a], rows = _slice_rows(family, a)
-        pieces[a] = _dvr_saturated_fiber(rows, len(slices[a]), K) if rows else []
-
-    # minimal generators: piece modulo (variables times lower pieces)
-    gens = []
-    for a in range(bound + 1):
-        if not pieces[a]:
-            continue
-        pos = {m: k for k, m in enumerate(slices[a])}
-        old = []
-        for vi, w in enumerate(ring.weights):
-            b = a - w
-            if b < 0:
-                continue
-            for vec in pieces[b]:
-                lifted = [field.zero] * len(slices[a])
-                for m, c in zip(slices[b], vec):
-                    if c.is_zero():
-                        continue
-                    mm = list(m)
-                    mm[vi] += 1
-                    lifted[pos[tuple(mm)]] = lifted[pos[tuple(mm)]] + c
-                old.append(lifted)
-        new_vecs = _independent(pieces[a], base=old)
-        if new_vecs and a > bound - guard_band:
-            raise SaturationGuard(
-                f"flat limit still acquires generators at degree {a}, "
-                f"too close to the bound {bound}"
-            )
-        for vec in new_vecs:
-            terms = {
-                m: c for m, c in zip(slices[a], vec) if not c.is_zero()
-            }
-            gens.append(Polynomial(ring, terms))
-    return GradedIdeal(ring, n, N, gens)
+    ring = ambient_ring(family.ring.coeff.base, n, N)
+    st = PolyRing(ring.coeff, ("s", "t") + ring.names, (1, 1) + ring.weights, ("elim", 1))
+    gens = [_cleared(g, st) for g in family.generators]
+    gb = buchberger([st.one - st.var(0) * st.var(1)] + gens)
+    at_zero = [ring.zero, ring.zero] + [ring.var(k) for k in range(len(ring.names))]
+    sat = [g.map_into(ring, at_zero) for g in gb if not any(m[0] for m in g.terms)]
+    return GradedIdeal(ring, n, N, buchberger(sat))
 
 
 def generic_hilbert(family, bound):

@@ -283,11 +283,6 @@ class WittMatrix:
             ents.append(out)
         return cls(ring, ents)
 
-    def scale(self, c):
-        return WittMatrix(
-            self.ring, [[c * x for x in row] for row in self.entries]
-        )
-
     def p_times(self, k):
         return WittMatrix(
             self.ring, [[x.p_times(k) for x in row] for row in self.entries]
@@ -609,9 +604,6 @@ class Lattice:
         _, mu, _ = smith_normal_form(self.basis)
         return mu
 
-    def is_special(self):
-        return sum(self.cell()) == 0
-
     def canonical_key(self):
         """(n, pivot exponents, digits below the pivots) of the reduced column
         Hermite form: equal exactly for equal lattices, whatever the basis and
@@ -638,18 +630,11 @@ class Lattice:
         return f"Lattice(cell={self.cell()})\n{self.basis!r}"
 
 
-def lattice_from_columns(columns, n, window, ring, prec):
-    """The lattice p^-window (M + p^(2*window) W^n), M spanned by the integral
-    columns; the forced columns carry `prec` digits."""
-    forced = 2 * window
-    columns = list(columns)
-    for row in range(n):
-        col = [padic_zero(ring, prec + forced) for _ in range(n)]
-        col[row] = padic_p_power(ring, forced, prec)
-        columns.append(col)
+def lattice_from_columns(columns, n, shift, ring):
+    """The lattice p^-shift M, M spanned by the integral columns."""
     _, basis = column_reduce(columns, n)
     mat = WittMatrix(ring, [[basis[j][i] for j in range(n)] for i in range(n)])
-    return Lattice(mat.p_times(-window))
+    return Lattice(mat.p_times(-shift))
 
 
 def _hermite_exponents(n, window):
@@ -669,9 +654,9 @@ def enumerate_lattices(n, q, window):
     pivot exponent vector b of _hermite_exponents and every residue mod p^b_i
     below the pivot of row i, each form a distinct lattice.  M lies in the
     window when it contains p^(2*window) W^n (Smith exponents mu_1 <=
-    2*window); exactly then adding that sublattice in lattice_from_columns
-    leaves a cell summing to zero.  The forms are counted against ENUM_GUARD,
-    in closed form, before any Witt arithmetic.  Returns (Lattice, cell) pairs.
+    2*window); exactly then appending the columns of that sublattice leaves
+    a cell summing to zero.  The forms are counted against ENUM_GUARD, in
+    closed form, before any Witt arithmetic.  Returns (Lattice, cell) pairs.
     """
     if n < 1 or window < 0:
         raise UsageError("lattice enumeration needs n >= 1 and window >= 0")
@@ -693,6 +678,12 @@ def enumerate_lattices(n, q, window):
 
     elems = field.elements()
     zero = lift(())
+    top = 2 * window
+    kernel = [  # the columns of p^(2w) W^n, appended to every form
+        [padic_p_power(field, top, prec) if i == j else padic_zero(field, prec + top)
+         for i in range(n)]
+        for j in range(n)
+    ]
     below = [(i, j) for i in range(n) for j in range(i)]
     out = []
     for exps in _hermite_exponents(n, window):
@@ -702,7 +693,7 @@ def enumerate_lattices(n, q, window):
             cols = [[pivots[j] if i == j else zero for i in range(n)] for j in range(n)]
             for (i, j), r in zip(below, digits):
                 cols[j][i] = lift(r)
-            lat = lattice_from_columns(cols, n, window, field, prec)
+            lat = lattice_from_columns(cols + kernel, n, window, field)
             mu = lat.cell()
             if sum(mu) == 0:
                 out.append((lat, mu))

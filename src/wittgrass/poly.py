@@ -187,13 +187,6 @@ class Polynomial:
             out = out + term
         return out
 
-    def substitute(self, images):
-        """Substitute within the same ring; images is {var index: Polynomial}."""
-        full = [
-            images.get(i, self.ring.var(i)) for i in range(len(self.ring.names))
-        ]
-        return self.map_into(self.ring, full)
-
     def evaluate(self, point):
         """Evaluate at coefficient-ring elements; returns a coefficient."""
         R = self.ring.coeff
@@ -280,10 +273,6 @@ class PolyRing:
         self.one = Polynomial(self, {(0,) * nvars: coeff.one})
         self._unit_exps = (0,) * nvars
 
-    @property
-    def characteristic(self):
-        return self.p
-
     def var(self, i):
         exps = [0] * len(self.names)
         exps[i] = 1
@@ -315,9 +304,6 @@ class PolyRing:
             return self.names.index(name)
         except ValueError:
             raise UsageError(f"unknown variable {name!r}") from None
-
-    def mono_wdeg(self, m):
-        return sum(e * w for e, w in zip(m, self.weights))
 
     def random(self, rng):
         # random *coefficient* constant; used when polynomial rings serve as

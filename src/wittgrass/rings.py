@@ -3,8 +3,8 @@
 The Laurent ring is a legal coefficient ring for Witt vectors (characteristic
 p, decidable equality, computable units) but is not perfect, so Frobenius
 sections are refused there.  The rational function field is the coefficient
-field used by Groebner-based degeneration computations; Laurent coefficients
-embed into it.
+field of one-parameter families and of the Groebner computations that derive
+them.
 
 Univariate polynomials over F_q are plain coefficient tuples (low degree
 first) normalized to have no trailing zeros; () is the zero polynomial.
@@ -197,10 +197,6 @@ class LaurentRing:
         self.one = LaurentElt(self, ((0, field.one),))
         self._ready = True
 
-    @property
-    def characteristic(self):
-        return self.p
-
     def from_int(self, n):
         c = self.field.from_int(n)
         return LaurentElt(self, ((0, c),) if not c.is_zero() else ())
@@ -339,10 +335,6 @@ class RationalFunctionField:
         self.one = RatFunc(self, (base.one,), (base.one,))
         self._ready = True
 
-    @property
-    def characteristic(self):
-        return self.p
-
     def make(self, num, den=None):
         k = self.base
         num = utrim(k, num)
@@ -417,13 +409,6 @@ class RationalFunctionField:
 
     def pth_root(self, a):
         raise NotPerfect("F_q(t) is not perfect")
-
-    def from_laurent(self, a):
-        """Embed an element of F_q[t, 1/t] (same base field, same variable)."""
-        out = self.zero
-        for k, c in a.terms:
-            out = self.add(out, self.mul(self.const(c), self.t_power(k)))
-        return out
 
     def __repr__(self):
         return f"{self.base!r}({self.var})"

@@ -226,6 +226,11 @@ def check_flat_limit():
     )  # x[2,0], x[1,0]^2
     assert limit == expected
     assert is_module_stable(limit)
+    # the limit is exact, with no degree bound: x[2,0], x[1,0]^2, x[1,1]^2, x[1,2]^2
+    limit = flat_limit(degeneration_family_ideal(F, 2, -2, N=4))
+    ring = ambient_ring(F, 2, 4)
+    assert limit == GradedIdeal(ring, 2, 4, [ring.var(4)] + [ring.var(j) ** 2 for j in range(3)])
+    assert is_module_stable(limit)
 
 
 def check_cell_tables():

@@ -96,3 +96,71 @@ def test_default_grass_count_oracles_agree(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["agree"] is True
     assert [t["provenance"] for t in payload["tables"]] == ["witt", "z-adic"]
+
+
+def test_grass_count_refuses_prime_powers_before_witt_work(capsys, monkeypatch):
+    def no_witt(*args):
+        raise AssertionError("the Witt enumeration ran")
+
+    monkeypatch.setattr(cli, "witt_cell_table", no_witt)
+    assert cli.main(["grass", "count", "--n", "2", "--q", "4", "--window", "2"]) == 2
+    assert "prime field sizes only, not 4" in capsys.readouterr().err
+    monkeypatch.undo()
+    argv = ["grass", "count", "--n", "2", "--q", "4", "--window", "1", "--oracle", "witt"]
+    assert cli.main(argv + ["--format", "json"]) == 0
+    (table,) = json.loads(capsys.readouterr().out)["tables"]
+    assert table["provenance"] == "witt"
+    # W^2, and the q(q + 1) lattices of the cell (1,-1)
+    assert table["cells"] == [{"lambda": [0, 0], "count": 1}, {"lambda": [1, -1], "count": 20}]
+
+
+def _lines(tmp_path, name, *lines):
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_hilbert_limit_is_exact_without_a_bound(capsys, tmp_path):
+    fam = _lines(tmp_path, "family.txt", "x[2,0]", "x[1,0]^2 + t^4*x[2,1]")
+    argv = ["hilbert", "limit", "--family-file", fam, "--n", "2", "--p", "2", "--N", "3"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.split() == ["x[2,0]", "x[1,0]^2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--bound", "8"])
+    assert exc.value.code == 2
+
+
+def test_hilbert_stable(capsys, tmp_path):
+    argv = ["hilbert", "stable", "--n", "2", "--p", "2", "--N", "2", "--ideal-file"]
+    assert cli.main(argv + [_lines(tmp_path, "both.txt", "x[1,0]", "x[1,1]")]) == 0
+    assert capsys.readouterr().out == "stable\n"
+    assert cli.main(argv + [_lines(tmp_path, "top.txt", "x[1,1]")]) == 0
+    assert capsys.readouterr().out == "not stable\n"
+
+
+def test_lattice_classify(capsys):
+    matrix = "p*(1,0,0),(0,0,0);(0,0,0),p^-1*(1,0,0)"
+    assert cli.main(["lattice", "classify", "--p", "2", "--N", "3", matrix]) == 0
+    assert capsys.readouterr().out == "1,-1\n"
+
+
+def test_lattice_snf(capsys):
+    matrix = "p*(1,2),(2,1);(1,0),p^-1*(1,1)"
+    assert cli.main(["lattice", "snf", "--p", "3", "--N", "2", matrix]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "exponents: 1,-1",
+        "U:",
+        "[(2,1), p^1*(2,1)]",
+        "[p^3*(), (1,1)]",
+        "V:",
+        "[(1,0,0), p^3*()]",
+        "[p^1*(1,2), (1,0,0)]",
+    ]
+
+
+def test_greenberg_realize_map(capsys):
+    assert cli.main(["greenberg", "realize", "--p", "2", "--N", "2", "--map", "T1*T2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "COMP 1 0: x[1,0]*x[2,0]",
+        "COMP 1 1: x[1,1]*x[2,0]^2 + x[1,0]^2*x[2,1]",
+    ]

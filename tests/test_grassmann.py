@@ -49,6 +49,14 @@ def test_cocharacter_ideal_maps_to_its_diagonal_lattice():
     assert lat == standard_cell_lattice(F2, (1, -1))
 
 
+def test_points_lattice_spans_only_the_points_and_the_kernel():
+    # at shift 0 the points of I_(1,-1) span p^2 W + W, not all of W^2
+    assert points_lattice(ideal_I_lambda(F2, (1, -1), 3), shift=0).cell() == (2, 0)
+    I = ideal_I_lambda(F2, (2, -1, -1), 4)
+    lat = points_lattice(I, shift=1, check_stable=False, verify_closure=False)
+    assert lat.cell() == (2, -1, -1)
+
+
 def test_swapped_coordinate_ideal_same_cell_other_lattice():
     R = ambient_ring(F2, 2, 2)
     I = GradedIdeal(R, 2, 2, [R.var(2), R.var(3)])  # second block killed
@@ -215,9 +223,17 @@ def test_family_ideal_generators():
 
 def test_family_flat_limit_reaches_lower_cell():
     fam = degeneration_family_ideal(F2, 1, -1, N=2)
-    limit = flat_limit(fam, bound=8)
+    limit = flat_limit(fam)
     lat = points_lattice(limit, shift=1)
     assert lat.cell() == (0, 0)
+
+
+def test_flat_limit_of_the_2_2_family_is_exact():
+    limit = flat_limit(degeneration_family_ideal(F2, 2, -2, N=4))
+    R = ambient_ring(F2, 2, 4)
+    # x[2,0], x[1,0]^2, x[1,1]^2, x[1,2]^2
+    assert limit == GradedIdeal(R, 2, 4, [R.var(4)] + [R.var(j) ** 2 for j in range(3)])
+    assert is_module_stable(limit)
 
 
 def test_image_check_trivial_cell():
