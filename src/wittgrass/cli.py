@@ -149,6 +149,10 @@ def _read_poly_lines(path):
 def cmd_hilbert_hf(args):
     field = _field(args)
     lam = parse_cocharacter(args.lam)
+    if args.n != len(lam):
+        raise UsageError(f"--n {args.n} differs from the length {len(lam)} of --lambda")
+    if args.bound is not None and args.bound < 0:
+        raise UsageError(f"the weight bound cannot be negative, not {args.bound}")
     I = ideal_I_lambda(field, lam, args.N, allow_tight_window=args.tight)
     bound = args.bound if args.bound is not None else default_bound(field.p, args.N)
     hf = hilbert_function(I, bound)

@@ -2,9 +2,11 @@
 shadow of the ideal-to-lattice map, and the image/surjectivity report.
 
 points_lattice enumerates the F_q points of a module-stable subscheme of
-W_N^n, verifies closure under the module operations, and lifts the point set
-to a lattice in the appropriate window.  The cell table builders run the Witt
-enumeration and the independent z-adic oracle side by side.
+W_N^n and lifts the point set to the lattice it spans in the appropriate
+window; the set is a submodule exactly when it is as large as that span, so
+one count checks closure under the module operations.  The cell table
+builders run the Witt enumeration and the independent z-adic oracle side by
+side.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .greenberg import generic_vectors
 from .groebner import ideal_equal
 from .hilbert import (
     GradedIdeal,
+    act_on_ideal,
     ambient_ring,
     family_ring,
     flat_limit,
@@ -92,62 +95,51 @@ def zadic_cell_table(n, q, window):
     return CellTable(zadic_oracle(n, q, window), n, q, window, "z-adic")
 
 
-def points_lattice(I, q=None, shift=0, check_stable=True, verify_closure=True):
+def points_lattice(I, q=None, shift=0, check_stable=True):
     """Lattice spanned by the F_q points of V(I) in W_N(F_q)^n, unshifted.
 
-    The point set of a module-stable ideal is a W_N(F_q)-submodule; it is
-    lifted to the lattice it generates together with p^N W^n, then divided by
-    p^shift.  With check_stable the Groebner stability test runs first; with
-    verify_closure the point set is checked to be closed under addition and
-    the scalar action (a brute-force confirmation, not a proof substitute).
+    The points are lifted to the lattice M they generate together with
+    p^N W^n, and M is divided by p^shift.  The point set S is a
+    W_N(F_q)-submodule exactly when it equals its span M / p^N W^n, which has
+    q^(nN - sum a_i) elements for the pivot exponents a_i of M; so
+    |S| = q^(nN - sum a_i) is the exact test, and NotStable is raised when it
+    fails.  With check_stable the Groebner stability test runs first.
     """
     field = I.ring.coeff
     if q is not None and field.q != q:
         raise UsageError(f"ideal lives over GF({field.q}), not GF({q})")
     n, N = I.n, I.N
     if field.q ** (n * N) > POINTS_GUARD:
-        raise SizeGuard(f"point enumeration {field.q}^{n * N} beyond the guard")
+        raise SizeGuard(
+            f"point enumeration of q^(n*N) = {field.q}^{n * N} candidates is beyond "
+            f"the guard {POINTS_GUARD}: lower q = {field.q}, n = {n} or N = {N} "
+            "(grass image takes N = lambda_1 - lambda_n + 1)"
+        )
     if check_stable and not is_module_stable(I):
         raise NotStable("points_lattice needs a module-stable ideal")
 
-    elems = field.elements()
-    points = []
-    for coords in itertools.product(elems, repeat=n * N):
-        if all(g.evaluate(list(coords)).is_zero() for g in I.generators):
-            points.append(
-                tuple(
-                    WittVector(field, coords[i * N:(i + 1) * N]) for i in range(n)
-                )
-            )
-    if verify_closure:
-        pset = set(points)
-        for a in points:
-            for b in points:
-                if tuple(x + y for x, y in zip(a, b)) not in pset:
-                    raise NotStable("point set not closed under Witt addition")
-        scalars = [
-            WittVector(field, c) for c in itertools.product(elems, repeat=N)
-        ]
-        for s in scalars:
-            for a in points:
-                if tuple(s * x for x in a) not in pset:
-                    raise NotStable("point set not closed under the scalar action")
-
+    points = [
+        coords
+        for coords in itertools.product(field.elements(), repeat=n * N)
+        if all(g.evaluate(list(coords)).is_zero() for g in I.generators)
+    ]
     # one digit beyond the kernel level N, the deepest pivot the reduction meets
-    prec = N + 1
+    pad = (field.zero,)
     columns = [
-        [
-            PadicWittNumber(field, 0, v.coords + (field.zero,) * (prec - N))
-            for v in pt
-        ]
-        for pt in points
-        if any(not c.is_zero() for v in pt for c in v.coords)
+        [PadicWittNumber(field, 0, coords[i * N:(i + 1) * N] + pad) for i in range(n)]
+        for coords in points
+        if any(not c.is_zero() for c in coords)
     ]
     for row in range(n):  # the kernel of reduction: p^N W^n
-        col = [padic_zero(field, prec) for _ in range(n)]
-        col[row] = padic_p_power(field, N, prec)
+        col = [padic_zero(field, N + 1) for _ in range(n)]
+        col[row] = padic_p_power(field, N, N + 1)
         columns.append(col)
-    return lattice_from_columns(columns, n, shift, field)
+    lat = lattice_from_columns(columns, n, shift, field)
+    # the pivots of the reduced basis are p^(a_i - shift)
+    colength = sum(lat.basis[i, i].val() + shift for i in range(n))
+    if len(points) != field.q ** (n * N - colength):
+        raise NotStable("the points of V(I) are not a W_N(F_q)-submodule")
+    return lat
 
 
 def standard_cell_lattice(field, lam, prec=None):
@@ -257,25 +249,15 @@ def image_check(lam, q=2, samples=20, seed=7, N=None):
 
     for _ in range(samples):
         g = random_sl(field, n, N, rng)
-        from .hilbert import act_on_ideal
-
-        J = act_on_ideal(g, I)
-        lat = points_lattice(J, shift=window, check_stable=False, verify_closure=False)
+        lat = points_lattice(act_on_ideal(g, I), shift=window, check_stable=False)
         note(lat.cell(), "orbit image")
 
     stable_to_standard = set()
-    standard_key = None
     # The explicit degeneration family is priced for the smallest cell; for
     # larger cocharacters the report covers the open orbit by sampling only.
     if lam == (1, -1):
-        fam = degeneration_family_ideal(field, lam[0], lam[1], N=N)
-        limit = flat_limit(fam)
-        if is_module_stable(limit):
-            lat = points_lattice(limit, shift=window, check_stable=False)
-            note(lat.cell(), "flat limit of the degeneration family")
-            if lat.cell() == tuple([0] * n):
-                stable_to_standard.add(limit)
-                standard_key = lat.canonical_key()
+        limit = flat_limit(degeneration_family_ideal(field, lam[0], lam[1], N=N))
+        candidates = [(limit, "flat limit of the degeneration family")]
         # the boundary ideals x[1,0] + a x[2,0], x[2,0]^p (window 1 data)
         ring = ambient_ring(field, 2, N)
         for a in field.elements():
@@ -283,16 +265,14 @@ def image_check(lam, q=2, samples=20, seed=7, N=None):
                 var_index(2, N, 2, 0)
             ).scale(a)
             g2 = ring.var(var_index(2, N, 2, 0)) ** field.p
-            J = GradedIdeal(ring, 2, N, [g1, g2])
+            candidates.append((GradedIdeal(ring, 2, N, [g1, g2]), "boundary ideal"))
+        for J, how in candidates:
             if not is_module_stable(J):
                 continue
-            lat = points_lattice(J, shift=window, check_stable=False)
-            note(lat.cell(), "boundary ideal")
-            if lat.cell() == tuple([0] * n):
-                if standard_key is None:
-                    standard_key = lat.canonical_key()
-                if lat.canonical_key() == standard_key:
-                    stable_to_standard.add(J)
+            cell = points_lattice(J, shift=window, check_stable=False).cell()
+            note(cell, how)
+            if cell == tuple([0] * n):  # the one lattice of this cell is W^n
+                stable_to_standard.add(J)
 
     bruhat_ok = all(bruhat_leq(cell, lam) for cell in observed)
     return {

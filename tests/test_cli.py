@@ -90,6 +90,30 @@ def test_negative_samples_are_refused(capsys):
     assert json.loads(capsys.readouterr().out)["samples"] == 0
 
 
+def test_grass_image_of_a_1024_point_ideal(capsys):
+    # I_(2,-1,-1) at N = 4 has 1,024 points; one count checks they are a submodule
+    argv = ["grass", "image", "--lambda", "2,-1,-1", "--q", "2", "--samples", "0"]
+    assert cli.main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["observed"] == [{"lambda": [2, -1, -1], "count": 1}]
+    assert payload["bruhat_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--n", "3"], "--n 3 differs from the length 2 of --lambda"),
+        (["--n", "2", "--bound", "-1"], "weight bound cannot be negative, not -1"),
+    ],
+)
+def test_hilbert_hf_refuses_bad_n_and_negative_bound(capsys, extra, message):
+    argv = ["hilbert", "hf", "--lambda", "1,-1", "--p", "2", "--N", "3"]
+    assert cli.main(argv + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_default_grass_count_oracles_agree(capsys):
     argv = ["grass", "count", "--n", "2", "--q", "2", "--window", "2", "--format", "json"]
     assert cli.main(argv) == 0

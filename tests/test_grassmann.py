@@ -25,7 +25,7 @@ from wittgrass.hilbert import (
     is_module_stable,
 )
 from wittgrass import zadic
-from wittgrass.witt import random_sl
+from wittgrass.witt import WittVector, random_sl
 from wittgrass.zadic import zadic_oracle
 
 F2 = GF(2)
@@ -53,7 +53,7 @@ def test_points_lattice_spans_only_the_points_and_the_kernel():
     # at shift 0 the points of I_(1,-1) span p^2 W + W, not all of W^2
     assert points_lattice(ideal_I_lambda(F2, (1, -1), 3), shift=0).cell() == (2, 0)
     I = ideal_I_lambda(F2, (2, -1, -1), 4)
-    lat = points_lattice(I, shift=1, check_stable=False, verify_closure=False)
+    lat = points_lattice(I, shift=1, check_stable=False)
     assert lat.cell() == (2, -1, -1)
 
 
@@ -80,6 +80,68 @@ def test_points_lattice_rejects_unstable():
     bad = GradedIdeal(R, 1, 2, [R.var(1)])
     with pytest.raises(NotStable):
         points_lattice(bad, shift=0)
+
+
+def _is_submodule(I):
+    """Brute-force reference: the F_q points of V(I) are nonempty and closed
+    under Witt addition and the W_N(F_q) scalar action."""
+    field, n, N = I.ring.coeff, I.n, I.N
+    elems = field.elements()
+    points = {
+        tuple(WittVector(field, c[i * N:(i + 1) * N]) for i in range(n))
+        for c in itertools.product(elems, repeat=n * N)
+        if all(g.evaluate(list(c)).is_zero() for g in I.generators)
+    }
+    scalars = [WittVector(field, c) for c in itertools.product(elems, repeat=N)]
+    return (
+        bool(points)
+        and all(tuple(x + y for x, y in zip(a, b)) in points for a in points for b in points)
+        and all(tuple(s * x for x in a) in points for s in scalars for a in points)
+    )
+
+
+def _closure_cases():
+    """(ideal, whether its points form a submodule) over several (q, n, N)."""
+    cases = []
+    for field in (F2, GF(3), F4):
+        R = ambient_ring(field, 1, 2)
+        x0, x1 = R.var(0), R.var(1)
+        cases += [
+            # points 0 and T(F_q); over F_2, (1,0) + (1,0) = (0,1)
+            (GradedIdeal(R, 1, 2, [x1]), False),
+            (GradedIdeal(R, 1, 2, [x0]), True),  # pW
+            (GradedIdeal(R, 1, 2, [x0 ** field.p - x1]), False),
+        ]
+    R = ambient_ring(F2, 2, 2)
+    x = [R.var(k) for k in range(4)]  # x[1,0], x[1,1], x[2,0], x[2,1]
+    cases += [
+        (GradedIdeal(R, 2, 2, []), True),
+        (GradedIdeal(R, 2, 2, [x[2], x[3]]), True),
+        (GradedIdeal(R, 2, 2, [x[0] + x[2]]), True),  # u = v mod p
+        (GradedIdeal(R, 2, 2, [x[0] * x[2]]), False),  # union of two submodules
+        (GradedIdeal(R, 2, 2, [x[1], x[3]]), False),
+    ]
+    rng = random.Random(11)
+    for field in (F2, GF(3)):
+        I = ideal_I_lambda(field, (1, -1), 3)
+        cases += [(I, True), (act_on_ideal(random_sl(field, 2, 3, rng), I), True)]
+    return cases
+
+
+def test_points_lattice_count_matches_brute_force_closure():
+    for I, closed in _closure_cases():
+        assert _is_submodule(I) is closed, I
+        if closed:
+            points_lattice(I, shift=0, check_stable=False)
+        else:
+            with pytest.raises(NotStable):
+                points_lattice(I, shift=0, check_stable=False)
+
+
+def test_points_guard_names_the_parameters_to_lower():
+    I = GradedIdeal(ambient_ring(F2, 3, 7), 3, 7, [])
+    with pytest.raises(SizeGuard, match="lower q = 2, n = 3 or N = 7"):
+        points_lattice(I, shift=0, check_stable=False)
 
 
 def test_points_lattice_field_mismatch():
