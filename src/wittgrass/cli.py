@@ -15,7 +15,7 @@ import os
 import sys
 
 from .errors import UsageError, WittgrassError
-from .fields import GF
+from .fields import GF, SUPPORTED_PRIMES
 from .greenberg import parse_witt_map, realize_ideal, realize_poly_map
 from .grassmann import image_check, witt_cell_table, zadic_cell_table
 from .hilbert import (
@@ -44,6 +44,8 @@ SCHEMA = "wittgrass/1"
 
 
 def _field(args):
+    if args.p not in SUPPORTED_PRIMES:
+        raise UsageError(f"p={args.p} is not a supported prime; supported: {SUPPORTED_PRIMES}")
     q = getattr(args, "q", None)
     if q is None:
         q = args.p

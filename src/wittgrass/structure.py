@@ -26,19 +26,31 @@ token can alias another monomial.  It does not re-check the ghost identities;
 a well-formed but wrong coefficient is read as it stands.
 
 Generation cost is governed by the number of monomials of weighted degree p^n
-(weights deg X_i = p^i).  That count explodes combinatorially: for p = 5 the
-level-4 addition polynomial already has more than 10^8 potential terms with
-coefficients of hundreds of digits, which no desk machine materializes in
-reasonable time.  Generation therefore refuses, with TableLimit, any level
-whose potential support exceeds a configurable bound (default 200,000
-monomials, which admits p=2 up to length 6, p=3 up to length 5 and p=5 up to
-length 4) instead of grinding without hope of finishing.
+(weights deg X_i = p^i), and nearly all of it goes into the p-th powers of
+lower levels.  Those are taken by Kronecker substitution (``_kron_mul``): the
+terms of each operand are grouped by their key with the X0 and X1 fields
+cleared and by s = e0 + w*e1, each group's coefficients are packed into one
+integer at digit e1, and the product multiplies group by group, one big-integer
+product per pair of groups.  With w = p the groups are dense: X1 weighs p times
+X0 under the grading that makes the levels homogeneous (total weight for add,
+X-block weight for mul and neg), so fixing the other variables fixes s and a
+group holds every power of X1 its terms use, 2 to 10 terms in practice.
+
+The monomial count explodes combinatorially: for p = 5 the level-4 addition
+polynomial already has more than 10^8 potential terms with coefficients of
+hundreds of digits, which no desk machine materializes in reasonable time.
+Generation therefore refuses, with TableLimit, any level whose potential
+support exceeds a configurable bound (default 200,000 monomials, which admits
+p=2 up to length 6, p=3 up to length 5 and p=5 up to length 4) instead of
+grinding without hope of finishing.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import re
+import struct
 import sys
 import tempfile
 
@@ -92,6 +104,11 @@ def ip_add_inplace(acc, other, scale=1):
 
 
 def ip_mul(a, b):
+    """Schoolbook product of two packed polynomials.
+
+    The reference that the generator's Kronecker product is checked against:
+    ``verify_ghost`` re-expands every table with it.
+    """
     if len(a) > len(b):
         a, b = b, a
     out = {}
@@ -107,15 +124,67 @@ def ip_mul(a, b):
     return out
 
 
-def ip_pow(a, n):
+def ip_pow(a, n, mul=ip_mul):
+    """a**n by repeated squaring with the product ``mul``."""
     if n == 0:
         return {0: 1}
     if n == 1:
         return dict(a)
-    half = ip_pow(a, n // 2)
-    out = ip_mul(half, half)
+    half = ip_pow(a, n // 2, mul)
+    out = mul(half, half)
     if n & 1:
-        out = ip_mul(out, a)
+        out = mul(out, a)
+    return out
+
+
+_LOW2 = 2 * SHIFT  # the X0 and X1 fields
+
+
+def _kron_pack(a, w, bits, sbits):
+    """Group a's terms by (key without X0, X1; e0 + w*e1), packing each group's
+    coefficients into one integer at digit e1 of width ``bits``."""
+    groups = {}
+    for key, c in a.items():
+        e1 = key >> SHIFT & EXP_MASK
+        g = (key >> _LOW2) << sbits | ((key & EXP_MASK) + w * e1)
+        groups[g] = groups.get(g, 0) + (c << bits * e1)
+    return groups
+
+
+def _kron_mul(a, b, w):
+    """Product of two packed polynomials by Kronecker substitution; equals ip_mul(a, b).
+
+    Group keys add as monomials multiply and a digit is wide enough for any
+    product coefficient, so the product is exact for every w >= 1 and every
+    pair whose product's exponents fit their fields, as ip_mul needs too.  The
+    choice of w only decides how many terms share a group.
+    """
+    if not a or not b:
+        return {}
+    # each digit of the product is a coefficient sum bounded by l1(a) * l1(b)
+    bits = (sum(map(abs, a.values())) * sum(map(abs, b.values()))).bit_length() + 1
+    sbits = ((1 + w) * EXP_MASK).bit_length()  # s of a product monomial fits
+    ga, gb = _kron_pack(a, w, bits, sbits), _kron_pack(b, w, bits, sbits)
+    prod = {}
+    get = prod.get
+    for g1, v1 in ga.items():
+        for g2, v2 in gb.items():
+            g = g1 + g2
+            prod[g] = get(g, 0) + v1 * v2
+    mask, half, smask = (1 << bits) - 1, 1 << (bits - 1), (1 << sbits) - 1
+    out = {}
+    for g, v in prod.items():
+        rest, s = (g >> sbits) << _LOW2, g & smask
+        e1 = 0
+        while v:
+            d = v & mask
+            v >>= bits
+            if d >= half:  # a negative digit borrows from the next one
+                d -= mask + 1
+                v += 1
+            if d:
+                out[rest | e1 << SHIFT | (s - w * e1)] = d
+            e1 += 1
     return out
 
 
@@ -166,12 +235,15 @@ def level_cost(p, n, op):
 
 def term_limit():
     raw = os.environ.get(_ENV_LIMIT)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise UsageError(f"{_ENV_LIMIT} must be an integer, not {raw!r}") from None
-    return DEFAULT_TERM_LIMIT
+    if not raw:
+        return DEFAULT_TERM_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise UsageError(f"{_ENV_LIMIT} must be an integer, not {raw!r}") from None
+    if limit < 1:
+        raise UsageError(f"{_ENV_LIMIT} must be a positive integer, not {raw!r}")
+    return limit
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +288,7 @@ def solve_levels(p, op, N, known=None):
     """
     levels = [dict(t) for t in (known or [])][:N]
     _check_limits(p, op, len(levels), N)
+    mul = functools.partial(_kron_mul, w=p)
     # pow_cache[i] holds T_i^(p^(n-1-i)) while processing level n
     pow_cache = {}
     for n in range(len(levels), N):
@@ -223,8 +296,8 @@ def solve_levels(p, op, N, known=None):
         for i in range(n):
             prev = pow_cache.get(i)
             if prev is None:
-                prev = ip_pow(levels[i], p ** (n - 1 - i)) if n - 1 > i else dict(levels[i])
-            cur = ip_pow(prev, p)
+                prev = ip_pow(levels[i], p ** (n - 1 - i), mul)
+            cur = ip_pow(prev, p, mul)
             pow_cache[i] = cur
             ip_add_inplace(numerator, cur, scale=-(p**i))
         q = p**n
@@ -243,8 +316,9 @@ def solve_levels(p, op, N, known=None):
 def verify_ghost(p, op, levels):
     """Re-expand the ghost identity for every level; True iff all hold exactly.
 
-    Independent of the solve in the sense that it re-multiplies everything out
-    and compares to the closed-form targets.
+    The schoolbook reference the generator is checked against: it
+    re-multiplies everything out with ``ip_mul``, not with the Kronecker
+    product that ``solve_levels`` uses, and compares to the closed-form targets.
     """
     pow_cache = {}
     for n in range(len(levels)):
@@ -280,16 +354,19 @@ def check_triangular(levels, op):
 # text format and disk cache
 # ---------------------------------------------------------------------------
 
+_NAMES = tuple(f"X{i}" for i in range(MAX_SLOTS)) + tuple(f"Y{i}" for i in range(MAX_SLOTS))
+_FIELDS = struct.Struct(f"<{2 * MAX_SLOTS}H")  # a key's exponent fields, in slot order
+
+
 def render_ip(poly):
     if not poly:
         return "0"
     parts = []
     for key in sorted(poly):
-        c = poly[key]
-        bits = [str(c)]
-        for slot, e in key_exponents(key):
-            name = f"X{slot}" if slot < MAX_SLOTS else f"Y{slot - MAX_SLOTS}"
-            bits.append(name if e == 1 else f"{name}^{e}")
+        bits = [str(poly[key])]
+        for name, e in zip(_NAMES, _FIELDS.unpack(key.to_bytes(_FIELDS.size, "little"))):
+            if e:
+                bits.append(name if e == 1 else f"{name}^{e}")
         parts.append("*".join(bits))
     return " + ".join(parts)
 

@@ -82,6 +82,14 @@ def test_field_size_zero_is_refused(capsys, argv):
     assert "usage error" in captured.err
 
 
+def test_unsupported_prime_is_refused_by_name(capsys):
+    assert cli.main(["witt", "add", "--p", "4", "--N", "2", "(1,0)", "(1,0)"]) == 2
+    err = capsys.readouterr().err
+    assert "p=4 is not a supported prime" in err
+    assert "(2, 3, 5)" in err
+    assert "power" not in err
+
+
 def test_negative_samples_are_refused(capsys):
     argv = ["grass", "image", "--lambda", "1,-1", "--q", "2", "--format", "json"]
     assert cli.main(argv + ["--samples", "-3"]) == 2

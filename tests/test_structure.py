@@ -101,6 +101,13 @@ def test_malformed_table_limit_is_a_usage_error(monkeypatch):
         st.term_limit()
 
 
+@pytest.mark.parametrize("raw", ["0", "-5"])
+def test_non_positive_table_limit_is_a_usage_error(monkeypatch, raw):
+    monkeypatch.setenv("WITTGRASS_TABLE_LIMIT", raw)
+    with pytest.raises(UsageError, match="WITTGRASS_TABLE_LIMIT"):
+        st.term_limit()
+
+
 def test_each_cache_dir_gets_its_own_table(tmp_path):
     for name in ("a", "b"):
         st.StructurePolynomialTable.get(2, 2, cache_dir=str(tmp_path / name))
@@ -175,6 +182,30 @@ _packed_polys = hst.dictionaries(
 @given(_packed_polys)
 def test_render_parse_round_trip_on_random_packed_polynomials(poly):
     assert st.parse_ip(st.render_ip(poly)) == poly
+
+
+def _factor_key(exps):
+    # exponents stay below half a field, so products do not overflow it; X1's
+    # stays small, as it sets the number of digits in a packed group
+    return sum(min(e, 40) << (st.SHIFT * s) if s == 1 else e << (st.SHIFT * s)
+               for s, e in exps.items())
+
+
+_factor_polys = hst.dictionaries(
+    hst.dictionaries(
+        hst.integers(0, 2 * st.MAX_SLOTS - 1), hst.integers(1, st.EXP_MASK // 2), max_size=5
+    ).map(_factor_key),
+    hst.integers(-(2**80), 2**80).filter(bool),
+    max_size=8,
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_factor_polys, _factor_polys, hst.integers(1, 5), hst.booleans())
+def test_kronecker_product_matches_schoolbook(f, g, w, cancel):
+    if cancel:  # (f + g)(f - g): the cross terms cancel
+        f, g = st.ip_add_inplace(dict(f), g), st.ip_add_inplace(dict(f), g, scale=-1)
+    assert st._kron_mul(f, g, w) == st.ip_mul(f, g)
 
 
 def test_tables_reduce_only_the_ops_a_call_evaluates(tmp_path, monkeypatch):
