@@ -1,107 +1,22 @@
 """Exact truncated Witt-vector arithmetic, Greenberg realization, and
-desk-scale computations on the p-adic affine Grassmannian for SL_n."""
+desk-scale computations on the p-adic affine Grassmannian for SL_n.
+
+Importing the package loads only ``errors``.  Import every other name from
+the module that defines it (``from wittgrass.witt import witt_arith``), so
+that a process loads only the layers it uses.  ``gen_structure_polys`` is
+also reachable here; it loads ``structure`` on first use.
+"""
 
 from .errors import WittgrassError
-from .fields import GF, FiniteField
-from .greenberg import (
-    RealizedIdeal,
-    RealizedMap,
-    WittPolynomial,
-    localized_transition,
-    realize_action,
-    realize_ideal,
-    realize_poly_map,
-)
-from .grassmann import (
-    CellTable,
-    degeneration_family_ideal,
-    image_check,
-    points_lattice,
-    witt_cell_table,
-    zadic_cell_table,
-)
-from .hilbert import (
-    GradedIdeal,
-    HilbertFunction,
-    act_on_ideal,
-    flat_limit,
-    hilbert_function,
-    ideal_I_lambda,
-    is_module_stable,
-)
-from .lattice import (
-    Lattice,
-    PadicWittNumber,
-    WittMatrix,
-    bruhat_leq,
-    classify_cell,
-    degeneration_family,
-    enumerate_lattices,
-    normalize_basis,
-    padic_op,
-    smith_normal_form,
-    stabilizes_standard,
-)
-from .rings import LaurentRing, RationalFunctionField
-from .structure import StructurePolynomialTable, gen_structure_polys
-from .witt import (
-    WittVector,
-    frobenius,
-    p_shift,
-    teichmuller,
-    verschiebung,
-    witt_arith,
-    witt_inv,
-)
-from .zadic import zadic_oracle
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GF",
-    "FiniteField",
-    "WittgrassError",
-    "WittVector",
-    "WittPolynomial",
-    "WittMatrix",
-    "PadicWittNumber",
-    "Lattice",
-    "CellTable",
-    "GradedIdeal",
-    "HilbertFunction",
-    "RealizedMap",
-    "RealizedIdeal",
-    "LaurentRing",
-    "RationalFunctionField",
-    "StructurePolynomialTable",
-    "gen_structure_polys",
-    "witt_arith",
-    "witt_inv",
-    "teichmuller",
-    "frobenius",
-    "verschiebung",
-    "p_shift",
-    "realize_poly_map",
-    "realize_ideal",
-    "localized_transition",
-    "realize_action",
-    "padic_op",
-    "smith_normal_form",
-    "classify_cell",
-    "bruhat_leq",
-    "stabilizes_standard",
-    "normalize_basis",
-    "degeneration_family",
-    "enumerate_lattices",
-    "ideal_I_lambda",
-    "hilbert_function",
-    "is_module_stable",
-    "act_on_ideal",
-    "flat_limit",
-    "points_lattice",
-    "zadic_oracle",
-    "witt_cell_table",
-    "zadic_cell_table",
-    "degeneration_family_ideal",
-    "image_check",
-]
+__all__ = ["WittgrassError", "gen_structure_polys"]
+
+
+def __getattr__(name):
+    if name == "gen_structure_polys":
+        from .structure import gen_structure_polys
+
+        return gen_structure_polys
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

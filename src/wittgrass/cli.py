@@ -5,6 +5,16 @@ grass and selftest.  Exit status 0 on success, 1 on domain errors (guards,
 precision, non-units), 2 on usage errors.  Output is deterministic for fixed
 inputs and seeds; --format json switches to a stable machine-readable schema
 (schema version in the "schema" field).
+
+Importing this module loads only the arithmetic stack a ``witt`` call uses:
+errors, fields, structure, witt and textio (which brings poly and rings).
+Every other subcommand imports its modules when it runs, so a one-shot
+process loads, and with bytecode writing off compiles, only what it uses.
+``witt_cell_table`` is an attribute of this module, resolved on first use by
+the module ``__getattr__``, so that it can be patched.  Lazily imported
+functions are never stored in this module's globals: a tracer that wraps
+them in their defining modules stays in effect here, and its removal leaves
+nothing behind.
 """
 
 from __future__ import annotations
@@ -16,20 +26,6 @@ import sys
 
 from .errors import UsageError, WittgrassError
 from .fields import GF, SUPPORTED_PRIMES
-from .greenberg import parse_witt_map, realize_ideal, realize_poly_map
-from .grassmann import image_check, witt_cell_table, zadic_cell_table
-from .hilbert import (
-    GradedIdeal,
-    ambient_ring,
-    default_bound,
-    family_ring,
-    flat_limit,
-    hilbert_function,
-    ideal_I_lambda,
-    is_module_stable,
-)
-from .lattice import classify_cell, smith_normal_form
-from .rings import LaurentRing
 from .structure import _ENV_CACHE
 from .textio import (
     parse_coordinate_poly,
@@ -38,7 +34,6 @@ from .textio import (
     parse_witt_vector,
 )
 from .witt import witt_arith, witt_inv
-from . import selftest as selftest_mod
 
 SCHEMA = "wittgrass/1"
 
@@ -58,6 +53,8 @@ def _field(args):
 def _coeff_ring(args):
     field = _field(args)
     if getattr(args, "laurent", False):
+        from .rings import LaurentRing
+
         return LaurentRing(field)
     return field
 
@@ -94,6 +91,8 @@ def cmd_witt(args):
 # -- greenberg -------------------------------------------------------------
 
 def cmd_greenberg(args):
+    from .greenberg import parse_witt_map, realize_ideal, realize_poly_map
+
     field = _field(args)
     if args.map:
         polys = parse_witt_map(args.map, field, args.N)
@@ -115,6 +114,8 @@ def cmd_greenberg(args):
 # -- lattice ---------------------------------------------------------------
 
 def cmd_lattice_snf(args):
+    from .lattice import smith_normal_form
+
     ring = _coeff_ring(args)
     A = parse_padic_matrix(ring, args.matrix, args.N)
     U, mu, V = smith_normal_form(A)
@@ -124,6 +125,8 @@ def cmd_lattice_snf(args):
 
 
 def cmd_lattice_classify(args):
+    from .lattice import classify_cell
+
     ring = _coeff_ring(args)
     A = parse_padic_matrix(ring, args.matrix, args.N)
     cell = classify_cell(A)
@@ -132,6 +135,8 @@ def cmd_lattice_classify(args):
 
 
 def cmd_lattice_enumerate(args):
+    from .grassmann import witt_cell_table
+
     table = witt_cell_table(args.n, args.q, args.window)
     cells = table.as_dict()["cells"]
     text = "\n".join(
@@ -149,6 +154,8 @@ def _read_poly_lines(path):
 
 
 def cmd_hilbert_hf(args):
+    from .hilbert import default_bound, hilbert_function, ideal_I_lambda
+
     field = _field(args)
     lam = parse_cocharacter(args.lam)
     if args.n != len(lam):
@@ -163,6 +170,8 @@ def cmd_hilbert_hf(args):
 
 
 def cmd_hilbert_stable(args):
+    from .hilbert import GradedIdeal, ambient_ring, is_module_stable
+
     field = _field(args)
     ring = ambient_ring(field, args.n, args.N)
     gens = [parse_coordinate_poly(ring, line) for line in _read_poly_lines(args.ideal_file)]
@@ -173,6 +182,8 @@ def cmd_hilbert_stable(args):
 
 
 def cmd_hilbert_limit(args):
+    from .hilbert import GradedIdeal, family_ring, flat_limit
+
     field = _field(args)
     ring = family_ring(field, args.n, args.N)
     gens = [parse_coordinate_poly(ring, line) for line in _read_poly_lines(args.family_file)]
@@ -185,13 +196,25 @@ def cmd_hilbert_limit(args):
 
 # -- grass -----------------------------------------------------------------
 
+def __getattr__(name):
+    if name == "witt_cell_table":
+        from .grassmann import witt_cell_table
+
+        return witt_cell_table
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_grass_count(args):
+    from .grassmann import zadic_cell_table
+
     # the z-adic side refuses prime powers at once, so it runs first
     tables = []
     if args.oracle in ("z-adic", "both"):
         tables.append(zadic_cell_table(args.n, args.q, args.window))
     if args.oracle in ("witt", "both"):
-        tables.insert(0, witt_cell_table(args.n, args.q, args.window))
+        # looked up on the module, where a patched witt_cell_table takes effect
+        witt_table = sys.modules[__name__].witt_cell_table
+        tables.insert(0, witt_table(args.n, args.q, args.window))
     payload = {"tables": [t.as_dict() for t in tables]}
     if len(tables) == 2:
         payload["agree"] = tables[0].same_counts(tables[1])
@@ -203,6 +226,8 @@ def cmd_grass_count(args):
 
 
 def cmd_grass_image(args):
+    from .grassmann import image_check
+
     lam = parse_cocharacter(args.lam)
     rep = image_check(lam, q=args.q, samples=args.samples, seed=args.seed)
     payload = {
@@ -232,7 +257,9 @@ def cmd_grass_image(args):
 
 
 def cmd_selftest(args):
-    failures = selftest_mod.run_selftest(quick=args.quick)
+    from .selftest import run_selftest
+
+    failures = run_selftest(quick=args.quick)
     if failures:
         print(f"{failures} properties failed", file=sys.stderr)
         return 1

@@ -482,6 +482,30 @@ def write_cache(p, cache_dir, tables):
 # the table object used by Witt arithmetic
 # ---------------------------------------------------------------------------
 
+_HALF_BITS = SHIFT * MAX_SLOTS  # a key is its X half, then its Y half
+_HALF_MASK = (1 << _HALF_BITS) - 1
+
+
+class _FoldedHalves(dict):
+    """Memo: one half of a packed key -> that half folded by x^q = x."""
+
+    def __init__(self, q):
+        super().__init__()
+        self.period = q - 1
+
+    def __missing__(self, half):
+        folded = shift = 0
+        rest = half
+        while rest:
+            e = rest & EXP_MASK
+            if e:
+                folded |= ((e - 1) % self.period + 1) << shift
+            rest >>= SHIFT
+            shift += SHIFT
+        self[half] = folded
+        return folded
+
+
 class StructurePolynomialTable:
     """Integer structure polynomials for the prime p plus mod-p evaluation forms.
 
@@ -501,8 +525,10 @@ class StructurePolynomialTable:
 
     The mod-p reduction of an op (``_reduce``, one call per level) is built the
     first time any form of it is asked for and serves every q; each form is
-    built from it once per (op, q), in one pass over the packed keys that folds
-    them, and kept; only the merged monomials are decoded.
+    built from it once per (op, q) and kept.  The fold takes each key as its X
+    half and its Y half and folds each half once per level, through a memo: the
+    halves repeat far more than the keys (p = 3 ``add`` level 4: 49,278 keys,
+    4,373 distinct halves).  Only the merged monomials are decoded.
     Loading and generation reduce nothing.  A table of length N serves every
     length up to N: Witt arithmetic reads only the levels below its operands'
     length.  There is one table per prime and cache directory, holding every
@@ -525,16 +551,10 @@ class StructurePolynomialTable:
     def _fold(self, level, q):
         """Evaluation form of one reduced level, folded by x^q = x unless q is None."""
         if q is not None:
-            period = q - 1
+            halves = _FoldedHalves(q)
             merged = {}
             for key, c in level:
-                folded = shift = 0
-                while key:
-                    e = key & EXP_MASK
-                    if e:
-                        folded |= ((e - 1) % period + 1) << shift
-                    key >>= SHIFT
-                    shift += SHIFT
+                folded = halves[key & _HALF_MASK] | halves[key >> _HALF_BITS] << _HALF_BITS
                 merged[folded] = merged.get(folded, 0) + c
             level = merged.items()
         p = self.p

@@ -5,12 +5,14 @@ literal per coordinate (``u+1`` in F_4, ``t^-2+1`` over Laurent coefficients).
 Valuation-shifted numbers are ``p^v*(a0,...)``; matrices are semicolon-
 separated rows of comma-separated entries, commas inside parentheses binding
 to their entry.  Every printer output parses back to an equal value.
+
+``lattice`` is imported only by the p-adic parsers, so Witt-vector commands
+do not load it.
 """
 
 from __future__ import annotations
 
 from .errors import UsageError
-from .lattice import PadicWittNumber, WittMatrix
 from .poly import PolyRing, parse_polynomial
 from .rings import LaurentRing, RationalFunctionField
 from .witt import WittVector
@@ -71,21 +73,32 @@ def split_top_level(text, sep):
     return parts
 
 
-def parse_witt_vector(ring, text, N=None):
+def _coords(ring, text):
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise UsageError(f"Witt vector literal must be parenthesized: {text!r}")
-    coords = [
+    return [
         parse_scalar(ring, part.strip() or "0")
         for part in split_top_level(text[1:-1], ",")
     ]
+
+
+def parse_witt_vector(ring, text, N=None):
+    coords = _coords(ring, text)
     if N is not None and len(coords) != N:
         raise UsageError(f"expected {N} coordinates, found {len(coords)}")
     return WittVector(ring, coords)
 
 
 def parse_padic(ring, text, N=None):
-    """``p^v*(a0,...)`` or plain ``(a0,...)``; v may be negative."""
+    """``p^v*(a0,...)`` or plain ``(a0,...)``; v may be negative.
+
+    With N given the mantissa has N coordinates, or, after a prefix with
+    v > 0, the N - v that the printer writes for a value known modulo p^N:
+    ``p^1*(1)`` at N = 2, and ``p^2*()``, zero modulo p^2.
+    """
+    from .lattice import PadicWittNumber
+
     text = text.strip()
     shift = 0
     if text.startswith("p"):
@@ -104,11 +117,20 @@ def parse_padic(ring, text, N=None):
         if not rest:
             rest = "(1" + ",0" * ((N or 1) - 1) + ")"
         text = rest
-    w = parse_witt_vector(ring, text, N)
-    return PadicWittNumber(ring, shift, w.coords)
+    if N is None:
+        return PadicWittNumber(ring, shift, _coords(ring, text))
+    short = max(N - shift, 0) if shift > 0 else N
+    # after a prefix, () is the empty mantissa, not one blank coordinate
+    coords = [] if shift > 0 and text.replace(" ", "") == "()" else _coords(ring, text)
+    if len(coords) not in (N, short):
+        want = N if short == N else f"{N} or {short}"
+        raise UsageError(f"expected {want} coordinates, found {len(coords)}")
+    return PadicWittNumber(ring, shift, coords)
 
 
 def parse_padic_matrix(ring, text, N=None):
+    from .lattice import WittMatrix
+
     rows = []
     width = None
     for row_text in text.split(";"):

@@ -1,0 +1,140 @@
+"""What a process loads: the package surface and the modules a witt call imports."""
+
+import hashlib
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import wittgrass
+from wittgrass import structure
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+UNUSED_BY_WITT = ("lattice", "greenberg", "groebner", "hilbert", "grassmann", "zadic", "selftest")
+
+
+def _python(code, *args, cwd=None):
+    """Run code in a fresh interpreter on these sources; its standard output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120, check=True,
+    )
+    return done.stdout
+
+
+WITT_THEN_GRASS = """\
+import contextlib, io, json, sys
+from wittgrass import cli
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv + ["--format", "json"]) == 0
+    return json.loads(buf.getvalue())
+
+witt = run(["--cache-dir", sys.argv[1], "witt", "mul", "--p", "2", "--N", "2", "(1,1)", "(1,0)"])
+loaded = sorted(m for m in sys.modules if m.startswith("wittgrass"))
+grass = run(["grass", "count", "--n", "2", "--q", "3", "--window", "1"])
+print(json.dumps({"witt": witt["result"], "loaded": loaded, "grass": grass}))
+"""
+
+
+def test_witt_call_loads_only_the_arithmetic_stack(tmp_path):
+    out = json.loads(_python(WITT_THEN_GRASS, str(tmp_path)))
+    assert out["witt"] == "(1,1)"
+    assert not [m for m in UNUSED_BY_WITT if f"wittgrass.{m}" in out["loaded"]], out["loaded"]
+    # a later command in the same process loads what it needs and still counts
+    # right: W^2 and the q(q + 1) = 12 lattices of the cell (1,-1)
+    grass = out["grass"]
+    assert grass["agree"] is True
+    for table in grass["tables"]:
+        assert table["cells"] == [
+            {"lambda": [0, 0], "count": 1},
+            {"lambda": [1, -1], "count": 12},
+        ]
+
+
+def test_package_surface_is_lazy():
+    assert wittgrass.__version__ == "0.1.0"
+    assert issubclass(wittgrass.WittgrassError, Exception)
+    assert wittgrass.gen_structure_polys is structure.gen_structure_polys
+    try:
+        wittgrass.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc)
+    else:
+        raise AssertionError("an unknown name resolved")
+    code = (
+        "import wittgrass\n"
+        "before = hasattr(wittgrass, 'cli')\n"
+        "from wittgrass import cli\n"
+        "print(before, hasattr(wittgrass, 'cli'), cli.main is wittgrass.cli.main)\n"
+    )
+    assert _python(code).split() == ["False", "True", "True"]
+
+
+def test_benchmark_setup_writes_the_same_tables(tmp_path):
+    """perfbench/run.py's set-up child reaches gen_structure_polys through the
+    package and writes cache files byte-identical to the ones pinned here."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import run
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    specs = ["2:3:add", "2:3:mul", "3:2:add", "5:2:neg"]
+    assert float(_python(run.SETUP_CODE, str(tmp_path), *specs).split()[-1]) > 0
+    digests = {
+        name: hashlib.sha256(body).hexdigest()[:12]
+        for name, body in run.cache_files(tmp_path).items()
+    }
+    assert digests == {
+        "structure_p2.txt": "0d64a09990a3",
+        "structure_p3.txt": "7b17e145324e",
+        "structure_p5.txt": "31c167b04aca",
+    }
+
+
+def test_lazy_imports_leave_no_tracer_wrapper_behind(tmp_path, capsys):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    from wittgrass import cli
+
+    # A module first imported while the tracer is installed keeps the wrappers
+    # it imported by name, so the layers are loaded first, as a traced
+    # benchmark pass loads them by running its jobs untraced.  What is checked
+    # is that the commands' own lazy imports bind no wrapper in cli.
+    for module in {target[0] for target in tracing.TARGETS}:
+        importlib.import_module(module)
+    tracer = tracing.Tracer()
+    try:
+        assert tracer.install() == []
+        for argv in (
+            ["witt", "inv", "--p", "3", "--N", "2", "(1,2)"],
+            ["lattice", "snf", "--p", "2", "--N", "2", "(1,1),(0,1);(1,0),(1,1)"],
+            ["grass", "count", "--n", "2", "--q", "2", "--window", "1"],
+            ["hilbert", "hf", "--lambda", "1,-1", "--n", "2", "--p", "2", "--N", "3"],
+        ):
+            assert cli.main(["--cache-dir", str(tmp_path), *argv]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {name for _, name, *_ in tracer.spans}
+    assert {"cli.main", "witt.inv", "lattice.snf", "lattice.enum", "hilbert.hf"} <= names
+    left = [
+        f"{module.__name__}.{attr}"
+        for module in list(sys.modules.values())
+        if getattr(module, "__name__", "").startswith("wittgrass")
+        for attr, value in vars(module).items()
+        if getattr(value, "__module__", None) == "tracing"
+    ]
+    assert left == []
