@@ -50,15 +50,6 @@ def _field(args):
     return field
 
 
-def _coeff_ring(args):
-    field = _field(args)
-    if getattr(args, "laurent", False):
-        from .rings import LaurentRing
-
-        return LaurentRing(field)
-    return field
-
-
 def _emit(args, payload, text):
     if getattr(args, "format", "text") == "json":
         payload = dict(payload)
@@ -73,7 +64,11 @@ def _emit(args, payload, text):
 def cmd_witt(args):
     if args.op in ("neg", "inv") and args.other is not None:
         raise UsageError(f"witt {args.op} takes one vector, not a second {args.other!r}")
-    ring = _coeff_ring(args)
+    ring = _field(args)
+    if args.laurent:
+        from .rings import LaurentRing
+
+        ring = LaurentRing(ring)
     a = parse_witt_vector(ring, args.vector, args.N)
     if args.op in ("add", "mul"):
         if args.other is None:
@@ -116,8 +111,7 @@ def cmd_greenberg(args):
 def cmd_lattice_snf(args):
     from .lattice import smith_normal_form
 
-    ring = _coeff_ring(args)
-    A = parse_padic_matrix(ring, args.matrix, args.N)
+    A = parse_padic_matrix(_field(args), args.matrix, args.N)
     U, mu, V = smith_normal_form(A)
     text = f"exponents: {','.join(map(str, mu))}\nU:\n{U!r}\nV:\n{V!r}"
     _emit(args, {"exponents": list(mu), "U": repr(U), "V": repr(V)}, text)
@@ -127,8 +121,7 @@ def cmd_lattice_snf(args):
 def cmd_lattice_classify(args):
     from .lattice import classify_cell
 
-    ring = _coeff_ring(args)
-    A = parse_padic_matrix(ring, args.matrix, args.N)
+    A = parse_padic_matrix(_field(args), args.matrix, args.N)
     cell = classify_cell(A)
     _emit(args, {"cell": list(cell)}, ",".join(map(str, cell)))
     return 0
@@ -281,22 +274,20 @@ def build_parser():
     top.add_argument("--cache-dir", help="structure-polynomial cache directory")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, N=True, q=True, laurent=False):
+    def add_common(p, N=True, q=True):
         p.add_argument("--p", type=int, required=True, help="prime")
         if N:
             p.add_argument("--N", type=length, required=True, help="truncation length")
         if q:
             p.add_argument("--q", type=int, help="field size (default: p)")
-        if laurent:
-            p.add_argument(
-                "--laurent", action="store_true",
-                help="coefficients in F_q[t,1/t] instead of F_q",
-            )
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     w = sub.add_parser("witt", help="Witt vector arithmetic")
     w.add_argument("op", choices=("add", "mul", "neg", "inv"))
-    add_common(w, laurent=True)
+    add_common(w)
+    w.add_argument(
+        "--laurent", action="store_true", help="coefficients in F_q[t,1/t] instead of F_q"
+    )
     w.add_argument("vector")
     w.add_argument("other", nargs="?")
     w.set_defaults(fn=cmd_witt)
@@ -312,11 +303,11 @@ def build_parser():
     l = sub.add_parser("lattice", help="p-adic lattices")
     lsub = l.add_subparsers(dest="lcmd", required=True)
     ls = lsub.add_parser("snf")
-    add_common(ls, laurent=True)
+    add_common(ls)
     ls.add_argument("matrix", help="rows ';', entries like p^v*(a0,a1,...)")
     ls.set_defaults(fn=cmd_lattice_snf)
     lc = lsub.add_parser("classify")
-    add_common(lc, laurent=True)
+    add_common(lc)
     lc.add_argument("matrix")
     lc.set_defaults(fn=cmd_lattice_classify)
     le = lsub.add_parser("enumerate")

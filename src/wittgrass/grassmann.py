@@ -16,8 +16,6 @@ import random
 
 from .errors import NotStable, SizeGuard, UsageError
 from .fields import GF
-from .greenberg import generic_vectors
-from .groebner import ideal_equal
 from .hilbert import (
     GradedIdeal,
     act_on_ideal,
@@ -229,7 +227,11 @@ def image_check(lam, q=2, samples=20, seed=7, N=None):
     tilde1 = lam[0] - lam[-1]
     big_lambda = -n * lam[-1]
     if big_lambda > 4:
-        raise SizeGuard("image_check is desk scale: sum of shifted exponents <= 4")
+        raise SizeGuard(
+            f"image_check is desk scale: --lambda {','.join(map(str, lam))} has "
+            f"n*|lambda_n| = {big_lambda}, above the bound 4; pick a --lambda with "
+            "n*|lambda_n| <= 4"
+        )
     field = GF(q)
     if N is None:
         N = tilde1 + 1

@@ -111,9 +111,12 @@ def ideal_I_lambda(field, lam, N, allow_tight_window=False):
     """
     dominant_or_raise(lam)
     tilde1 = lam[0] - lam[-1]
-    if N < tilde1 + (0 if allow_tight_window else 1):
+    least = tilde1 if allow_tight_window else tilde1 + 1
+    if N < least:
+        tight = "" if allow_tight_window else f", or {tilde1} with --tight"
         raise WindowTooSmall(
-            f"truncation length {N} too small for cocharacter {lam}"
+            f"truncation length --N {N} is too small for cocharacter {lam}: "
+            f"the least --N is {least}{tight}"
         )
     return ideal_for_window(field, lam, N, -lam[-1])
 

@@ -1,18 +1,16 @@
-"""Precision-tracked arithmetic in W(k)[1/p] and the lattice toolbox.
+"""Precision-tracked arithmetic in W(F_q)[1/p] and the lattice toolbox.
 
-A PadicWittNumber is p^shift times a truncated Witt mantissa; its absolute
-precision is shift + len(mantissa).  Over perfect coefficient rings values are
-kept normalized (leading mantissa component nonzero) by stripping leading
-zeros with p-th roots; over non-perfect rings (Laurent coefficients) mantissas
-are left as computed and only alignment, which needs p-th powers, is used.
-
-Alignment to a smaller shift uses the identity p*(a_0, a_1, ...) =
-(0, a_0^p, a_1^p, ...), which holds over every ring of characteristic p;
-raising the shift is the direction that needs perfectness.
+A PadicWittNumber is p^shift times a truncated Witt mantissa over a finite
+field; its absolute precision is shift + len(mantissa).  Every value is
+normalized: the mantissa is empty (zero at that precision) or its leading
+coordinate is nonzero, so shift is the valuation.  The constructor strips
+leading zeros with p-th roots, (0, a_1, a_2, ...) = p*(a_1^(1/p), a_2^(1/p),
+...), which the perfect field F_q allows; alignment to a smaller shift uses
+p*(a_0, a_1, ...) = (0, a_0^p, a_1^p, ...).
 
 On top of that: Smith normal form over the discrete valuation ring W(F_q)
-at finite precision, Schubert-cell classification, the dominance order,
-first-column basis normalization and the two-parameter degeneration matrices.
+at finite precision, Schubert-cell classification, the dominance order and
+first-column basis normalization.
 
 Lattices rest on one routine, column_reduce, which brings generating columns
 to the reduced column Hermite form: pivots exactly p^a_i, zeros above them,
@@ -28,7 +26,6 @@ import itertools
 
 from .errors import (
     DetValuationMismatch,
-    NonUnit,
     NotDominant,
     PrecisionLoss,
     RingMismatch,
@@ -37,8 +34,7 @@ from .errors import (
     ZeroAtPrecision,
 )
 from .fields import GF
-from .rings import LaurentRing
-from .witt import WittVector, mat_det, mat_mul, teichmuller, witt_arith, witt_inv
+from .witt import WittVector, mat_det, mat_mul, witt_arith, witt_inv
 
 # Hermite forms enumerate_lattices may visit; each costs a reduction and a
 # Smith form at precision 2*window + n.
@@ -46,17 +42,20 @@ ENUM_GUARD = 1 << 20
 
 
 class PadicWittNumber:
-    """p^shift * mantissa at absolute precision shift + len(mantissa)."""
+    """p^shift * mantissa at absolute precision shift + len(mantissa).
+
+    The mantissa is empty (zero modulo p^abs_prec) or has a nonzero leading
+    coordinate, so shift is the valuation.
+    """
 
     __slots__ = ("ring", "shift", "mantissa")
 
-    def __init__(self, ring, shift, mantissa, normalize=True):
+    def __init__(self, ring, shift, mantissa):
         self.ring = ring
         coords = tuple(mantissa)
-        if normalize and ring.is_perfect:
-            while coords and coords[0].is_zero():
-                shift += 1
-                coords = tuple(c.pth_root() for c in coords[1:])
+        while coords and coords[0].is_zero():
+            shift += 1
+            coords = tuple(c.pth_root() for c in coords[1:])
         self.shift = shift
         self.mantissa = coords
 
@@ -67,23 +66,15 @@ class PadicWittNumber:
         return self.shift + len(self.mantissa)
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.mantissa)
+        return not self.mantissa
 
     def val(self):
-        if self.ring.is_perfect:
-            if not self.mantissa:
-                raise ZeroAtPrecision(f"zero modulo p^{self.abs_prec}")
-            return self.shift
-        for i, c in enumerate(self.mantissa):
-            if not c.is_zero():
-                return self.shift + i
-        raise ZeroAtPrecision(f"zero modulo p^{self.abs_prec}")
+        if not self.mantissa:
+            raise ZeroAtPrecision(f"zero modulo p^{self.abs_prec}")
+        return self.shift
 
     def val_or_none(self):
-        try:
-            return self.val()
-        except ZeroAtPrecision:
-            return None
+        return self.shift if self.mantissa else None
 
     # -- alignment --
 
@@ -106,9 +97,7 @@ class PadicWittNumber:
             return self
         if a <= self.shift:
             return PadicWittNumber(self.ring, a, ())
-        return PadicWittNumber(
-            self.ring, self.shift, self.mantissa[: a - self.shift], normalize=False
-        )
+        return PadicWittNumber(self.ring, self.shift, self.mantissa[: a - self.shift])
 
     def __add__(self, other):
         self._like(other)
@@ -129,7 +118,7 @@ class PadicWittNumber:
         if not self.mantissa:
             return self
         m = witt_arith("neg", WittVector(self.ring, self.mantissa))
-        return PadicWittNumber(self.ring, self.shift, m.coords, normalize=False)
+        return PadicWittNumber(self.ring, self.shift, m.coords)
 
     def __sub__(self, other):
         return self + (-other)
@@ -145,48 +134,38 @@ class PadicWittNumber:
         L = min(len(self.mantissa), len(other.mantissa))
         a = WittVector(self.ring, self.mantissa[:L])
         b = WittVector(self.ring, other.mantissa[:L])
-        return PadicWittNumber(
-            self.ring, self.shift + other.shift, (a * b).coords, normalize=False
-        )
+        return PadicWittNumber(self.ring, self.shift + other.shift, (a * b).coords)
 
     def inv(self):
         if self.is_zero():
             raise ZeroAtPrecision("cannot invert a value that vanishes at precision")
-        if self.mantissa[0].is_zero():
-            # non-perfect ring with a non-normalizable leading zero
-            raise NonUnit("mantissa has a leading zero over a non-perfect ring")
         m = witt_inv(WittVector(self.ring, self.mantissa))
-        return PadicWittNumber(self.ring, -self.shift, m.coords, normalize=False)
+        return PadicWittNumber(self.ring, -self.shift, m.coords)
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def unit_part(self):
         """The mantissa as an exact integral value (shift zero)."""
-        return PadicWittNumber(self.ring, 0, self.mantissa, normalize=False)
+        return PadicWittNumber(self.ring, 0, self.mantissa)
 
     def p_times(self, k):
-        """Shift by p^k (k may be negative over perfect rings)."""
-        if k >= 0 or self.ring.is_perfect:
-            return PadicWittNumber(self.ring, self.shift + k, self.mantissa)
-        raise PrecisionLoss("negative shifts need a perfect coefficient ring")
+        """Multiply by p^k; k may be negative."""
+        return PadicWittNumber(self.ring, self.shift + k, self.mantissa)
 
     def eq_at_precision(self, other):
         return (self - other).is_zero()
 
     def split(self, k):
-        """(low, high) with self = low + p^k * high; low has digits < k only."""
-        if self.shift >= k or self.is_zero():
-            low = PadicWittNumber(self.ring, min(k, self.abs_prec), ())
-            high = PadicWittNumber(self.ring, self.shift - k, self.mantissa, normalize=False)
-            return low, high
-        m = k - self.shift
-        low = PadicWittNumber(self.ring, self.shift, self.mantissa[:m], normalize=False)
-        diff = self - low
-        if not diff.is_zero() and diff.val() < k:
-            raise PrecisionLoss("truncation failed to cancel low digits")
-        high = PadicWittNumber(self.ring, diff.shift - k, diff.mantissa)
-        return low, high
+        """(low, high) with self = low + p^k * high; low has digits < k only.
+
+        Exact, with no Witt arithmetic: a Witt vector is the sum of its
+        digits, (a_0, ..., a_{L-1}) = (a_0, ..., a_{m-1}, 0, ...) +
+        (0, ..., 0, a_m, ..., a_{L-1}), so high is the tail behind m zeros.
+        """
+        m = max(0, min(k - self.shift, len(self.mantissa)))
+        tail = (self.ring.zero,) * m + self.mantissa[m:]
+        return self.truncate_abs(k), PadicWittNumber(self.ring, self.shift - k, tail)
 
     def _like(self, other):
         if self.ring is not other.ring:
@@ -222,25 +201,12 @@ def padic_zero(ring, abs_prec):
     return PadicWittNumber(ring, abs_prec, ())
 
 
-def padic_op(op, a, b=None):
-    """Dispatcher for {add, mul, inv} on PadicWittNumbers."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        if b is not None:
-            raise UsageError("inv takes a single operand")
-        return a.inv()
-    raise UsageError(f"unknown padic operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # matrices of PadicWittNumbers
 # ---------------------------------------------------------------------------
 
 class WittMatrix:
-    """Square matrix over W(k)[1/p] at a common working precision."""
+    """Square matrix over W(F_q)[1/p] at a common working precision."""
 
     __slots__ = ("ring", "entries")
 
@@ -475,65 +441,6 @@ def normalize_basis(M, big_lambda, prec=None, pad=None):
 
 
 # ---------------------------------------------------------------------------
-# the degeneration family
-# ---------------------------------------------------------------------------
-
-def degeneration_family(e, d, p=2, q=None, N=None):
-    """Matrices (A, diag(p^e, p^d), C) over W_N(F_q[t,1/t]) with
-    A*diag*C = [[p^(e-1), t^2 p^d], [0, p^(d+1)]], verified exactly.
-
-    The product connects the diagonal lattice of type (e, d) to one of type
-    (d+1, e-1); letting t specialize to 0 is the degeneration step.
-    """
-    if e <= d:
-        raise UsageError("degeneration family needs e > d")
-    if N is None:
-        N = e - d + 2
-    if N < e - d + 2:
-        raise PrecisionLoss(f"working length {N} too small; need at least {e - d + 2}")
-    field = GF(q if q is not None else p)
-    if field.p != p:
-        raise UsageError("q must be a power of p")
-    L = LaurentRing(field)
-
-    def tei(k):
-        return padic_from_witt(teichmuller(L, L.monomial(k), N))
-
-    def tei_p(k, s):
-        return PadicWittNumber(L, s, teichmuller(L, L.monomial(k), N).coords)
-
-    zero = padic_zero(L, N + abs(e) + abs(d) + 2)
-    A = WittMatrix(L, [[zero, tei(1)], [-tei(-1), tei_p(-1, 1)]])
-    D = WittMatrix(L, [
-        [PadicWittNumber(L, e, teichmuller(L, L.one, N).coords), zero],
-        [zero, PadicWittNumber(L, d, teichmuller(L, L.one, N).coords)],
-    ])
-    C = WittMatrix(L, [[tei(-1), zero], [tei_p(-1, e - d - 1), tei(1)]])
-    rhs = degeneration_rhs(e, d, p, q, N)
-    prod = A.mul(D).mul(C)
-    if not prod.eq_at_precision(rhs):
-        raise ArithmeticError("degeneration identity failed to verify")
-    return A, D, C
-
-
-def degeneration_rhs(e, d, p=2, q=None, N=None):
-    """[[p^(e-1), t^2 p^d], [0, p^(d+1)]] over W_N(F_q[t,1/t])."""
-    if N is None:
-        N = e - d + 2
-    field = GF(q if q is not None else p)
-    L = LaurentRing(field)
-    one = teichmuller(L, L.one, N).coords
-    zero = padic_zero(L, N + abs(e) + abs(d) + 2)
-    return WittMatrix(L, [
-        [
-            PadicWittNumber(L, e - 1, one),
-            PadicWittNumber(L, d, teichmuller(L, L.monomial(2), N).coords),
-        ],
-        [zero, PadicWittNumber(L, d + 1, one)],
-    ])
-
-
-# ---------------------------------------------------------------------------
 # lattices: the reduced column Hermite form, identity, enumeration
 # ---------------------------------------------------------------------------
 
@@ -582,13 +489,6 @@ def column_reduce(columns, n):
     return tuple(exps), basis
 
 
-def _digits_below(x, a):
-    """x mod p^a as (shift, Witt digits), normalized; x is known mod p^a."""
-    t = x.truncate_abs(a)
-    t = PadicWittNumber(t.ring, t.shift, t.mantissa)
-    return t.shift, t.mantissa
-
-
 class Lattice:
     """A lattice in W(F_q)[1/p]^n given by a square column basis."""
 
@@ -615,7 +515,7 @@ class Lattice:
                 [[ents[i][j] for i in range(n)] for j in range(n)], n
             )
             digits = tuple(
-                _digits_below(basis[j][i], exps[i]) for i in range(n) for j in range(i)
+                basis[j][i].truncate_abs(exps[i]) for i in range(n) for j in range(i)
             )
             self._canon = (n, exps, digits)
         return self._canon

@@ -45,6 +45,28 @@ def test_laurent_witt_product_is_unchanged(capsys):
     )
 
 
+@pytest.mark.parametrize("cmd", ["snf", "classify"])
+def test_lattice_commands_take_no_laurent_flag(capsys, cmd):
+    # p-adic numbers are over finite fields only
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lattice", cmd, "--p", "2", "--N", "2", "--laurent", "(0,t)"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --laurent" in capsys.readouterr().err
+
+
+def test_laurent_witt_beyond_the_table_limit_is_refused_before_work(capsys, monkeypatch, tmp_path):
+    # restored after the test, whatever --cache-dir sets
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("WITTGRASS_TABLE_LIMIT", raising=False)
+    argv = ["--cache-dir", str(tmp_path), "witt", "mul", "--laurent", "--p", "3", "--N", "6",
+            "(1,t,0,0,0,0)", "(1,0,0,0,0,t^-1)"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "WITTGRASS_TABLE_LIMIT" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("op", ["neg", "inv"])
 def test_unary_witt_ops_refuse_a_second_vector(capsys, op):
     assert cli.main(["witt", op, "--p", "3", "--N", "2", "(1,2)", "(1,1)"]) == 2

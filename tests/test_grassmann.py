@@ -318,6 +318,13 @@ def test_image_check_bigger_cell_subset():
     assert rep["bruhat_ok"]
 
 
+@pytest.mark.parametrize("lam, size", [((3, -3), 6), ((2, 1, -3), 9)])
+def test_image_check_guard_names_lambda_and_bound(lam, size):
+    text = ",".join(map(str, lam))
+    with pytest.raises(SizeGuard, match=rf"--lambda {text} has n\*\|lambda_n\| = {size}, above the bound 4"):
+        image_check(lam, q=2, samples=0)
+
+
 def test_image_check_determinism():
     a = image_check((1, -1), q=2, samples=6, seed=3)
     b = image_check((1, -1), q=2, samples=6, seed=3)

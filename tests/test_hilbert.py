@@ -61,8 +61,10 @@ def test_ideal_sl3():
 
 
 def test_ideal_window_guard():
-    with pytest.raises(WindowTooSmall):
+    with pytest.raises(WindowTooSmall, match=r"--N 2 .* the least --N is 3, or 2 with --tight"):
         ideal_I_lambda(F2, (1, -1), 2)
+    with pytest.raises(WindowTooSmall, match=r"--N 1 .* the least --N is 2$"):
+        ideal_I_lambda(F2, (1, -1), 1, allow_tight_window=True)
     # override reproduces the tight-window boundary setting
     I = ideal_I_lambda(F2, (1, -1), 2, allow_tight_window=True)
     assert len(I.generators) == 2
