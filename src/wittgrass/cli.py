@@ -90,19 +90,13 @@ def cmd_greenberg(args):
 
     field = _field(args)
     if args.map:
-        polys = parse_witt_map(args.map, field, args.N)
-        rmap = realize_poly_map(polys, args.N)
-        lines = []
-        for i, row in enumerate(rmap.components, start=1):
-            for j, q in enumerate(row):
-                lines.append(f"COMP {i} {j}: {q!r}")
+        out = realize_poly_map(parse_witt_map(args.map, field, args.N))
     elif args.ideal:
-        polys = parse_witt_map(args.ideal, field, args.N)
-        rid = realize_ideal(polys, args.N)
-        lines = [f"GEN {i}: {g!r}" for i, g in enumerate(rid.generators)]
+        out = realize_ideal(parse_witt_map(args.ideal, field, args.N))
     else:
         raise UsageError("greenberg realize needs --map or --ideal")
-    _emit(args, {"lines": lines}, "\n".join(lines))
+    text = repr(out)
+    _emit(args, {"lines": text.splitlines()}, text)
     return 0
 
 

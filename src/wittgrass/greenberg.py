@@ -1,11 +1,13 @@
-"""Coordinate-wise realization of polynomial data over W_N(k).
+"""Coordinate-wise (Greenberg) realization of polynomial data over W_N(k).
 
-A polynomial map P: A^d -> A^e over W_N(k) becomes a polynomial map of affine
-k-spaces of dimensions dN and eN: substitute for each Witt-level variable T_l
-the generic vector (x[l,0], ..., x[l,N-1]) and read off the Witt components of
-the result, each a polynomial over k in the x[l,m].  Those component
-polynomials are computed here by running the ordinary Witt arithmetic over the
-polynomial coefficient ring k[x[l,m]].
+A polynomial map P: A^d -> A^e over W_N(k) is a list of ordinary
+``Polynomial``s in T1..Td whose coefficient ring is W_N(k) (``witt_poly_ring``).
+It becomes a polynomial map of affine k-spaces of dimensions dN and eN by
+evaluation at the generic point: substitute for each T_l the generic vector
+(x[l,0], ..., x[l,N-1]) and read off the Witt components of the result, each a
+polynomial over k in the x[l,m].  The evaluation runs the ordinary Witt
+arithmetic over the polynomial coefficient ring k[x[l,m]], one term of P at a
+time.
 
 Everything in this module is a pure syntactic transformation; no Groebner
 machinery, no normalization beyond sparse canonical form.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .errors import NonUnit, NotPerfect, RingMismatch, UsageError
-from .poly import PolyRing, parse_expression
+from .poly import PolyRing, Polynomial, parse_polynomial
 from .witt import (
     WittVector,
     mat_det,
@@ -44,120 +46,38 @@ def coord_ring(scalar, arity, N, letter="x"):
     )
 
 
-class WittPolynomial:
-    """Polynomial in T_1..T_d with constant Witt-vector coefficients."""
+class WittRing:
+    """W_N(k) as the coefficient ring of a ``PolyRing``.
 
-    __slots__ = ("scalar", "N", "arity", "terms")
+    It offers what a polynomial ring asks of its coefficients: ``p``, ``zero``,
+    ``one`` and ``from_int``.  There is one instance per (k, N), so polynomial
+    rings over the same W_N(k) are shared.
+    """
 
-    def __init__(self, scalar, N, arity, terms=None):
-        self.scalar = scalar
-        self.N = N
-        self.arity = arity
-        self.terms = dict(terms or {})
+    _cache: dict = {}
 
-    @classmethod
-    def variable(cls, scalar, N, arity, l):
-        exps = [0] * arity
-        exps[l] = 1
-        return cls(scalar, N, arity, {tuple(exps): witt_one(scalar, N)})
+    def __new__(cls, scalar, N):
+        key = (id(scalar), N)
+        self = cls._cache.get(key)
+        if self is None:
+            self = cls._cache[key] = super().__new__(cls)
+            self.scalar = scalar
+            self.N = N
+            self.p = scalar.p
+            self.zero = witt_zero(scalar, N)
+            self.one = witt_one(scalar, N)
+        return self
 
-    @classmethod
-    def constant(cls, c, arity):
-        if c.is_zero():
-            return cls(c.ring, c.length, arity, {})
-        return cls(c.ring, c.length, arity, {(0,) * arity: c})
-
-    def _like(self, other):
-        if (
-            self.scalar is not other.scalar
-            or self.N != other.N
-            or self.arity != other.arity
-        ):
-            raise RingMismatch("Witt polynomials from different contexts")
-
-    def __add__(self, other):
-        self._like(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return WittPolynomial(self.scalar, self.N, self.arity, out)
-
-    def __neg__(self):
-        return WittPolynomial(
-            self.scalar, self.N, self.arity, {m: -c for m, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._like(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return WittPolynomial(self.scalar, self.N, self.arity, out)
-
-    def __pow__(self, n):
-        acc = WittPolynomial.constant(witt_one(self.scalar, self.N), self.arity)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def evaluate(self, points):
-        """Evaluate at Witt vectors over any ring of the same characteristic."""
-        ring = points[0].ring
-        N = points[0].length
-        acc = witt_zero(ring, N)
-        for m, c in self.terms.items():
-            term = WittVector(ring, tuple(_lift_coords(c, ring, N)))
-            for l, e in enumerate(m):
-                for _ in range(e):
-                    term = term * points[l]
-            acc = acc + term
-        return acc
+    def from_int(self, n):
+        return witt_from_int(self.scalar, n, self.N)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            factors = []
-            for l, e in enumerate(m):
-                if e:
-                    nm = f"T{l + 1}"
-                    factors.append(nm if e == 1 else f"{nm}^{e}")
-            body = "*".join(factors)
-            parts.append(f"{c!r}*{body}" if body else repr(c))
-        return " + ".join(parts)
+        return f"W_{self.N}({self.scalar!r})"
 
 
-def _lift_coords(c, ring, N):
-    # lift coefficient coordinates of a constant Witt vector into `ring`
-    for coord in c.coords[:N]:
-        if coord.is_zero():
-            yield ring.zero
-        elif hasattr(ring, "const"):
-            yield ring.const(coord)
-        else:
-            yield coord
+def witt_poly_ring(scalar, N, arity):
+    """W_N(scalar)[T1..T_arity], the home of Witt polynomial maps."""
+    return PolyRing(WittRing(scalar, N), tuple(f"T{l}" for l in range(1, arity + 1)))
 
 
 class RealizedMap:
@@ -234,29 +154,37 @@ def generic_vectors(scalar, arity, N, ring=None):
     return ring, vecs
 
 
-def realize_poly_map(polys, N=None):
-    """Realize the map A^d -> A^e defined by the given Witt polynomials."""
+def realize_poly_map(polys):
+    """Realize the map A^d -> A^e given by polynomials in W_N(k)[T1..Td].
+
+    Each polynomial is evaluated at the generic point term by term: the
+    coefficient as a constant vector over k[x], times the generic vectors one
+    factor at a time.  Sums are never multiplied over k[x], where products of
+    sums grow fast; the polynomial is already expanded over W_N(k).
+    """
     if not polys:
         raise UsageError("empty polynomial map")
-    scalar = polys[0].scalar
-    arity = polys[0].arity
-    N = N or polys[0].N
-    for P in polys:
-        if P.scalar is not scalar or P.arity != arity:
-            raise RingMismatch("map components over different contexts")
-        if P.N != N:
-            raise RingMismatch(f"length mismatch: {P.N} vs {N}")
-    ring, vecs = generic_vectors(scalar, arity, N)
+    R = polys[0].ring
+    if any(P.ring is not R for P in polys):
+        raise RingMismatch("map components over different rings")
+    W, arity = R.coeff, len(R.names)
+    ring, vecs = generic_vectors(W.scalar, arity, W.N)
     components = []
     for P in polys:
-        val = P.evaluate(vecs)
-        components.append(list(val.coords))
-    return RealizedMap(ring, arity, len(polys), N, components)
+        acc = witt_zero(ring, W.N)
+        for m, c in P.terms.items():
+            term = WittVector(ring, [ring.const(x) for x in c.coords])
+            for l, e in enumerate(m):
+                for _ in range(e):
+                    term = term * vecs[l]
+            acc = acc + term
+        components.append(list(acc.coords))
+    return RealizedMap(ring, arity, len(polys), W.N, components)
 
 
-def realize_ideal(gens, N=None):
+def realize_ideal(gens):
     """All Witt components of all generators; identically-zero ones dropped."""
-    rmap = realize_poly_map(gens, N)
+    rmap = realize_poly_map(gens)
     out = [q for q in rmap.flat_components() if not q.is_zero()]
     return RealizedIdeal(rmap.ring, out, rmap.source_arity, rmap.N)
 
@@ -280,76 +208,44 @@ def localized_transition(N, scalar, arity=1):
     return RealizedMap(ring, arity, arity, N, comps)
 
 
-def realize_action(g, n=None):
-    """Realize v -> g.v on A^n for an invertible matrix g over W_N(k).
+def realize_action(g):
+    """Realize v -> g.v on A^n for an invertible n x n matrix g over W_N(k).
 
     The returned map substitutes for x[i,j] the j-th Witt component of the
     i-th entry of g.x at the generic point.  For the induced left action on
     ideals, compose with matrix inversion first (see hilbert.act_on_ideal).
     """
-    n = n or len(g)
-    d = mat_det(g)
-    if not d.is_unit():
+    if not mat_det(g).is_unit():
         raise NonUnit("realize_action needs an invertible matrix")
-    scalar = g[0][0].ring
-    N = g[0][0].length
-    polys = []
-    for i in range(n):
-        P = None
-        for l in range(n):
-            term = WittPolynomial.constant(g[i][l], n) * WittPolynomial.variable(
-                scalar, N, n, l
-            )
-            P = term if P is None else P + term
-        polys.append(P)
-    return realize_poly_map(polys, N)
-
-
-# ---------------------------------------------------------------------------
-# parsing Witt polynomial maps (CLI surface)
-# ---------------------------------------------------------------------------
-
-class _WittPolyAlgebra:
-    def __init__(self, scalar, N, arity):
-        self.scalar = scalar
-        self.N = N
-        self.arity = arity
-
-    def from_int(self, nval):
-        return WittPolynomial.constant(
-            witt_from_int(self.scalar, nval, self.N), self.arity
-        )
-
-    def atom(self, name, indices):
-        if indices is None and name.startswith("T") and name[1:].isdigit():
-            l = int(name[1:])
-            if not (1 <= l <= self.arity):
-                raise UsageError(f"variable {name} outside arity {self.arity}")
-            return ("var", l - 1)
-        if indices is None and name == "u" and self.scalar.e > 1:
-            return ("coeff", teichmuller(self.scalar, self.scalar.gen(), self.N))
-        raise UsageError(f"unknown symbol {name!r} in Witt polynomial")
-
-    def var(self, l):
-        return WittPolynomial.variable(self.scalar, self.N, self.arity, l)
-
-    def const(self, c):
-        return WittPolynomial.constant(c, self.arity)
-
-    def pow_coeff(self, c, nval):
-        raise UsageError("negative powers are not defined in W_N")
+    n = len(g)
+    R = witt_poly_ring(g[0][0].ring, g[0][0].length, n)
+    unit = [tuple(int(k == l) for k in range(n)) for l in range(n)]
+    return realize_poly_map(
+        [Polynomial(R, {unit[l]: c for l, c in enumerate(row) if not c.is_zero()}) for row in g]
+    )
 
 
 def parse_witt_map(text, scalar, N):
-    """Parse ``"T1*T2-1; T1+T2"`` into a list of WittPolynomials.
+    """Parse ``"T1*T2-1; T1+T2"`` into polynomials over W_N(scalar).
 
-    The arity is the largest T-index that occurs.
+    The arity is the largest T-index that occurs.  Over F_q with q > p, ``u``
+    is the Teichmueller lift of the generator of F_q.
     """
     parts = [part.strip() for part in text.split(";") if part.strip()]
     if not parts:
         raise UsageError("empty map text")
-    arity = 1
-    for m in re.finditer(r"T(\d+)", text):
-        arity = max(arity, int(m.group(1)))
-    algebra = _WittPolyAlgebra(scalar, N, arity)
-    return [parse_expression(part, algebra) for part in parts]
+    arity = max([1] + [int(i) for i in re.findall(r"T(\d+)", text)])
+    R = witt_poly_ring(scalar, N, arity)
+    u = teichmuller(scalar, scalar.gen(), N) if scalar.e > 1 else None
+
+    def resolve(name, indices):
+        if indices is None and name.startswith("T") and name[1:].isdigit():
+            l = int(name[1:])
+            if not (1 <= l <= arity):
+                raise UsageError(f"variable {name} outside arity {arity}")
+            return ("var", l - 1)
+        if indices is None and name == "u" and u is not None:
+            return ("coeff", u)
+        raise UsageError(f"unknown symbol {name!r} in Witt polynomial")
+
+    return [parse_polynomial(R, part, resolve) for part in parts]

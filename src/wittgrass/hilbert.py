@@ -313,7 +313,8 @@ def is_module_stable(I):
     """Is V(I) stable under the realized W_N-module operations?
 
     The comorphisms are Witt arithmetic on generic vectors, whose coordinates
-    are polynomial variables (as in ``greenberg.realize_poly_map``).  Checks,
+    are polynomial variables (``greenberg.generic_vectors``, the point at which
+    ``greenberg.realize_poly_map`` evaluates a Witt map).  Checks,
     for every generator: the negation comorphism (-x) keeps it in I; the
     addition comorphism (y + z) lands in I(y) + I(z) in the doubled coordinate
     ring; the generic-scalar comorphism (s * x) lands in the extension of I by
@@ -349,7 +350,7 @@ def is_module_stable(I):
 def act_on_ideal(g, I):
     """Left action of g in GL_n(W_N(k)) on the ideal: substitute g^{-1}.x."""
     ginv = mat_inv(g)
-    rmap = realize_action(ginv, I.n)
+    rmap = realize_action(ginv)
     if rmap.ring is not I.ring:
         raise UsageError("action realized over a different ambient ring")
     images = rmap.flat_components()

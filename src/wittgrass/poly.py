@@ -110,7 +110,7 @@ class Polynomial:
             return self.inv() ** (-n)
         if len(self.terms) == 1:
             (m, c), = self.terms.items()
-            return Polynomial(self.ring, {tuple(e * n for e in m): c**n})
+            return self.ring.monomial([e * n for e in m], c**n)
         acc = self.ring.one
         base = self
         while n:

@@ -16,11 +16,7 @@ import time
 from .errors import CacheCorrupt, WittgrassError
 from .fields import GF
 from . import structure
-from .greenberg import (
-    WittPolynomial,
-    localized_transition,
-    realize_poly_map,
-)
+from .greenberg import localized_transition, realize_poly_map, witt_poly_ring
 from .grassmann import (
     degeneration_family_ideal,
     image_check,
@@ -124,8 +120,8 @@ def check_shift_operators():
 def check_realized_determinant():
     rng = random.Random(14)
     F = GF(4)
-    T = [WittPolynomial.variable(F, 2, 4, l) for l in range(4)]
-    det = T[0] * T[3] - T[1] * T[2]
+    R = witt_poly_ring(F, 2, 4)
+    det = R.var(0) * R.var(3) - R.var(1) * R.var(2)
     rd = realize_poly_map([det])
     for _ in range(25):
         pts = [witt_random(F, 2, rng) for _ in range(4)]
@@ -136,12 +132,8 @@ def check_transition_composition():
     F = GF(2)
     lt = localized_transition(3, F)
     twice = lt.compose(lt)
-    p2 = realize_poly_map(
-        [
-            WittPolynomial.constant(witt_from_int(F, 4, 3), 1)
-            * WittPolynomial.variable(F, 3, 1, 0)
-        ]
-    )
+    R = witt_poly_ring(F, 3, 1)
+    p2 = realize_poly_map([R.from_int(4) * R.var(0)])
     assert twice.components == p2.components
 
 

@@ -95,7 +95,8 @@ def parse_padic(ring, text, N=None):
 
     With N given the mantissa has N coordinates, or, after a prefix with
     v > 0, the N - v that the printer writes for a value known modulo p^N:
-    ``p^1*(1)`` at N = 2, and ``p^2*()``, zero modulo p^2.
+    ``p^1*(1)`` at N = 2, and ``p^2*()``, zero modulo p^2.  With or without
+    N, ``()`` after such a prefix is the empty mantissa.
     """
     from .lattice import PadicWittNumber
 
@@ -117,11 +118,11 @@ def parse_padic(ring, text, N=None):
         if not rest:
             rest = "(1" + ",0" * ((N or 1) - 1) + ")"
         text = rest
-    if N is None:
-        return PadicWittNumber(ring, shift, _coords(ring, text))
-    short = max(N - shift, 0) if shift > 0 else N
     # after a prefix, () is the empty mantissa, not one blank coordinate
     coords = [] if shift > 0 and text.replace(" ", "") == "()" else _coords(ring, text)
+    if N is None:
+        return PadicWittNumber(ring, shift, coords)
+    short = max(N - shift, 0) if shift > 0 else N
     if len(coords) not in (N, short):
         want = N if short == N else f"{N} or {short}"
         raise UsageError(f"expected {want} coordinates, found {len(coords)}")

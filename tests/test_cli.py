@@ -218,3 +218,109 @@ def test_greenberg_realize_map(capsys):
         "COMP 1 0: x[1,0]*x[2,0]",
         "COMP 1 1: x[1,1]*x[2,0]^2 + x[1,0]^2*x[2,1]",
     ]
+
+
+# stdout of `greenberg realize` before Witt maps became polynomials over W_N(k)
+GOLDEN_REALIZE = [
+    (
+        ["--p", "2", "--N", "2", "--map", "T1*T2-1; T1+T2"],
+        [
+            "COMP 1 0: x[1,0]*x[2,0] + 1",
+            "COMP 1 1: x[1,1]*x[2,0]^2 + x[1,0]^2*x[2,1] + x[1,0]*x[2,0] + 1",
+            "COMP 2 0: x[1,0] + x[2,0]",
+            "COMP 2 1: x[1,1] + x[1,0]*x[2,0] + x[2,1]",
+        ],
+    ),
+    (
+        ["--p", "2", "--q", "4", "--N", "3", "--map", "(T1+u*T2)^3 - 2*T1; T2^2*T1 + 7"],
+        [
+            "COMP 1 0: x[1,0]^3 + u*x[1,0]^2*x[2,0] + (u+1)*x[1,0]*x[2,0]^2 + x[2,0]^3",
+            "COMP 1 1: x[1,0]^4*x[1,1] + u*x[1,0]^5*x[2,0] + u*x[1,1]*x[2,0]^4"
+            " + (u+1)*x[1,0]*x[2,0]^5 + (u+1)*x[1,0]^4*x[2,1] + x[2,0]^4*x[2,1] + x[1,0]^2",
+            "COMP 1 2: x[1,0]^8*x[1,1]^2 + x[1,0]^4*x[1,1]^4 + x[1,0]^8*x[1,2]"
+            " + u*x[1,0]^11*x[2,0] + u*x[1,0]^9*x[1,1]*x[2,0] + (u+1)*x[1,0]^10*x[2,0]^2"
+            " + x[1,0]^9*x[2,0]^3 + u*x[1,0]^8*x[2,0]^4 + u*x[1,1]^4*x[2,0]^4"
+            " + (u+1)*x[1,0]^4*x[2,0]^8 + (u+1)*x[1,1]^2*x[2,0]^8 + (u+1)*x[1,2]*x[2,0]^8"
+            " + x[1,0]^3*x[2,0]^9 + x[1,0]*x[1,1]*x[2,0]^9 + u*x[1,0]^2*x[2,0]^10"
+            " + (u+1)*x[1,0]*x[2,0]^11 + (u+1)*x[1,0]^8*x[1,1]*x[2,1] + x[1,0]^9*x[2,0]*x[2,1]"
+            " + u*x[1,1]*x[2,0]^8*x[2,1] + (u+1)*x[1,0]*x[2,0]^9*x[2,1] + u*x[1,0]^8*x[2,1]^2"
+            " + x[2,0]^8*x[2,1]^2 + (u+1)*x[1,0]^4*x[2,1]^4 + x[2,0]^4*x[2,1]^4"
+            " + u*x[1,0]^8*x[2,2] + x[2,0]^8*x[2,2] + x[1,0]^6*x[1,1] + u*x[1,0]^7*x[2,0]"
+            " + u*x[1,0]^2*x[1,1]*x[2,0]^4 + (u+1)*x[1,0]^3*x[2,0]^5 + (u+1)*x[1,0]^6*x[2,1]"
+            " + x[1,0]^2*x[2,0]^4*x[2,1] + x[1,0]^4 + x[1,1]^2",
+            "COMP 2 0: x[1,0]*x[2,0]^2 + 1",
+            "COMP 2 1: x[1,1]*x[2,0]^4 + x[1,0]*x[2,0]^2 + 1",
+            "COMP 2 2: x[1,2]*x[2,0]^8 + x[1,0]^4*x[2,0]^4*x[2,1]^2 + x[1,0]^4*x[2,1]^4"
+            " + x[1,0]^3*x[2,0]^6 + x[1,0]*x[1,1]*x[2,0]^6 + x[1,1]*x[2,0]^4 + 1",
+        ],
+    ),
+    (
+        ["--p", "3", "--N", "3", "--map", "T1^5 + 3*T1*T2 - T2"],
+        [
+            "COMP 1 0: x[1,0]^5 + 2*x[2,0]",
+            "COMP 1 1: 2*x[1,0]^12*x[1,1] + x[1,0]^10*x[2,0] + 2*x[1,0]^5*x[2,0]^2"
+            " + x[1,0]^3*x[2,0]^3 + 2*x[2,1]",
+            "COMP 1 2: 2*x[1,0]^36*x[1,1]^3 + x[1,0]^27*x[1,1]^6 + 2*x[1,0]^36*x[1,2]"
+            " + x[1,0]^40*x[2,0] + 2*x[1,0]^34*x[1,1]^2*x[2,0] + 2*x[1,0]^35*x[2,0]^2"
+            " + x[1,0]^32*x[1,1]*x[2,0]^2 + x[1,0]^29*x[1,1]^2*x[2,0]^2"
+            " + 2*x[1,0]^27*x[1,1]^2*x[2,0]^3 + x[1,0]^27*x[1,1]*x[2,0]^3"
+            " + x[1,0]^24*x[1,1]^2*x[2,1] + 2*x[1,0]^25*x[1,1]*x[2,0]^4 + 2*x[1,0]^25*x[2,0]^4"
+            " + x[1,0]^22*x[1,1]*x[2,0]^4 + x[1,0]^22*x[1,1]*x[2,0]*x[2,1]"
+            " + 2*x[1,0]^23*x[2,0]^5 + x[1,0]^20*x[1,1]*x[2,0]^5 + x[1,0]^18*x[1,1]*x[2,0]^6"
+            " + x[1,0]^20*x[2,0]^5 + x[1,0]^20*x[2,0]^2*x[2,1]"
+            " + 2*x[1,0]^17*x[1,1]*x[2,0]^2*x[2,1] + 2*x[1,0]^18*x[2,0]^6"
+            " + x[1,0]^15*x[1,1]*x[2,0]^3*x[2,1] + 2*x[1,0]^16*x[2,0]^7"
+            " + x[1,0]^15*x[2,0]^3*x[2,1] + x[1,0]^12*x[1,1]*x[2,1]^2 + 2*x[1,0]^13*x[2,0]^7"
+            " + 2*x[1,0]^13*x[2,0]^4*x[2,1] + x[1,0]^11*x[2,0]^8 + x[1,1]^3*x[2,0]^9"
+            " + x[1,0]^9*x[2,1]^3 + x[1,0]^10*x[2,0]^7 + x[1,0]^10*x[2,0]^4*x[2,1]"
+            " + 2*x[1,0]^10*x[2,0]*x[2,1]^2 + x[1,0]^8*x[2,0]^5*x[2,1]"
+            " + x[1,0]^6*x[2,0]^6*x[2,1] + 2*x[1,0]^5*x[2,0]^8 + x[1,0]^5*x[2,0]^2*x[2,1]^2"
+            " + 2*x[1,0]^3*x[2,0]^3*x[2,1]^2 + 2*x[2,2]",
+        ],
+    ),
+    (
+        ["--p", "2", "--N", "3", "--ideal", "T1^2 - 2*T2; T1*T2"],
+        [
+            "GEN 0: x[1,0]^2",
+            "GEN 1: x[2,0]^2",
+            "GEN 2: x[1,0]^4*x[1,1]^2 + x[1,1]^4 + x[2,0]^4 + x[2,1]^2",
+            "GEN 3: x[1,0]*x[2,0]",
+            "GEN 4: x[1,1]*x[2,0]^2 + x[1,0]^2*x[2,1]",
+            "GEN 5: x[1,2]*x[2,0]^4 + x[1,0]^2*x[1,1]*x[2,0]^2*x[2,1] + x[1,1]^2*x[2,1]^2"
+            " + x[1,0]^4*x[2,2]",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, lines", GOLDEN_REALIZE)
+def test_greenberg_realize_golden(capsys, argv, lines):
+    assert cli.main(["greenberg", "realize", *argv]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("power", ["u^2", "u^-1"])
+def test_greenberg_realize_powers_of_u(capsys, power):
+    # T(u)^-1 = T(u)^2 over F_4, since u^3 = 1
+    argv = ["greenberg", "realize", "--p", "2", "--q", "4", "--N", "2", "--map"]
+    assert cli.main(argv + ["u*u*T1"]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(argv + [f"{power}*T1"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_greenberg_realize_refuses_negative_powers_of_integers(capsys):
+    argv = ["greenberg", "realize", "--p", "2", "--q", "4", "--N", "2", "--map", "2^-1*T1"]
+    assert cli.main(argv) == 2
+    assert "negative exponents" in capsys.readouterr().err
+
+
+def test_greenberg_realize_json_lines(capsys):
+    argv = ["greenberg", "realize", "--p", "2", "--N", "2", "--format", "json", "--ideal"]
+    assert cli.main(argv + ["T1*T2"]) == 0
+    assert json.loads(capsys.readouterr().out)["lines"] == [
+        "GEN 0: x[1,0]*x[2,0]",
+        "GEN 1: x[1,1]*x[2,0]^2 + x[1,0]^2*x[2,1]",
+    ]
+    assert cli.main(argv + ["2*T1 - 2*T1"]) == 0
+    assert json.loads(capsys.readouterr().out)["lines"] == []

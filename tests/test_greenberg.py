@@ -1,14 +1,14 @@
 """Realization compiler: component formulas, functoriality, compatibility."""
 
+import operator
 import random
 
 import pytest
 
-from wittgrass.errors import NonUnit
+from wittgrass.errors import NonUnit, UsageError
 from wittgrass.fields import GF
 from wittgrass.greenberg import (
     RealizedMap,
-    WittPolynomial,
     coord_ring,
     generic_vectors,
     localized_transition,
@@ -16,6 +16,7 @@ from wittgrass.greenberg import (
     realize_action,
     realize_ideal,
     realize_poly_map,
+    witt_poly_ring,
 )
 from wittgrass.poly import Polynomial, parse_polynomial
 from wittgrass.structure import MAX_SLOTS, gen_structure_polys, key_exponents
@@ -36,7 +37,7 @@ F9 = GF(9)
 
 
 def T(field, N, arity, l):
-    return WittPolynomial.variable(field, N, arity, l)
+    return witt_poly_ring(field, N, arity).var(l)
 
 
 def expect(ring, text):
@@ -52,7 +53,7 @@ def test_sum_map_components():
 
 def test_constant_map_components():
     c = teichmuller(F4, F4.gen(), 2)
-    rm = realize_poly_map([WittPolynomial.constant(c, 1)], 2)
+    rm = realize_poly_map([witt_poly_ring(F4, 2, 1).const(c)])
     assert rm.components[0][0] == rm.ring.const(F4.gen())
     assert rm.components[0][1].is_zero()
 
@@ -93,41 +94,30 @@ def test_evaluation_compatibility_basic_ops():
         assert maps["neg"].apply_point([a, b])[0] == -a
 
 
-def rand_wpoly(field, N, arity, rng, nterms=2, deg=2):
-    P = None
+def rand_wpoly(R, rng, nterms=2, deg=2):
+    W, arity = R.coeff, len(R.names)
+    P = R.zero
     for _ in range(nterms):
         exps = [0] * arity
         for _ in range(rng.randrange(deg + 1)):
             exps[rng.randrange(arity)] += 1
-        t = WittPolynomial.constant(witt_random(field, N, rng), arity)
+        t = R.const(witt_random(W.scalar, W.N, rng))
         for l, e in enumerate(exps):
-            t = t * WittPolynomial.variable(field, N, arity, l) ** e
-        P = t if P is None else P + t
+            t = t * R.var(l) ** e
+        P = P + t
     return P
-
-
-def compose_wpolys(outer, inner, field, N, arity):
-    out = []
-    for P in outer:
-        acc = WittPolynomial(field, N, arity, {})
-        for m, c in P.terms.items():
-            t = WittPolynomial.constant(c, arity)
-            for l, e in enumerate(m):
-                t = t * inner[l] ** e
-            acc = acc + t
-        out.append(acc)
-    return out
 
 
 @pytest.mark.parametrize("field,trials", [(F2, 6), (F9, 3)])
 def test_functoriality_random_maps(field, trials):
     rng = random.Random(9)
     N = 3
+    R = witt_poly_ring(field, N, 2)
     for _ in range(trials):
-        f = [rand_wpoly(field, N, 2, rng) for _ in range(2)]
-        g = [rand_wpoly(field, N, 2, rng) for _ in range(2)]
+        f = [rand_wpoly(R, rng) for _ in range(2)]
+        g = [rand_wpoly(R, rng) for _ in range(2)]
         Rf, Rg = realize_poly_map(f), realize_poly_map(g)
-        Rgf = realize_poly_map(compose_wpolys(g, f, field, N, 2), N)
+        Rgf = realize_poly_map([P.map_into(R, f) for P in g])
         assert Rg.compose(Rf).components == Rgf.components
 
 
@@ -137,7 +127,7 @@ def test_realize_ideal_examples():
     R = rid.ring
     assert rid.generators == [R.var(0), R.var(1)]
     # <p*T> at p = 2, N = 2: component 0 vanishes, leaving t0^2
-    ptimes = WittPolynomial.constant(witt_from_int(F2, 2, 2), 1) * T(F2, 2, 1, 0)
+    ptimes = witt_poly_ring(F2, 2, 1).from_int(2) * T(F2, 2, 1, 0)
     rid = realize_ideal([ptimes])
     assert rid.generators == [R.var(0) ** 2]
     # <T1 + T2>
@@ -176,9 +166,7 @@ def test_localized_transition_point_map():
 def test_localized_transition_squares_to_p_squared():
     lt = localized_transition(3, F2)
     twice = lt.compose(lt)
-    p2T = realize_poly_map(
-        [WittPolynomial.constant(witt_from_int(F2, 4, 3), 1) * T(F2, 3, 1, 0)]
-    )
+    p2T = realize_poly_map([witt_poly_ring(F2, 3, 1).from_int(4) * T(F2, 3, 1, 0)])
     assert twice.components == p2T.components
 
 
@@ -288,3 +276,59 @@ def test_generic_witt_addition_over_f4_is_not_folded():
     ring, (x, y) = generic_vectors(GF(4), 2, N)
     expected = [_table_level(ring, lv, N) for lv in gen_structure_polys(p, N, "add")]
     assert list((x + y).coords) == expected
+
+
+def _rand_expr(rng, depth, arity, field):
+    """Random Witt-map text and, beside it, its value at the generic point.
+
+    The value is a function of (ring, N, vectors) built from Witt arithmetic
+    over k[x] alone: no parsing and no polynomials over W_N(k).
+    """
+    if depth == 0 or rng.random() < 0.3:
+        kinds = ["var", "var", "int"] + (["u"] if field.e > 1 else [])
+        kind = rng.choice(kinds)
+        if kind == "var":
+            l = rng.randrange(arity)
+            return f"T{l + 1}", lambda ring, N, xs: xs[l]
+        if kind == "int":
+            k = rng.randrange(-2, 5)
+            return f"({k})", lambda ring, N, xs: witt_from_int(ring, k, N)
+        k = rng.choice([-1, 1, 2])
+        c = field.gen() ** k
+        return f"u^{k}", lambda ring, N, xs: teichmuller(ring, ring.const(c), N)
+    op = rng.choice("+-*^n")
+    ta, fa = _rand_expr(rng, depth - 1, arity, field)
+    if op == "n":
+        return f"-({ta})", lambda *ctx: -fa(*ctx)
+    if op == "^":
+        e = rng.randrange(3)
+        return f"({ta})^{e}", lambda *ctx: fa(*ctx) ** e
+    tb, fb = _rand_expr(rng, depth - 1, arity, field)
+    combine = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
+    return f"({ta}) {op} ({tb})", lambda *ctx: combine(fa(*ctx), fb(*ctx))
+
+
+@pytest.mark.parametrize("q, N", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_realized_text_maps_match_direct_witt_evaluation(q, N):
+    field = GF(q)
+    rng = random.Random(f"differential:{q}:{N}")
+    for _ in range(8):
+        exprs = [_rand_expr(rng, 3, 2, field) for _ in range(2)]
+        text = "; ".join(t for t, _ in exprs)
+        rm = realize_poly_map(parse_witt_map(text, field, N))
+        ring, xs = generic_vectors(field, rm.source_arity, N)
+        direct = [list(f(ring, N, xs).coords) for _, f in exprs]
+        assert rm.components == direct, text
+
+
+def test_powers_of_witt_polynomials_drop_vanishing_coefficients():
+    # (2*T1)^2 = 4*T1^2 = 0 over W_2(F_2)
+    R = witt_poly_ring(F2, 2, 1)
+    assert (R.from_int(2) * R.var(0)) ** 2 == R.zero
+
+
+def test_parse_witt_map_rejects_unknown_symbols():
+    with pytest.raises(UsageError, match="unknown symbol 'u'"):
+        parse_witt_map("u*T1", F2, 2)
+    with pytest.raises(UsageError, match="outside arity"):
+        parse_witt_map("T0", F2, 2)

@@ -52,6 +52,15 @@ def test_padic_lengths_accepted(text, shift, coords):
     assert parse_padic(F, text, 2) == PadicWittNumber(F, shift, [F.from_int(c) for c in coords])
 
 
+@pytest.mark.parametrize("N", [None, 3])
+def test_padic_empty_mantissa_after_a_prefix(N):
+    # printed by `lattice snf` for a zero entry; no blank coordinate is read
+    F = GF(3)
+    x = parse_padic(F, "p^3*()", N)
+    assert x == PadicWittNumber(F, 3, [])
+    assert repr(x) == "p^3*()"
+
+
 @pytest.mark.parametrize(
     "text", ["p^1*()", "p^1*(1,0,1)", "p^2*(1)", "p^-1*(1)", "(1)", "(1,0,1)", "p^0*(1)"]
 )
