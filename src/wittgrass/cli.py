@@ -103,10 +103,13 @@ def cmd_greenberg(args):
 # -- lattice ---------------------------------------------------------------
 
 def cmd_lattice_snf(args):
-    from .lattice import smith_normal_form
+    from .lattice import WittMatrix, smith_normal_form
 
     A = parse_padic_matrix(_field(args), args.matrix, args.N)
     U, mu, V = smith_normal_form(A)
+    # the factors are printed modulo p^N, so that they parse back at --N
+    U, V = (WittMatrix(M.ring, [[x.truncate_abs(args.N) for x in row] for row in M.entries])
+            for M in (U, V))
     text = f"exponents: {','.join(map(str, mu))}\nU:\n{U!r}\nV:\n{V!r}"
     _emit(args, {"exponents": list(mu), "U": repr(U), "V": repr(V)}, text)
     return 0

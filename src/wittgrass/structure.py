@@ -19,11 +19,17 @@ single integer addition.
 Generated tables are cached on disk, one polynomial per line, in the format
 ``ADD n: <integer polynomial>``.  Cache writes are atomic (write a temp file,
 then rename), so concurrent processes can share a cache directory.  Loading
-checks the syntax only: each line names a known op and the next level of it,
-and each term has a nonzero integer coefficient and distinct variables X_i/Y_i
-with i < MAX_SLOTS and exponents 1..EXP_MASK, written in slot order, so no
-token can alias another monomial.  It does not re-check the ghost identities;
-a well-formed but wrong coefficient is read as it stands.
+reads the file once and checks every line head at once: each line names a
+known op and the next level of it.  The polynomial after the colon is kept as
+text and parsed the first time a call reads that level, so a call that adds
+never parses the multiplication table.  Parsing checks the syntax only: each
+term has a nonzero integer coefficient and distinct variables X_i/Y_i with
+i < MAX_SLOTS and exponents 1..EXP_MASK, written in slot order, so no token can
+alias another monomial.  A bad level is refused when it is first read, with
+the file and the line named; before a cache file is rewritten every level in
+it is parsed, so corrupt data is refused rather than written back.  Nothing
+re-checks the ghost identities; a well-formed but wrong coefficient is read as
+it stands.
 
 Generation cost is governed by the number of monomials of weighted degree p^n
 (weights deg X_i = p^i), and nearly all of it goes into the p-th powers of
@@ -435,30 +441,49 @@ def _cache_path(cache_dir, p):
     return os.path.join(cache_dir, f"structure_p{p}.txt")
 
 
+def _corrupt(path, problem):
+    return CacheCorrupt(f"structure cache {path}, {problem}; delete the file to regenerate it")
+
+
 def load_cache(p, cache_dir):
-    """Read cached levels for prime p; returns {op: [levels...]} (may be empty)."""
+    """Read the cache file of prime p; returns {op: [level text, ...]} (may be empty).
+
+    Every line head is checked here; the polynomials stay text, for
+    ``parse_level`` to parse when they are first read.
+    """
     path = _cache_path(cache_dir, p)
     tables = {op: [] for op in OPS}
     if not os.path.exists(path):
         return tables
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                head, _, body = line.partition(":")
-                opname, ns = head.split()
-                n = int(ns)
-            except ValueError as exc:
-                raise CacheCorrupt(f"malformed cache line {line[:60]!r}") from exc
-            op = opname.lower()
-            if op not in tables:
-                raise CacheCorrupt(f"unknown op {opname!r} in cache")
-            if n != len(tables[op]):
-                raise CacheCorrupt(f"{opname} levels out of order in cache")
-            tables[op].append(parse_ip(body))
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    head, _, body = line.partition(":")
+                    opname, ns = head.split()
+                    n = int(ns)
+                except ValueError:
+                    raise _corrupt(path, f"line {lineno}: malformed line {line[:60]!r}") from None
+                op = opname.lower()
+                if op not in tables:
+                    raise _corrupt(path, f"line {lineno}: unknown op {opname!r}")
+                if n != len(tables[op]):
+                    raise _corrupt(path, f"line {lineno}: {opname} levels out of order")
+                tables[op].append(body)
+        except UnicodeDecodeError:
+            raise _corrupt(path, "a byte that is not ASCII") from None
     return tables
+
+
+def parse_level(path, op, n, text):
+    """parse_ip of level n of op, read from the cache file at path."""
+    try:
+        return parse_ip(text)
+    except CacheCorrupt as exc:
+        raise _corrupt(path, f"line {op.upper()} {n}: {exc}") from None
 
 
 def write_cache(p, cache_dir, tables):
@@ -509,11 +534,13 @@ class _FoldedHalves(dict):
 class StructurePolynomialTable:
     """Integer structure polynomials for the prime p plus mod-p evaluation forms.
 
-    ``levels(op)`` holds the exact integer levels.  ``reduced(op, q)`` holds
-    their mod-p reductions in the form Witt arithmetic evaluates: per level, a
-    list of ``(mask, variables, coefficient)`` terms.  ``variables`` is a tuple
-    of ``slot << SHIFT | exponent`` for the variables the term uses, ``mask``
-    has bit ``slot`` set for each of them, and the coefficient lies in 1..p-1.
+    ``levels(op, N)`` gives the exact integer levels 0..N-1 of op.
+    ``reduced(op, q, N)`` gives their mod-p reductions in the form Witt
+    arithmetic evaluates: per level, a list of ``(mask, variables,
+    coefficient)`` terms.  ``variables`` is a tuple of ``slot << SHIFT |
+    exponent`` for the variables the term uses, ``mask`` has bit ``slot`` set
+    for each of them, and the coefficient lies in 1..p-1.  N None means every
+    level of the table.
 
     With ``q`` None the form is the plain reduction, valid over every ring of
     characteristic p (polynomial rings, Laurent rings, F_q(t)).  For a finite
@@ -523,26 +550,33 @@ class StructurePolynomialTable:
     at F_q points is unchanged, and the folded levels are far smaller (p = 3
     ``add`` level 4: 49,278 terms, 470 over F_3).
 
-    The mod-p reduction of an op (``_reduce``, one call per level) is built the
-    first time any form of it is asked for and serves every q; each form is
-    built from it once per (op, q) and kept.  The fold takes each key as its X
-    half and its Y half and folds each half once per level, through a memo: the
-    halves repeat far more than the keys (p = 3 ``add`` level 4: 49,278 keys,
-    4,373 distinct halves).  Only the merged monomials are decoded.
-    Loading and generation reduce nothing.  A table of length N serves every
-    length up to N: Witt arithmetic reads only the levels below its operands'
-    length.  There is one table per prime and cache directory, holding every
-    level the cache file holds and at least the lengths asked for.
+    The unit of work is one level of one op, and each stage is a prefix list
+    per op that grows on demand: a level read from the cache file stays text
+    until a call first reads it, then is parsed (``parse_level``), reduced mod
+    p (``_reduce``, which serves every q) and folded once per q (``_fold``),
+    and each result is kept.  So ``witt add --N 3`` parses three lines of the
+    file whatever else it holds.  The fold takes each key as its X half and
+    its Y half and folds each half once per level, through a memo: the halves
+    repeat far more than the keys (p = 3 ``add`` level 4: 49,278 keys, 4,373
+    distinct halves).  Only the merged monomials are decoded.  Loading and
+    generation reduce nothing; generated levels are kept parsed.
+
+    A table of length N serves every length up to N.  There is one table per
+    prime and cache directory, holding every level the cache file holds and at
+    least the lengths asked for; ``path`` names the file in error messages.
     """
 
     _registry: dict = {}
 
-    def __init__(self, p, N, tables):
+    def __init__(self, p, N, bodies, path=None, levels=None):
         self.p = p
         self.N = N
-        self._levels = {op: tables[op][:N] for op in OPS}
-        self._reduced = {}  # op -> per level, [(packed key, coefficient mod p)]
-        self._forms = {}  # (op, q) -> per level, the evaluation form
+        self.path = path
+        self._bodies = {op: bodies[op][:N] for op in OPS}  # the text of each level
+        # op -> the parsed, then the reduced levels; both prefixes of the table
+        self._levels = {op: list(levels[op][:N]) if levels else [] for op in OPS}
+        self._reduced = {op: [] for op in OPS}
+        self._forms = {}  # (op, q) -> evaluation forms, a prefix of the table
 
     def _reduce(self, poly):
         p = self.p
@@ -573,16 +607,25 @@ class StructurePolynomialTable:
                 form.append((mask, tuple(variables), cp))
         return form
 
-    def levels(self, op):
-        return self._levels[op]
+    def levels(self, op, N=None):
+        N = self.N if N is None else N
+        parsed, bodies = self._levels[op], self._bodies[op]
+        while len(parsed) < N:
+            n = len(parsed)
+            parsed.append(parse_level(self.path, op, n, bodies[n]))
+        return parsed[:N]
 
-    def reduced(self, op, q=None):
+    def reduced(self, op, q=None, N=None):
+        """Evaluation forms of op; the first N entries are those of levels 0..N-1."""
+        N = self.N if N is None else N
         form = self._forms.get((op, q))
         if form is None:
-            red = self._reduced.get(op)
-            if red is None:
-                red = self._reduced[op] = [self._reduce(t) for t in self._levels[op]]
-            form = self._forms[(op, q)] = [self._fold(level, q) for level in red]
+            form = self._forms[(op, q)] = []
+        if len(form) < N:
+            red = self._reduced[op]
+            if len(red) < N:
+                red += [self._reduce(t) for t in self.levels(op, N)[len(red):]]
+            form += [self._fold(level, q) for level in red[len(form):N]]
         return form
 
     @classmethod
@@ -592,26 +635,30 @@ class StructurePolynomialTable:
         hit = cls._registry.get(key)
         if hit is not None and hit.N >= N:
             return hit
+        path = _cache_path(cdir, p)
         try:
-            cached = load_cache(p, cdir)
+            bodies = load_cache(p, cdir)
         except OSError:
-            cached = {op: [] for op in OPS}
-        length = max(N, min(len(cached[op]) for op in OPS))
-        missing = [op for op in OPS if len(cached[op]) < length]
-        for op in missing:  # refuse before solving any op
-            _check_limits(p, op, len(cached[op]), length)
-        for op in missing:
-            cached[op] = solve_levels(p, op, length, known=cached[op])
+            bodies = {op: [] for op in OPS}
+        length = max(N, min(len(bodies[op]) for op in OPS))
+        missing = [op for op in OPS if len(bodies[op]) < length]
+        levels = None
         if missing:
+            for op in missing:  # refuse before solving any op
+                _check_limits(p, op, len(bodies[op]), length)
+            # the file is rewritten whole, so every level in it is parsed
+            # first: corrupt data is refused, never written back
+            levels = {
+                op: [parse_level(path, op, n, text) for n, text in enumerate(bodies[op])]
+                for op in OPS
+            }
+            for op in missing:
+                levels[op] = solve_levels(p, op, length, known=levels[op])
             try:
-                write_cache(p, cdir, cached)
+                write_cache(p, cdir, levels)
             except OSError as exc:  # the cache is an optimization; carry on in memory
-                print(
-                    f"wittgrass: could not write structure cache "
-                    f"{_cache_path(cdir, p)}: {exc}",
-                    file=sys.stderr,
-                )
-        table = cls(p, length, cached)
+                print(f"wittgrass: could not write structure cache {path}: {exc}", file=sys.stderr)
+        table = cls(p, length, bodies, path, levels)
         cls._registry[key] = table
         return table
 
@@ -624,4 +671,4 @@ def gen_structure_polys(p, N, op, cache_dir=None):
     """Levels 0..N-1 of the requested operation table (exact integer polys)."""
     if op not in OPS:
         raise UsageError(f"op must be add, mul or neg, not {op!r}")
-    return StructurePolynomialTable.get(p, N, cache_dir=cache_dir).levels(op)[:N]
+    return StructurePolynomialTable.get(p, N, cache_dir=cache_dir).levels(op, N)

@@ -148,7 +148,7 @@ def witt_arith(op, a, b=None):
     if N != b.length:
         raise RingMismatch(f"length mismatch: {N} vs {b.length}")
     ring = a.ring
-    forms = StructurePolynomialTable.get(ring.p, N).reduced(op, _fold_size(ring))
+    forms = StructurePolynomialTable.get(ring.p, N).reduced(op, _fold_size(ring), N)
     coords = a.coords + (ring.zero,) * (MAX_SLOTS - N) + b.coords
     zero_mask = _zero_mask(a.coords) | _zero_mask(b.coords, MAX_SLOTS)
     powers = {}
@@ -165,7 +165,7 @@ def witt_inv(a):
     ring = a.ring
     N = a.length
     p = ring.p
-    mul = StructurePolynomialTable.get(p, N).reduced("mul", _fold_size(ring))
+    mul = StructurePolynomialTable.get(p, N).reduced("mul", _fold_size(ring), N)
     inv0 = a.coords[0].inv()
     coords = list(a.coords) + [ring.zero] * (MAX_SLOTS - N) + [inv0] + [ring.zero] * (N - 1)
     # b_1..b_{N-1} count as zero until solved, so no power of one is cached early

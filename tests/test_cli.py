@@ -204,11 +204,11 @@ def test_lattice_snf(capsys):
     assert capsys.readouterr().out.splitlines() == [
         "exponents: 1,-1",
         "U:",
-        "[(2,1), p^1*(2,1)]",
-        "[p^3*(), (1,1)]",
+        "[(2,1), p^1*(2)]",
+        "[p^2*(), (1,1)]",
         "V:",
-        "[(1,0,0), p^3*()]",
-        "[p^1*(1,2), (1,0,0)]",
+        "[(1,0), p^2*()]",
+        "[p^1*(1), (1,0)]",
     ]
 
 

@@ -68,8 +68,8 @@ def test_cache_write_load_and_corruption(tmp_path):
         "neg": st.solve_levels(2, "neg", 3),
     }
     st.write_cache(2, cdir, tables)
-    loaded = st.load_cache(2, cdir)
-    assert loaded == tables
+    loaded = st.StructurePolynomialTable(2, 3, st.load_cache(2, cdir))
+    assert {op: loaded.levels(op) for op in st.OPS} == tables
     path = os.path.join(cdir, "structure_p2.txt")
     with open(path, "a") as fh:
         fh.write("ADD 9 garbage\n")
@@ -145,6 +145,28 @@ def test_failed_cache_write_is_reported_and_table_still_works(tmp_path, capsys):
     assert str(not_a_dir) in err
 
 
+def _cache_with(cache_dir, p, N, head, body):
+    """Write the length-N cache of p with the level ``head`` (e.g. "MUL 2") given
+    ``body``; returns the file's text."""
+    st.write_cache(p, str(cache_dir), {op: st.solve_levels(p, op, N) for op in st.OPS})
+    path = cache_dir / f"structure_p{p}.txt"
+    lines = [f"{head}: {body}" if line.startswith(f"{head}:") else line
+             for line in path.read_text().splitlines()]
+    path.write_text("".join(line + "\n" for line in lines))
+    return path.read_text()
+
+
+def _record_parses(monkeypatch):
+    """(op, level) of every cache line parsed from now on, in order."""
+    parsed = []
+    real = st.parse_level
+    monkeypatch.setattr(
+        st, "parse_level",
+        lambda path, op, n, text: parsed.append((op, n)) or real(path, op, n, text),
+    )
+    return parsed
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -163,9 +185,11 @@ def test_failed_cache_write_is_reported_and_table_still_works(tmp_path, capsys):
     ],
 )
 def test_cache_rejects_terms_render_ip_never_writes(tmp_path, body):
-    (tmp_path / "structure_p2.txt").write_text(f"ADD 0: {body}\n")
-    with pytest.raises(CacheCorrupt):
-        st.load_cache(2, str(tmp_path))
+    cache = _cache_with(tmp_path, 2, 2, "ADD 0", body)
+    table = st.StructurePolynomialTable.get(2, 2, cache_dir=str(tmp_path))
+    with pytest.raises(CacheCorrupt):  # refused at the first read of the level
+        table.levels("add")
+    assert (tmp_path / "structure_p2.txt").read_text() == cache
 
 
 _slots = hst.dictionaries(
@@ -257,3 +281,84 @@ def test_folding_by_x_to_the_q_shrinks_the_tables():
     table = st.StructurePolynomialTable.get(2, 6)
     top = {q: len(table.reduced("add", q)[5]) for q in (None, 2, 4)}
     assert top == {None: 4565, 2: 33, 4: 927}
+
+
+def test_witt_calls_parse_only_the_lines_they_read(tmp_path, monkeypatch):
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    add = ["witt", "add", "--p", "3", "--N", "5", "(1,2,0,1,2)", "(2,2,1,0,1)"]
+    assert cli.main(add) == 0  # generates the tables, parsing nothing
+    bodies = st.load_cache(3, str(tmp_path))
+    assert [len(bodies[op]) for op in st.OPS] == [5, 5, 5]
+    parses = []
+    real_parse = st.parse_ip
+    monkeypatch.setattr(st, "parse_ip", lambda text: parses.append(text) or real_parse(text))
+    inv = ["witt", "inv", "--p", "3", "--N", "5", "(1,2,0,1,2)"]
+    for argv, op in ((add, "add"), (inv, "mul")):
+        st.StructurePolynomialTable.drop_registry()  # as in a fresh process
+        parses.clear()
+        assert cli.main(argv) == 0
+        assert parses == bodies[op]  # exactly the five lines of the op, in order
+
+
+def test_a_longer_cache_parses_only_the_levels_below_the_length(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    st.write_cache(2, str(tmp_path), {op: st.solve_levels(2, op, 6) for op in st.OPS})
+    parsed = _record_parses(monkeypatch)
+    assert cli.main(["witt", "add", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,0)"]) == 0
+    assert capsys.readouterr().out.strip() == "(0,0,1)"  # 3 + 1 = 4 in Z/8
+    assert parsed == [("add", 0), ("add", 1), ("add", 2)]
+    assert st.StructurePolynomialTable.get(2, 3).N == 6
+
+
+def test_grass_image_parses_no_level_it_does_not_evaluate(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    st.write_cache(2, str(tmp_path), {op: st.solve_levels(2, op, 6) for op in st.OPS})
+    parsed = _record_parses(monkeypatch)
+    argv = ["grass", "image", "--lambda", "1,-1", "--q", "2", "--samples", "20", "--seed", "5"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # the job evaluates lengths 1-4: levels 0-3 of each op, each parsed once
+    assert sorted(parsed) == [(op, n) for op in sorted(st.OPS) for n in range(4)]
+
+
+def test_a_corrupt_level_fails_only_the_calls_that_read_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    cache = _cache_with(tmp_path, 2, 3, "MUL 2", "1*X0^-1")
+    assert cli.main(["witt", "add", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,0)"]) == 0
+    assert capsys.readouterr().out.strip() == "(0,0,1)"  # 3 + 1 = 4 in Z/8
+    assert cli.main(["witt", "mul", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,1)"]) == 1
+    err = capsys.readouterr().err
+    path = str(tmp_path / "structure_p2.txt")
+    assert f"structure cache {path}, line MUL 2: bad variable token 'X0^-1'" in err
+    assert "delete the file to regenerate it" in err
+    assert (tmp_path / "structure_p2.txt").read_text() == cache
+
+
+def test_corrupt_data_is_refused_before_the_cache_is_rewritten(tmp_path, monkeypatch):
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    cache = _cache_with(tmp_path, 2, 2, "NEG 1", "1*Y0*X0")
+    solved = []
+    real_solve = st.solve_levels
+    monkeypatch.setattr(
+        st, "solve_levels", lambda *a, **k: solved.append(a) or real_solve(*a, **k)
+    )
+    # length 3 needs a new level of every op, so the file would be rewritten
+    with pytest.raises(CacheCorrupt, match="line NEG 1: variables repeated or out of order"):
+        st.StructurePolynomialTable.get(2, 3)
+    assert solved == []
+    assert (tmp_path / "structure_p2.txt").read_text() == cache
+
+
+def test_line_heads_are_checked_on_load(tmp_path):
+    path = tmp_path / "structure_p2.txt"
+    for text, problem in (
+        ("ADD 0: 1*X0 + 1*Y0\nADD 2: 1*X1\n", "line 2: ADD levels out of order"),
+        ("ADD 0: 1*X0 + 1*Y0\nSUB 0: 1*X0\n", "line 2: unknown op 'SUB'"),
+        ("# header\nADD 0 1*X0\n", "line 2: malformed line"),
+    ):
+        path.write_text(text)
+        with pytest.raises(CacheCorrupt, match=f"structure cache .*, {problem}"):
+            st.load_cache(2, str(tmp_path))
+    path.write_bytes("ADD 0: 1*X0 + 1*Y0\u00e9\n".encode())
+    with pytest.raises(CacheCorrupt, match="a byte that is not ASCII; delete the file"):
+        st.load_cache(2, str(tmp_path))

@@ -16,17 +16,28 @@ def _literal(printed):
     return ";".join(line.strip()[1:-1] for line in printed.splitlines())
 
 
-def test_snf_factors_parse_back(capsys):
-    argv = ["lattice", "snf", "--p", "2", "--N", "2", "(1,1),(0,1);(1,0),(1,1)"]
+def _factors_parse_back(p, matrix, capsys):
+    argv = ["lattice", "snf", "--p", str(p), "--N", "2", matrix]
     assert cli.main(argv + ["--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
+    for printed in (out["U"], out["V"]):
+        M = parse_padic_matrix(GF(p), _literal(printed), 2)
+        assert repr(M) == printed
+        again = parse_padic_matrix(GF(p), _literal(repr(M)), 2)
+        assert again.entries == M.entries
+    return out
+
+
+def test_snf_factors_parse_back(capsys):
+    out = _factors_parse_back(2, "(1,1),(0,1);(1,0),(1,1)", capsys)
     # the factors hold entries in absolute-precision form
     assert "p^2*()" in out["U"] and "p^1*(1)" in out["V"]
-    for printed in (out["U"], out["V"]):
-        M = parse_padic_matrix(GF(2), _literal(printed), 2)
-        assert repr(M) == printed
-        again = parse_padic_matrix(GF(2), _literal(repr(M)), 2)
-        assert again.entries == M.entries
+
+
+def test_snf_factors_parse_back_when_the_input_holds_more_digits(capsys):
+    # p*(1,2) is known modulo p^3; the factors are still printed modulo p^2
+    out = _factors_parse_back(3, "p*(1,2),(2,1);(1,0),p^-1*(1,1)", capsys)
+    assert out["V"] == "[(1,0), p^2*()]\n[p^1*(1), (1,0)]"
 
 
 def test_snf_factor_feeds_classify(capsys):
