@@ -125,7 +125,7 @@ def cmd_lattice_classify(args):
 
 
 def cmd_lattice_enumerate(args):
-    from .grassmann import witt_cell_table
+    from .lattice import witt_cell_table
 
     table = witt_cell_table(args.n, args.q, args.window)
     cells = table.as_dict()["cells"]
@@ -188,23 +188,31 @@ def cmd_hilbert_limit(args):
 
 def __getattr__(name):
     if name == "witt_cell_table":
-        from .grassmann import witt_cell_table
+        from .lattice import witt_cell_table
 
         return witt_cell_table
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def cmd_grass_count(args):
-    from .grassmann import zadic_cell_table
+    from .lattice import zadic_cell_table
 
-    # the z-adic side refuses prime powers at once, so it runs first
+    # q is checked before any count: the Witt side takes the prime powers GF
+    # supports, the z-adic side only primes
+    if args.oracle != "z-adic":
+        field = GF(args.q)
+        if field.e > 1 and args.oracle == "both":
+            raise UsageError(
+                f"the z-adic oracle supports prime field sizes only, not {args.q}; "
+                "count with --oracle witt"
+            )
     tables = []
-    if args.oracle in ("z-adic", "both"):
-        tables.append(zadic_cell_table(args.n, args.q, args.window))
     if args.oracle in ("witt", "both"):
         # looked up on the module, where a patched witt_cell_table takes effect
         witt_table = sys.modules[__name__].witt_cell_table
-        tables.insert(0, witt_table(args.n, args.q, args.window))
+        tables.append(witt_table(args.n, args.q, args.window))
+    if args.oracle in ("z-adic", "both"):
+        tables.append(zadic_cell_table(args.n, args.q, args.window))
     payload = {"tables": [t.as_dict() for t in tables]}
     if len(tables) == 2:
         payload["agree"] = tables[0].same_counts(tables[1])

@@ -1,12 +1,10 @@
-"""Grassmannian-level checks: cells of enumerated lattices, the point-level
-shadow of the ideal-to-lattice map, and the image/surjectivity report.
+"""Grassmannian-level checks: the point-level shadow of the ideal-to-lattice
+map, and the image/surjectivity report.
 
 points_lattice enumerates the F_q points of a module-stable subscheme of
 W_N^n and lifts the point set to the lattice it spans in the appropriate
 window; the set is a submodule exactly when it is as large as that span, so
-one count checks closure under the module operations.  The cell table
-builders run the Witt enumeration and the independent z-adic oracle side by
-side.
+one count checks closure under the module operations.
 """
 
 from __future__ import annotations
@@ -38,59 +36,8 @@ from .lattice import (
 from .poly import PolyRing
 from .rings import RationalFunctionField
 from .witt import WittVector, teichmuller, witt_from_int, random_sl
-from .zadic import zadic_oracle
 
 POINTS_GUARD = 1 << 20
-
-
-class CellTable:
-    """Counts of special lattices per dominant cocharacter in a window."""
-
-    def __init__(self, counts, n, q, window, provenance):
-        self.counts = dict(counts)
-        self.n = n
-        self.q = q
-        self.window = window
-        self.provenance = provenance
-
-    @property
-    def total(self):
-        return sum(self.counts.values())
-
-    def same_counts(self, other):
-        return self.counts == other.counts
-
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "q": self.q,
-            "window": self.window,
-            "provenance": self.provenance,
-            "total": self.total,
-            "cells": [
-                {"lambda": list(cell), "count": self.counts[cell]}
-                for cell in sorted(self.counts)
-            ],
-        }
-
-    def __repr__(self):
-        cells = ", ".join(
-            f"({','.join(map(str, c))}): {v}" for c, v in sorted(self.counts.items())
-        )
-        return f"{{{cells}}}"
-
-
-def witt_cell_table(n, q, window):
-    from .lattice import enumerate_lattices
-
-    counts = {}
-    for _, cell in enumerate_lattices(n, q, window):
-        counts[cell] = counts.get(cell, 0) + 1
-    return CellTable(counts, n, q, window, "witt")
-
-
-def zadic_cell_table(n, q, window):
-    return CellTable(zadic_oracle(n, q, window), n, q, window, "z-adic")
 
 
 def points_lattice(I, q=None, shift=0, check_stable=True):

@@ -1,12 +1,13 @@
 """Precision-tracked arithmetic in W(F_q)[1/p] and the lattice toolbox.
 
-A PadicWittNumber is p^shift times a truncated Witt mantissa over a finite
-field; its absolute precision is shift + len(mantissa).  Every value is
-normalized: the mantissa is empty (zero at that precision) or its leading
-coordinate is nonzero, so shift is the valuation.  The constructor strips
-leading zeros with p-th roots, (0, a_1, a_2, ...) = p*(a_1^(1/p), a_2^(1/p),
-...), which the perfect field F_q allows; alignment to a smaller shift uses
-p*(a_0, a_1, ...) = (0, a_0^p, a_1^p, ...).
+A PadicWittNumber is p^shift times a unit of the Galois ring
+GR(p^length, e) = W_length(F_q) (see ``galois``), known modulo
+p^(shift + length), its absolute precision; a number known to be zero at its
+precision has length 0.  Arithmetic is integer arithmetic on the e
+coordinates of the unit, and the valuation is the p-adic valuation of those
+integers.  Witt coordinates appear only at the edges: numbers are built from
+them (parsing, the candidate points of grassmann.points_lattice) and printed
+as them (the ``mantissa``).
 
 On top of that: Smith normal form over the discrete valuation ring W(F_q)
 at finite precision, Schubert-cell classification, the dominance order and
@@ -14,16 +15,20 @@ first-column basis normalization.
 
 Lattices rest on one routine, column_reduce, which brings generating columns
 to the reduced column Hermite form: pivots exactly p^a_i, zeros above them,
-and each entry below the pivot of row i cut to its digits below a_i.  That
-form is finite and unique, so it is the identity of a lattice (no window or
-precision enters it), the basis lattice_from_columns builds, and the object
-enumerate_lattices walks to list the special lattices of a symmetric window.
+and each entry below the pivot of row i cut to its Teichmuller digits below
+a_i.  That form is finite and unique, so it is the identity of a lattice (no
+window or precision enters it), the basis lattice_from_columns builds, and
+the object enumerate_lattices walks to list the special lattices of a
+symmetric window.  CellTable counts those lattices per cell, next to the
+independent z-adic count of ``zadic``.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import gcd
 
+from . import galois
 from .errors import (
     DetValuationMismatch,
     NotDominant,
@@ -34,124 +39,145 @@ from .errors import (
     ZeroAtPrecision,
 )
 from .fields import GF
-from .witt import WittVector, mat_det, mat_mul, witt_arith, witt_inv
+from .witt import mat_det, mat_mul, witt_arith
+
+__all__ = [
+    "CellTable", "Lattice", "PadicWittNumber", "WittMatrix", "bruhat_leq", "classify_cell",
+    "column_reduce", "diag_p_matrix", "dominant_or_raise", "enumerate_lattices",
+    "lattice_from_columns", "normalize_basis", "padic_from_witt", "padic_p_power",
+    "padic_zero", "smith_normal_form", "stabilizes_standard", "witt_cell_table",
+    "zadic_cell_table",
+    "witt_arith",  # read by perfbench's test_tracer_wraps_every_importing_module (ROADMAP item 1)
+]
 
 # Hermite forms enumerate_lattices may visit; each costs a reduction and a
 # Smith form at precision 2*window + n.
 ENUM_GUARD = 1 << 20
 
 
-class PadicWittNumber:
-    """p^shift * mantissa at absolute precision shift + len(mantissa).
+def _number(ring, shift, length, value):
+    x = object.__new__(PadicWittNumber)
+    x.ring, x.shift, x.length, x.value = ring, shift, length, value
+    return x
 
-    The mantissa is empty (zero modulo p^abs_prec) or has a nonzero leading
-    coordinate, so shift is the valuation.
+
+def _normal(ring, shift, length, value):
+    """p^shift * value modulo p^(shift + length), value reduced modulo
+    p^length, with the power of p that divides value moved into the shift."""
+    g = gcd(*value)
+    if not g:
+        return _number(ring, shift + length, 0, value)
+    p = ring.p
+    k = 0
+    while g % p == 0:
+        g //= p
+        k += 1
+    if k:
+        pk = p**k
+        value = tuple(c // pk for c in value)
+    return _number(ring, shift + k, length - k, value)
+
+
+class PadicWittNumber:
+    """p^shift * value at absolute precision shift + length.
+
+    value is a unit of GR(p^length, e) reduced modulo p^length, or, with
+    length 0, zero: shift is the valuation.  PadicWittNumber(ring, shift,
+    coords) reads a Witt vector: p^shift * (coords), known modulo
+    p^(shift + len(coords)).
     """
 
-    __slots__ = ("ring", "shift", "mantissa")
+    __slots__ = ("ring", "shift", "length", "value")
 
-    def __init__(self, ring, shift, mantissa):
-        self.ring = ring
-        coords = tuple(mantissa)
-        while coords and coords[0].is_zero():
-            shift += 1
-            coords = tuple(c.pth_root() for c in coords[1:])
-        self.shift = shift
-        self.mantissa = coords
+    def __new__(cls, ring, shift, coords):
+        coords = tuple(coords)
+        return _normal(ring, shift, len(coords), galois.of_digits(ring, coords))
 
     # -- bookkeeping --
 
     @property
     def abs_prec(self):
-        return self.shift + len(self.mantissa)
+        return self.shift + self.length
+
+    @property
+    def mantissa(self):
+        """The Witt coordinates of the unit, or () for zero."""
+        return tuple(galois.digits(self.ring, self.value, self.length, self.length)[0])
 
     def is_zero(self):
-        return not self.mantissa
+        return not self.length
 
     def val(self):
-        if not self.mantissa:
+        if not self.length:
             raise ZeroAtPrecision(f"zero modulo p^{self.abs_prec}")
         return self.shift
 
     def val_or_none(self):
-        return self.shift if self.mantissa else None
-
-    # -- alignment --
-
-    def aligned_mantissa(self, shift, length):
-        """Coordinates of this value viewed at the given lower shift."""
-        k = self.shift - shift
-        if k < 0:
-            raise PrecisionLoss("cannot align to a larger shift without roots")
-        q = self.ring.p**k
-        coords = [self.ring.zero] * k + [c**q for c in self.mantissa]
-        if len(coords) < length:
-            raise PrecisionLoss("not enough digits to align")
-        return tuple(coords[:length])
+        return self.shift if self.length else None
 
     # -- arithmetic --
 
     def truncate_abs(self, a):
         """This value known only modulo p^a."""
-        if a >= self.abs_prec:
+        if a >= self.shift + self.length:
             return self
         if a <= self.shift:
-            return PadicWittNumber(self.ring, a, ())
-        return PadicWittNumber(self.ring, self.shift, self.mantissa[: a - self.shift])
+            return _number(self.ring, a, 0, (0,) * len(self.value))
+        L = a - self.shift
+        mod = self.ring.p**L
+        return _number(self.ring, self.shift, L, tuple(c % mod for c in self.value))
 
     def __add__(self, other):
         self._like(other)
-        prec = min(self.abs_prec, other.abs_prec)
-        if self.is_zero():
+        prec = min(self.shift + self.length, other.shift + other.length)
+        if not self.length:
             return other.truncate_abs(prec)
-        if other.is_zero():
+        if not other.length:
             return self.truncate_abs(prec)
         s = min(self.shift, other.shift)
         L = prec - s
         if L <= 0:
             raise PrecisionLoss("sum has no provable digits")
-        a = WittVector(self.ring, self.aligned_mantissa(s, L))
-        b = WittVector(self.ring, other.aligned_mantissa(s, L))
-        return PadicWittNumber(self.ring, s, (a + b).coords)
+        p = self.ring.p
+        mod = p**L
+        a, b = p ** (self.shift - s), p ** (other.shift - s)
+        value = tuple((x * a + y * b) % mod for x, y in zip(self.value, other.value))
+        return _normal(self.ring, s, L, value)
 
     def __neg__(self):
-        if not self.mantissa:
+        if not self.length:
             return self
-        m = witt_arith("neg", WittVector(self.ring, self.mantissa))
-        return PadicWittNumber(self.ring, self.shift, m.coords)
+        mod = self.ring.p**self.length
+        return _number(self.ring, self.shift, self.length, tuple(-c % mod for c in self.value))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._like(other)
-        if self.is_zero() or other.is_zero():
-            prec = min(
-                self.abs_prec + other.shift,
-                other.abs_prec + self.shift,
-            )
-            return PadicWittNumber(self.ring, prec, ())
-        L = min(len(self.mantissa), len(other.mantissa))
-        a = WittVector(self.ring, self.mantissa[:L])
-        b = WittVector(self.ring, other.mantissa[:L])
-        return PadicWittNumber(self.ring, self.shift + other.shift, (a * b).coords)
+        # known modulo p^(shift sum + shorter length); a zero factor has length 0
+        L = min(self.length, other.length)
+        if not L:
+            return _number(self.ring, self.shift + other.shift, 0, (0,) * len(self.value))
+        value = galois.mul(self.ring, self.value, other.value, self.ring.p**L)
+        return _number(self.ring, self.shift + other.shift, L, value)
 
     def inv(self):
-        if self.is_zero():
+        if not self.length:
             raise ZeroAtPrecision("cannot invert a value that vanishes at precision")
-        m = witt_inv(WittVector(self.ring, self.mantissa))
-        return PadicWittNumber(self.ring, -self.shift, m.coords)
+        value = galois.inv(self.ring, self.value, self.length)
+        return _number(self.ring, -self.shift, self.length, value)
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def unit_part(self):
-        """The mantissa as an exact integral value (shift zero)."""
-        return PadicWittNumber(self.ring, 0, self.mantissa)
+        """The unit as an exact integral value (shift zero)."""
+        return _number(self.ring, 0, self.length, self.value)
 
     def p_times(self, k):
         """Multiply by p^k; k may be negative."""
-        return PadicWittNumber(self.ring, self.shift + k, self.mantissa)
+        return _number(self.ring, self.shift + k, self.length, self.value)
 
     def eq_at_precision(self, other):
         return (self - other).is_zero()
@@ -159,13 +185,14 @@ class PadicWittNumber:
     def split(self, k):
         """(low, high) with self = low + p^k * high; low has digits < k only.
 
-        Exact, with no Witt arithmetic: a Witt vector is the sum of its
-        digits, (a_0, ..., a_{L-1}) = (a_0, ..., a_{m-1}, 0, ...) +
-        (0, ..., 0, a_m, ..., a_{L-1}), so high is the tail behind m zeros.
+        The digits are Teichmuller digits, the Witt coordinates read as
+        self = sum_i p^(shift+i) * T(a_i^(p^-i)): low keeps the first m of
+        them, and high is the rest, exactly.
         """
-        m = max(0, min(k - self.shift, len(self.mantissa)))
-        tail = (self.ring.zero,) * m + self.mantissa[m:]
-        return self.truncate_abs(k), PadicWittNumber(self.ring, self.shift - k, tail)
+        m = max(0, min(k - self.shift, self.length))
+        _, rest = galois.digits(self.ring, self.value, self.length, m)
+        high = _normal(self.ring, self.shift - k + m, self.length - m, rest)
+        return self.truncate_abs(k), high
 
     def _like(self, other):
         if self.ring is not other.ring:
@@ -176,11 +203,12 @@ class PadicWittNumber:
             isinstance(other, PadicWittNumber)
             and self.ring is other.ring
             and self.shift == other.shift
-            and self.mantissa == other.mantissa
+            and self.length == other.length
+            and self.value == other.value
         )
 
     def __hash__(self):
-        return hash((id(self.ring), self.shift, self.mantissa))
+        return hash((id(self.ring), self.shift, self.length, self.value))
 
     def __repr__(self):
         body = "(" + ",".join(repr(c) for c in self.mantissa) + ")"
@@ -194,11 +222,11 @@ def padic_from_witt(w, shift=0):
 
 
 def padic_p_power(ring, k, prec):
-    return PadicWittNumber(ring, k, (ring.one,) + (ring.zero,) * (prec - 1))
+    return _number(ring, k, prec, (1,) + (0,) * (ring.e - 1))
 
 
 def padic_zero(ring, abs_prec):
-    return PadicWittNumber(ring, abs_prec, ())
+    return _number(ring, abs_prec, 0, (0,) * ring.e)
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +600,8 @@ def enumerate_lattices(n, q, window):
     # digits enough to find pivots up to p^(2w) and the digits below them
     prec = 2 * window + n
     pad = (field.zero,) * prec
-
-    def lift(coords):
-        return PadicWittNumber(field, 0, coords + pad[len(coords):])
-
     elems = field.elements()
-    zero = lift(())
+    zero = padic_zero(field, prec)
     top = 2 * window
     kernel = [  # the columns of p^(2w) W^n, appended to every form
         [padic_p_power(field, top, prec) if i == j else padic_zero(field, prec + top)
@@ -587,14 +611,71 @@ def enumerate_lattices(n, q, window):
     below = [(i, j) for i in range(n) for j in range(i)]
     out = []
     for exps in _hermite_exponents(n, window):
-        pivots = [lift((field.zero,) * b + (field.one,)) for b in exps]
-        residues = [itertools.product(elems, repeat=exps[i]) for i, _ in below]
-        for digits in itertools.product(*residues):
+        pivots = [padic_p_power(field, b, prec - b) for b in exps]
+        residues = [
+            [PadicWittNumber(field, 0, r + pad[b:]) for r in itertools.product(elems, repeat=b)]
+            for b in (exps[i] for i, _ in below)
+        ]
+        for entries in itertools.product(*residues):
             cols = [[pivots[j] if i == j else zero for i in range(n)] for j in range(n)]
-            for (i, j), r in zip(below, digits):
-                cols[j][i] = lift(r)
+            for (i, j), x in zip(below, entries):
+                cols[j][i] = x
             lat = lattice_from_columns(cols + kernel, n, window, field)
             mu = lat.cell()
             if sum(mu) == 0:
                 out.append((lat, mu))
     return out
+
+
+# ---------------------------------------------------------------------------
+# cell tables: the Witt enumeration and the independent z-adic count
+# ---------------------------------------------------------------------------
+
+class CellTable:
+    """Counts of special lattices per dominant cocharacter in a window."""
+
+    def __init__(self, counts, n, q, window, provenance):
+        self.counts = dict(counts)
+        self.n = n
+        self.q = q
+        self.window = window
+        self.provenance = provenance
+
+    @property
+    def total(self):
+        return sum(self.counts.values())
+
+    def same_counts(self, other):
+        return self.counts == other.counts
+
+    def as_dict(self):
+        return {
+            "n": self.n,
+            "q": self.q,
+            "window": self.window,
+            "provenance": self.provenance,
+            "total": self.total,
+            "cells": [
+                {"lambda": list(cell), "count": self.counts[cell]}
+                for cell in sorted(self.counts)
+            ],
+        }
+
+    def __repr__(self):
+        cells = ", ".join(
+            f"({','.join(map(str, c))}): {v}" for c, v in sorted(self.counts.items())
+        )
+        return f"{{{cells}}}"
+
+
+def witt_cell_table(n, q, window):
+    counts = {}
+    for _, cell in enumerate_lattices(n, q, window):
+        counts[cell] = counts.get(cell, 0) + 1
+    return CellTable(counts, n, q, window, "witt")
+
+
+def zadic_cell_table(n, q, window):
+    from .zadic import zadic_oracle
+
+    return CellTable(zadic_oracle(n, q, window), n, q, window, "z-adic")

@@ -17,13 +17,7 @@ from .errors import CacheCorrupt, WittgrassError
 from .fields import GF
 from . import structure
 from .greenberg import localized_transition, realize_poly_map, witt_poly_ring
-from .grassmann import (
-    degeneration_family_ideal,
-    image_check,
-    points_lattice,
-    witt_cell_table,
-    zadic_cell_table,
-)
+from .grassmann import degeneration_family_ideal, image_check, points_lattice
 from .hilbert import (
     GradedIdeal,
     act_on_ideal,
@@ -41,6 +35,8 @@ from .lattice import (
     normalize_basis,
     padic_from_witt,
     smith_normal_form,
+    witt_cell_table,
+    zadic_cell_table,
 )
 from .rings import LaurentRing
 from .witt import (

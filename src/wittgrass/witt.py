@@ -10,6 +10,9 @@ that uses one costs a single AND, and shares one cache of coordinate powers
 across all levels.  Inversion is the componentwise triangular solve: the n-th
 component of a product depends on the n-th component of the second factor
 only through the term a_0^(p^n) * b_n.
+
+Over F_q only WittVector uses the tables; the p-adic numbers of ``lattice``
+compute in the Galois ring W_N(F_q) = GR(p^N, e) of ``galois`` instead.
 """
 
 from __future__ import annotations

@@ -168,6 +168,22 @@ def test_grass_count_refuses_prime_powers_before_witt_work(capsys, monkeypatch):
     assert table["cells"] == [{"lambda": [0, 0], "count": 1}, {"lambda": [1, -1], "count": 20}]
 
 
+@pytest.mark.parametrize("oracle", [[], ["--oracle", "witt"]])
+def test_grass_count_refuses_a_size_that_is_no_prime_power(capsys, oracle):
+    assert cli.main(["grass", "count", "--n", "2", "--q", "6", "--window", "1"] + oracle) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "6 is not a prime power" in captured.err
+    assert "prime field sizes" not in captured.err
+
+
+def test_grass_count_names_the_witt_oracle_for_prime_powers(capsys):
+    assert cli.main(["grass", "count", "--n", "2", "--q", "4", "--window", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "the z-adic oracle supports prime field sizes only, not 4" in err
+    assert "--oracle witt" in err
+
+
 def _lines(tmp_path, name, *lines):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")

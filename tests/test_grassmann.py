@@ -12,8 +12,6 @@ from wittgrass.grassmann import (
     image_check,
     points_lattice,
     standard_cell_lattice,
-    witt_cell_table,
-    zadic_cell_table,
 )
 from wittgrass.hilbert import (
     GradedIdeal,
@@ -25,6 +23,7 @@ from wittgrass.hilbert import (
     is_module_stable,
 )
 from wittgrass import zadic
+from wittgrass.lattice import witt_cell_table, zadic_cell_table
 from wittgrass.witt import WittVector, random_sl
 from wittgrass.zadic import zadic_oracle
 

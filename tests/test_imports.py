@@ -1,4 +1,5 @@
-"""What a process loads: the package surface and the modules a witt call imports."""
+"""What a process loads: the package surface and the modules a witt call,
+a lattice enumeration and a cell count import."""
 
 import hashlib
 import importlib
@@ -7,6 +8,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import wittgrass
 from wittgrass import structure
@@ -59,6 +62,36 @@ def test_witt_call_loads_only_the_arithmetic_stack(tmp_path):
             {"lambda": [0, 0], "count": 1},
             {"lambda": [1, -1], "count": 12},
         ]
+
+
+LOADED_BY = """\
+import contextlib, io, json, sys
+from wittgrass import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["--cache-dir", sys.argv[1], *sys.argv[2:]]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("wittgrass"))))
+"""
+
+# the arithmetic stack that importing the CLI loads, lattice and the Galois ring
+CELL_STACK = [
+    "wittgrass", "wittgrass.cli", "wittgrass.errors", "wittgrass.fields", "wittgrass.galois",
+    "wittgrass.lattice", "wittgrass.poly", "wittgrass.rings", "wittgrass.structure",
+    "wittgrass.textio", "wittgrass.witt",
+]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["lattice", "enumerate", "--n", "3", "--q", "2", "--window", "1"], []),
+    (["grass", "count", "--n", "2", "--q", "4", "--window", "1", "--oracle", "witt"], []),
+    (["grass", "count", "--n", "2", "--q", "3", "--window", "1"], ["wittgrass.zadic"]),
+])
+def test_cell_counts_load_no_groebner_stack(tmp_path, argv, extra):
+    """Lattice enumeration and cell tables load neither hilbert, greenberg,
+    groebner nor grassmann, and read no structure table."""
+    loaded = json.loads(_python(LOADED_BY, str(tmp_path), *argv))
+    assert loaded == sorted(CELL_STACK + extra)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_package_surface_is_lazy():

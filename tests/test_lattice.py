@@ -346,7 +346,10 @@ def test_macdonald_counts_by_hand():
     assert macdonald_count((1, 0, -1), 2) == 42
 
 
-@pytest.mark.parametrize("n,q,window", [(2, 2, 1), (2, 4, 1), (3, 2, 1), (2, 2, 2)])
+@pytest.mark.parametrize(
+    "n,q,window",
+    [(2, 2, 1), (2, 4, 1), (3, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 5, 1), (2, 4, 2)],
+)
 def test_enumeration_matches_closed_form(n, q, window):
     out = enumerate_lattices(n, q, window)
     cells = {}

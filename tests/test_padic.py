@@ -1,4 +1,5 @@
-"""p-adic numbers over F_q against p^shift * GR(p^len, e).
+"""p-adic numbers over F_q against p^shift * GR(p^len, e), and against table
+arithmetic on the same Witt coordinates.
 
 A PadicWittNumber (shift, mantissa) stands for p^shift times the Galois-ring
 image of its mantissa, known modulo p^(shift + len(mantissa)).  Each operation
@@ -14,9 +15,10 @@ from hypothesis import strategies as hst
 from test_galois_ring import N_MAX, GaloisRing
 from wittgrass.fields import GF
 from wittgrass.lattice import PadicWittNumber
-from wittgrass.witt import WittVector
+from wittgrass.witt import WittVector, witt_arith, witt_inv
 
 QS = (2, 3, 4, 5, 9)
+TABLE_QS = (2, 3, 4, 5, 8, 9, 25)
 SHIFTS = hst.integers(-3, 3)
 # exponents of the model; shifts and lengths above stay far below it
 MODEL_N = 16
@@ -108,3 +110,43 @@ def test_padic_arithmetic_is_galois_ring_arithmetic(case):
     base = min(x.shift, k)
     whole = gr.add(M.at(low, base), M.of(high.shift + k, high.mantissa, base))
     assert M.agree(whole, M.at(x, base), base, x.abs_prec)
+
+
+@hst.composite
+def _witt_pair(draw):
+    q = draw(hst.sampled_from(TABLE_QS))
+    F = GF(q)
+    N = draw(hst.integers(1, N_MAX[F.p]))
+    coord = hst.one_of(hst.just(F.zero), hst.sampled_from(F.elements()))
+    a, b = (tuple(draw(hst.lists(coord, min_size=N, max_size=N))) for _ in "ab")
+    return F, a, b, draw(hst.integers(0, N))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_witt_pair())
+def test_galois_ring_numbers_agree_with_table_arithmetic(case):
+    """At shift 0 a number and the Witt vector of the same coordinates are one
+    value: every operation agrees with witt_arith / witt_inv on the tables."""
+    F, a, b, k = case
+    N = len(a)
+    x, y = PadicWittNumber(F, 0, a), PadicWittNumber(F, 0, b)
+    va, vb = WittVector(F, a), WittVector(F, b)
+
+    def same(r, w):
+        assert r.truncate_abs(N) == PadicWittNumber(F, 0, w.coords)
+
+    same(x + y, witt_arith("add", va, vb))
+    same(x - y, va - vb)
+    same(-x, witt_arith("neg", va))
+    same(x * y, witt_arith("mul", va, vb))
+    if va.is_unit():
+        assert x.mantissa == a
+        same(x.inv(), witt_inv(va))
+    # split at k keeps the first k Witt coordinates: x = low + p^k * high with
+    # low = (a_0, ..., a_{k-1}, 0, ...) and p^k * high = (0, ..., 0, a_k, ...)
+    low, high = x.split(k)
+    assert low == PadicWittNumber(F, 0, a[:k])
+    assert high == PadicWittNumber(F, -k, (F.zero,) * k + a[k:])
+    head = WittVector(F, a[:k] + (F.zero,) * (N - k))
+    tail = WittVector(F, (F.zero,) * k + a[k:])
+    assert witt_arith("add", head, tail) == va
