@@ -13,15 +13,7 @@ from __future__ import annotations
 
 from .fields import IRREDUCIBLE
 
-_TOP = {}  # field -> u^e over Z, as the coefficients of 1, ..., u^(e-1)
 _TEICH = {}  # (field, L) -> {residue tuple: its Teichmuller lift mod p^L}
-
-
-def _top(field):
-    top = _TOP.get(field)
-    if top is None:
-        top = _TOP[field] = tuple(-c for c in IRREDUCIBLE.get((field.p, field.e), ()))
-    return top
 
 
 def mul(field, a, b, mod):
@@ -32,12 +24,12 @@ def mul(field, a, b, mod):
         if x:
             for j, y in enumerate(b):
                 conv[i + j] += x * y
-    top = _top(field)
+    f = IRREDUCIBLE.get((field.p, field.e), ())  # u^e = -sum_i f[i] u^i
     for k in range(2 * e - 2, e - 1, -1):
         c = conv.pop()
         if c:
-            for i, t in enumerate(top):
-                conv[k - e + i] += c * t
+            for i, t in enumerate(f):
+                conv[k - e + i] -= c * t
     return tuple(x % mod for x in conv)
 
 

@@ -222,7 +222,8 @@ def padic_from_witt(w, shift=0):
 
 
 def padic_p_power(ring, k, prec):
-    return _number(ring, k, prec, (1,) + (0,) * (ring.e - 1))
+    """p^k known to at least one digit: to prec digits when prec >= 1."""
+    return _number(ring, k, max(prec, 1), (1,) + (0,) * (ring.e - 1))
 
 
 def padic_zero(ring, abs_prec):

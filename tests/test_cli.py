@@ -228,6 +228,31 @@ def test_lattice_snf(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "matrix, out",
+    [
+        ("p^-1*(1)", ["exponents: -1", "U:", "[(1)]", "V:", "[(1)]"]),
+        ("p^-2*(1)", ["exponents: -2", "U:", "[(1)]", "V:", "[(1)]"]),
+        (
+            "p^-1*(1),(1);(0),p^-2*(1)",
+            [
+                "exponents: -1,-2",
+                "U:",
+                "[(1), p^1*()]",
+                "[p^1*(), (1)]",
+                "V:",
+                "[(1), p^1*()]",
+                "[p^1*(), (1)]",
+            ],
+        ),
+    ],
+)
+def test_lattice_snf_with_no_digit_at_or_above_p0(capsys, matrix, out):
+    # every entry is known only below p^0, yet U and V keep one digit
+    assert cli.main(["lattice", "snf", "--p", "2", "--N", "1", matrix]) == 0
+    assert capsys.readouterr().out.splitlines() == out
+
+
 def test_greenberg_realize_map(capsys):
     assert cli.main(["greenberg", "realize", "--p", "2", "--N", "2", "--map", "T1*T2"]) == 0
     assert capsys.readouterr().out.splitlines() == [
