@@ -4,12 +4,16 @@ desk-scale computations on the p-adic affine Grassmannian for SL_n.
 Importing the package loads only ``errors``.  Import every other name from
 the module that defines it (``from wittgrass.witt import witt_arith``), so
 that a process loads only the layers it uses.  ``gen_structure_polys`` is
-also reachable here; it loads ``structure`` on first use.
+also reachable here; it loads ``structure`` on first use.  The name of the
+environment variable that sets the structure-table cache directory lives
+here, so that the CLI can set it without loading ``structure``.
 """
 
 from .errors import WittgrassError
 
 __version__ = "0.1.0"
+
+_ENV_CACHE = "WITTGRASS_CACHE_DIR"
 
 __all__ = ["WittgrassError", "gen_structure_polys"]
 

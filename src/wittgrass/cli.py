@@ -6,15 +6,17 @@ precision, non-units), 2 on usage errors.  Output is deterministic for fixed
 inputs and seeds; --format json switches to a stable machine-readable schema
 (schema version in the "schema" field).
 
-Importing this module loads only the arithmetic stack a ``witt`` call uses:
-errors, fields, structure, witt and textio (which brings poly and rings).
-Every other subcommand imports its modules when it runs, so a one-shot
-process loads, and with bytecode writing off compiles, only what it uses.
-``witt_cell_table`` is an attribute of this module, resolved on first use by
-the module ``__getattr__``, so that it can be patched.  Lazily imported
-functions are never stored in this module's globals: a tracer that wraps
-them in their defining modules stays in effect here, and its removal leaves
-nothing behind.
+Importing this module loads only errors and fields.  Each subcommand imports
+its modules when it runs, so a one-shot process loads, and with bytecode
+writing off compiles, only what it uses: a ``witt`` call loads structure,
+witt and textio (which brings poly and rings); ``lattice enumerate`` and
+``grass count`` load lattice and galois, and ``zadic`` for the z-adic count;
+``lattice snf`` and ``classify`` add textio, poly and rings.
+``witt_cell_table``, ``witt_arith`` and ``witt_inv`` are attributes of this
+module, resolved on first use by the module ``__getattr__``, so that they can
+be patched and wrapped.  Lazily imported functions are never stored in this
+module's globals: a tracer that wraps them in their defining modules stays in
+effect here, and its removal leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -24,18 +26,23 @@ import json
 import os
 import sys
 
+from . import _ENV_CACHE
 from .errors import UsageError, WittgrassError
 from .fields import GF, SUPPORTED_PRIMES
-from .structure import _ENV_CACHE
-from .textio import (
-    parse_coordinate_poly,
-    parse_cocharacter,
-    parse_padic_matrix,
-    parse_witt_vector,
-)
-from .witt import witt_arith, witt_inv
 
 SCHEMA = "wittgrass/1"
+
+
+def __getattr__(name):
+    if name == "witt_cell_table":
+        from .lattice import witt_cell_table
+
+        return witt_cell_table
+    if name in ("witt_arith", "witt_inv"):
+        from . import witt
+
+        return getattr(witt, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _field(args):
@@ -62,6 +69,9 @@ def _emit(args, payload, text):
 # -- witt ----------------------------------------------------------------
 
 def cmd_witt(args):
+    from .textio import parse_witt_vector
+    from .witt import witt_arith, witt_inv
+
     if args.op in ("neg", "inv") and args.other is not None:
         raise UsageError(f"witt {args.op} takes one vector, not a second {args.other!r}")
     ring = _field(args)
@@ -104,6 +114,7 @@ def cmd_greenberg(args):
 
 def cmd_lattice_snf(args):
     from .lattice import WittMatrix, smith_normal_form
+    from .textio import parse_padic_matrix
 
     A = parse_padic_matrix(_field(args), args.matrix, args.N)
     U, mu, V = smith_normal_form(A)
@@ -117,6 +128,7 @@ def cmd_lattice_snf(args):
 
 def cmd_lattice_classify(args):
     from .lattice import classify_cell
+    from .textio import parse_padic_matrix
 
     A = parse_padic_matrix(_field(args), args.matrix, args.N)
     cell = classify_cell(A)
@@ -145,6 +157,7 @@ def _read_poly_lines(path):
 
 def cmd_hilbert_hf(args):
     from .hilbert import default_bound, hilbert_function, ideal_I_lambda
+    from .textio import parse_cocharacter
 
     field = _field(args)
     lam = parse_cocharacter(args.lam)
@@ -161,6 +174,7 @@ def cmd_hilbert_hf(args):
 
 def cmd_hilbert_stable(args):
     from .hilbert import GradedIdeal, ambient_ring, is_module_stable
+    from .textio import parse_coordinate_poly
 
     field = _field(args)
     ring = ambient_ring(field, args.n, args.N)
@@ -173,6 +187,7 @@ def cmd_hilbert_stable(args):
 
 def cmd_hilbert_limit(args):
     from .hilbert import GradedIdeal, family_ring, flat_limit
+    from .textio import parse_coordinate_poly
 
     field = _field(args)
     ring = family_ring(field, args.n, args.N)
@@ -185,14 +200,6 @@ def cmd_hilbert_limit(args):
 
 
 # -- grass -----------------------------------------------------------------
-
-def __getattr__(name):
-    if name == "witt_cell_table":
-        from .lattice import witt_cell_table
-
-        return witt_cell_table
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def cmd_grass_count(args):
     from .lattice import zadic_cell_table
@@ -225,6 +232,7 @@ def cmd_grass_count(args):
 
 def cmd_grass_image(args):
     from .grassmann import image_check
+    from .textio import parse_cocharacter
 
     lam = parse_cocharacter(args.lam)
     rep = image_check(lam, q=args.q, samples=args.samples, seed=args.seed)

@@ -39,7 +39,6 @@ from .errors import (
     ZeroAtPrecision,
 )
 from .fields import GF
-from .witt import mat_det, mat_mul, witt_arith
 
 __all__ = [
     "CellTable", "Lattice", "PadicWittNumber", "WittMatrix", "bruhat_leq", "classify_cell",
@@ -47,8 +46,18 @@ __all__ = [
     "lattice_from_columns", "normalize_basis", "padic_from_witt", "padic_p_power",
     "padic_zero", "smith_normal_form", "stabilizes_standard", "witt_cell_table",
     "zadic_cell_table",
-    "witt_arith",  # read by perfbench's test_tracer_wraps_every_importing_module (ROADMAP item 1)
 ]
+
+
+def __getattr__(name):
+    # witt_arith is read by perfbench's test_tracer_wraps_every_importing_module
+    # (ROADMAP item 1); resolved here so that lattice does not load witt
+    if name == "witt_arith":
+        from .witt import witt_arith
+
+        return witt_arith
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Hermite forms enumerate_lattices may visit; each costs a reduction and a
 # Smith form at precision 2*window + n.
@@ -171,6 +180,11 @@ class PadicWittNumber:
     def __truediv__(self, other):
         return self * other.inv()
 
+    def div_p_power(self, k, length):
+        """self / p^k for p^k known to length >= 1 digits, by a shift: the
+        value, shift and length of self / padic_p_power(ring, k, length)."""
+        return self.truncate_abs(self.shift + length).p_times(-k)
+
     def unit_part(self):
         """The unit as an exact integral value (shift zero)."""
         return _number(self.ring, 0, self.length, self.value)
@@ -284,9 +298,13 @@ class WittMatrix:
         )
 
     def mul(self, other):
+        from .witt import mat_mul
+
         return WittMatrix(self.ring, mat_mul(self.entries, other.entries))
 
     def det(self):
+        from .witt import mat_det
+
         return mat_det(self.entries)
 
     def eq_at_precision(self, other):
@@ -355,14 +373,14 @@ def smith_normal_form(A):
         W.entries[k] = [x * uinv for x in W.entries[k]]
         for r in range(n):  # U: column k picks up the unit
             U.entries[r][k] = U.entries[r][k] * unit
-        pivot = W.entries[k][k]
+        pivot = W.entries[k][k]  # p^mu * 1
         for i in range(n):
             if i == k:
                 continue
             e = W.entries[i][k]
             if e.is_zero():
                 continue
-            factor = e / pivot  # integral: val(e) >= mu
+            factor = e.div_p_power(mu, pivot.length)  # integral: val(e) >= mu
             W.entries[i] = [
                 x - factor * y for x, y in zip(W.entries[i], W.entries[k])
             ]
@@ -374,7 +392,7 @@ def smith_normal_form(A):
             e = W.entries[k][j]
             if e.is_zero():
                 continue
-            factor = e / pivot
+            factor = e.div_p_power(mu, pivot.length)
             for r in range(n):
                 W.entries[r][j] = W.entries[r][j] - factor * W.entries[r][k]
             # V: row k += factor * row j
@@ -496,13 +514,13 @@ def column_reduce(columns, n):
             raise PrecisionLoss(f"no pivot in row {row} at this precision")
         piv = rest.pop(best)
         uinv = piv[row].unit_part().inv()
-        piv = [x * uinv for x in piv]
+        piv = [x * uinv for x in piv]  # piv[row] is p^a * 1
         for c in rest:
             if c[row].is_zero():
                 if c[row].abs_prec < a:
                     raise PrecisionLoss(f"row {row} is not known down to its pivot p^{a}")
                 continue
-            factor = c[row] / piv[row]
+            factor = c[row].div_p_power(a, piv[row].length)
             for r in range(row, n):
                 c[r] = c[r] - factor * piv[r]
         for c in basis:

@@ -60,6 +60,7 @@ import struct
 import sys
 import tempfile
 
+from . import _ENV_CACHE
 from .errors import CacheCorrupt, TableLimit, UsageError
 from .fields import SUPPORTED_PRIMES
 
@@ -70,7 +71,6 @@ EXP_MASK = (1 << SHIFT) - 1
 
 OPS = ("add", "mul", "neg")
 DEFAULT_TERM_LIMIT = 200_000
-_ENV_CACHE = "WITTGRASS_CACHE_DIR"
 _ENV_LIMIT = "WITTGRASS_TABLE_LIMIT"
 
 

@@ -6,8 +6,10 @@ Valuation-shifted numbers are ``p^v*(a0,...)``; matrices are semicolon-
 separated rows of comma-separated entries, commas inside parentheses binding
 to their entry.  Every printer output parses back to an equal value.
 
-``lattice`` is imported only by the p-adic parsers, so Witt-vector commands
-do not load it.
+``lattice`` is imported only by the p-adic parsers and ``witt`` only by
+parse_witt_vector, so Witt-vector commands do not load ``lattice``, and the
+p-adic commands (``lattice snf`` and ``classify``) load neither ``witt`` nor
+``structure``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from .errors import UsageError
 from .poly import PolyRing, parse_polynomial
 from .rings import LaurentRing, RationalFunctionField
-from .witt import WittVector
 
 
 def scalar_resolver(ring):
@@ -84,6 +85,8 @@ def _coords(ring, text):
 
 
 def parse_witt_vector(ring, text, N=None):
+    from .witt import WittVector
+
     coords = _coords(ring, text)
     if N is not None and len(coords) != N:
         raise UsageError(f"expected {N} coordinates, found {len(coords)}")

@@ -73,12 +73,13 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("wittgrass"))))
 """
 
-# the arithmetic stack that importing the CLI loads, lattice and the Galois ring
+# the CLI with lattice and the Galois ring; no Witt-vector stack
 CELL_STACK = [
     "wittgrass", "wittgrass.cli", "wittgrass.errors", "wittgrass.fields", "wittgrass.galois",
-    "wittgrass.lattice", "wittgrass.poly", "wittgrass.rings", "wittgrass.structure",
-    "wittgrass.textio", "wittgrass.witt",
+    "wittgrass.lattice",
 ]
+# the p-adic literals of lattice snf and classify bring the text parsers
+PADIC_STACK = CELL_STACK + ["wittgrass.poly", "wittgrass.rings", "wittgrass.textio"]
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -88,10 +89,38 @@ CELL_STACK = [
 ])
 def test_cell_counts_load_no_groebner_stack(tmp_path, argv, extra):
     """Lattice enumeration and cell tables load neither hilbert, greenberg,
-    groebner nor grassmann, and read no structure table."""
+    groebner nor grassmann, nor the Witt-vector stack (structure, witt,
+    textio, poly, rings), and read no structure table."""
     loaded = json.loads(_python(LOADED_BY, str(tmp_path), *argv))
     assert loaded == sorted(CELL_STACK + extra)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "snf", "--p", "2", "--N", "2", "(1,1),(0,1);(1,0),(1,1)"],
+    ["lattice", "classify", "--q", "4", "--p", "2", "--N", "2", "(u,1),(0,1);(1,0),(1,u)"],
+])
+def test_padic_commands_load_no_witt_stack(tmp_path, argv):
+    """lattice snf and classify parse their literals with textio, but load
+    neither witt nor structure."""
+    loaded = json.loads(_python(LOADED_BY, str(tmp_path), *argv))
+    assert loaded == sorted(PADIC_STACK)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_witt_names_resolve_without_being_stored():
+    """lattice.witt_arith and cli.witt_arith are the function of witt, looked
+    up on each read, never a binding of lattice or cli."""
+    code = (
+        "import sys\n"
+        "from wittgrass import cli, lattice\n"
+        "before = 'wittgrass.witt' in sys.modules\n"
+        "from wittgrass import witt\n"
+        "print(before, lattice.witt_arith is witt.witt_arith, cli.witt_arith is witt.witt_arith,\n"
+        "      cli.witt_inv is witt.witt_inv,\n"
+        "      any(name in vars(m) for m in (cli, lattice) for name in ('witt_arith', 'witt_inv')))\n"
+    )
+    assert _python(code).split() == ["False", "True", "True", "True", "False"]
 
 
 def test_package_surface_is_lazy():

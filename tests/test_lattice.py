@@ -366,6 +366,57 @@ def test_zadic_oracle_matches_closed_form(n, q, window):
     assert zadic_oracle(n, q, window) == window_counts(n, q, window)
 
 
+def relative_positions(n, q, lam):
+    """How the lattices L of the cell lam lie relative to L1 = diag(p^lam) W^n:
+    the number of L per cell of L1^-1 L, by the Smith form."""
+    out = {}
+    for lat, cell in enumerate_lattices(n, q, max(lam)):
+        if cell == lam:
+            rows = lat.basis.entries
+            M = WittMatrix(lat.basis.ring, [
+                [x.p_times(-lam[i]) for x in row] for i, row in enumerate(rows)
+            ])
+            rel = classify_cell(M)
+            out[rel] = out.get(rel, 0) + 1
+    return out
+
+
+def tree_positions(q, k):
+    """The same count for n = 2 in the Bruhat-Tits tree of SL_2, where cell
+    (k,-k) is the set of vertices at distance 2k from the standard one and the
+    relative position of two of them is (d/2,-d/2) at distance d.  A vertex at
+    distance d is a walk without backtracking: q + 1 first steps, then q."""
+
+    def walks(d):
+        return itertools.product(range(q + 1), *[range(q)] * (d - 1))
+
+    def distance(u, v):
+        shared = next((i for i, (a, b) in enumerate(zip(u, v)) if a != b), min(len(u), len(v)))
+        return len(u) + len(v) - 2 * shared
+
+    l1 = (0,) * (2 * k)
+    out = {}
+    for v in walks(2 * k):
+        h = distance(l1, v) // 2
+        out[(h, -h)] = out.get((h, -h), 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_relative_positions_in_the_tree(q):
+    """An oracle for the Smith and Hermite forms that is not taken against the
+    standard lattice: seen from L1 = diag(p, 1/p) W^2, the q(q + 1) lattices
+    of the cell (1,-1) are L1, q - 1 neighbours of L1 and q^2 others."""
+    assert tree_positions(q, 1) == {(0, 0): 1, (1, -1): q - 1, (2, -2): q * q}
+    assert relative_positions(2, q, (1, -1)) == tree_positions(q, 1)
+
+
+def test_relative_positions_in_rank_three():
+    assert relative_positions(3, 2, (1, 0, -1)) == {
+        (0, 0, 0): 1, (1, 0, -1): 9, (1, 1, -2): 8, (2, -1, -1): 8, (2, 0, -2): 16,
+    }
+
+
 @pytest.mark.parametrize("lam", [(0, 0), (1, -1)])
 def test_key_ignores_basis_window_and_precision(lam):
     if lam == (0, 0):  # a boundary ideal of the (1,-1) family

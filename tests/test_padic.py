@@ -14,7 +14,7 @@ from hypothesis import strategies as hst
 
 from test_galois_ring import N_MAX, GaloisRing
 from wittgrass.fields import GF
-from wittgrass.lattice import PadicWittNumber
+from wittgrass.lattice import PadicWittNumber, padic_p_power
 from wittgrass.witt import WittVector, witt_arith, witt_inv
 
 QS = (2, 3, 4, 5, 9)
@@ -150,3 +150,25 @@ def test_galois_ring_numbers_agree_with_table_arithmetic(case):
     head = WittVector(F, a[:k] + (F.zero,) * (N - k))
     tail = WittVector(F, (F.zero,) * k + a[k:])
     assert witt_arith("add", head, tail) == va
+
+
+@hst.composite
+def _over_pivot(draw):
+    F = GF(draw(hst.sampled_from((2, 3, 4, 9))))
+    coord = hst.one_of(hst.just(F.zero), hst.sampled_from(F.elements()))
+    coords = draw(hst.lists(coord, min_size=0, max_size=N_MAX[F.p]))
+    x = PadicWittNumber(F, draw(SHIFTS), coords)
+    return x, draw(hst.integers(-2, 4)), draw(hst.integers(1, N_MAX[F.p]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_over_pivot())
+def test_division_by_a_pivot_is_a_shift(case):
+    """Dividing by the pivot p^a * 1 of a Hermite or Smith reduction, known
+    to L digits, only shifts and truncates: the same shift, length and value
+    as the quotient through the pivot's inverse."""
+    x, a, L = case
+    by_shift = x.div_p_power(a, L)
+    by_inverse = x / padic_p_power(x.ring, a, L)
+    assert (by_shift.shift, by_shift.length, by_shift.value) == (
+        by_inverse.shift, by_inverse.length, by_inverse.value)
