@@ -23,24 +23,28 @@ reads the file once and checks every line head at once: each line names a
 known op and the next level of it.  The polynomial after the colon is kept as
 text and parsed the first time a call reads that level, so a call that adds
 never parses the multiplication table.  Parsing checks the syntax only: each
-term has a nonzero integer coefficient and distinct variables X_i/Y_i with
-i < MAX_SLOTS and exponents 1..EXP_MASK, written in slot order, so no token can
-alias another monomial.  A bad level is refused when it is first read, with
-the file and the line named; before a cache file is rewritten every level in
-it is parsed, so corrupt data is refused rather than written back.  Nothing
-re-checks the ghost identities; a well-formed but wrong coefficient is read as
-it stands.
+term has a nonzero integer coefficient spelled as render_ip spells it, and
+distinct variables X_i/Y_i with i < MAX_SLOTS and exponents 1..EXP_MASK,
+written in slot order, so no token can alias another monomial.  A bad level is
+refused when it is first read, with the file and the line named; before a
+cache file is rewritten every level in it is parsed, so corrupt data is
+refused rather than written back.  Nothing re-checks the ghost identities; a
+well-formed but wrong coefficient is read as it stands.
 
 Generation cost is governed by the number of monomials of weighted degree p^n
-(weights deg X_i = p^i), and nearly all of it goes into the p-th powers of
-lower levels.  Those are taken by Kronecker substitution (``_kron_mul``): the
-terms of each operand are grouped by their key with the X0 and X1 fields
-cleared and by s = e0 + w*e1, each group's coefficients are packed into one
-integer at digit e1, and the product multiplies group by group, one big-integer
-product per pair of groups.  With w = p the groups are dense: X1 weighs p times
-X0 under the grading that makes the levels homogeneous (total weight for add,
-X-block weight for mul and neg), so fixing the other variables fixes s and a
-group holds every power of X1 its terms use, 2 to 10 terms in practice.
+(weights deg X_i = p^i), and nearly all of it goes into the powers
+T_i^(p^(n-i)) of lower levels.  Each is taken from T_i itself by repeated
+squaring, so a product that is not a square has the small T_i as one factor.
+Products are taken by Kronecker substitution (``_kron_mul``): the terms of
+each operand are grouped by their key with the X0 and X1 fields cleared and by
+s = e0 + w*e1, each group's coefficients are packed into one integer at digit
+e1, and the product multiplies group by group, one big-integer product per
+pair of groups; a square visits each unordered pair once.  With w = p the
+groups are dense: X1 weighs p times X0 under the grading that makes the levels
+homogeneous (total weight for add, X-block weight for mul and neg), so fixing
+the other variables fixes s and a group holds every power of X1 its terms
+use, 2 to 10 terms in practice.  Writing a table renders each key as its X
+half and its Y half, each through a memo (``render_ip``).
 
 The monomial count explodes combinatorially: for p = 5 the level-4 addition
 polynomial already has more than 10^8 potential terms with coefficients of
@@ -56,7 +60,6 @@ from __future__ import annotations
 import functools
 import os
 import re
-import struct
 import sys
 import tempfile
 
@@ -131,7 +134,8 @@ def ip_mul(a, b):
 
 
 def ip_pow(a, n, mul=ip_mul):
-    """a**n by repeated squaring with the product ``mul``."""
+    """a**n by repeated squaring with the product ``mul``; a square passes one
+    object as both factors, which ``_kron_mul`` takes as its cue to square."""
     if n == 0:
         return {0: 1}
     if n == 1:
@@ -170,13 +174,24 @@ def _kron_mul(a, b, w):
     # each digit of the product is a coefficient sum bounded by l1(a) * l1(b)
     bits = (sum(map(abs, a.values())) * sum(map(abs, b.values()))).bit_length() + 1
     sbits = ((1 + w) * EXP_MASK).bit_length()  # s of a product monomial fits
-    ga, gb = _kron_pack(a, w, bits, sbits), _kron_pack(b, w, bits, sbits)
+    ga = _kron_pack(a, w, bits, sbits)
     prod = {}
     get = prod.get
-    for g1, v1 in ga.items():
-        for g2, v2 in gb.items():
-            g = g1 + g2
-            prod[g] = get(g, 0) + v1 * v2
+    if a is b:  # a square: each unordered pair of groups once
+        items = list(ga.items())
+        for i, (g1, v1) in enumerate(items):
+            g = g1 + g1
+            prod[g] = get(g, 0) + v1 * v1
+            v1 <<= 1
+            for g2, v2 in items[i + 1:]:
+                g = g1 + g2
+                prod[g] = get(g, 0) + v1 * v2
+    else:
+        gb = _kron_pack(b, w, bits, sbits)
+        for g1, v1 in ga.items():
+            for g2, v2 in gb.items():
+                g = g1 + g2
+                prod[g] = get(g, 0) + v1 * v2
     mask, half, smask = (1 << bits) - 1, 1 << (bits - 1), (1 << sbits) - 1
     out = {}
     for g, v in prod.items():
@@ -295,17 +310,10 @@ def solve_levels(p, op, N, known=None):
     levels = [dict(t) for t in (known or [])][:N]
     _check_limits(p, op, len(levels), N)
     mul = functools.partial(_kron_mul, w=p)
-    # pow_cache[i] holds T_i^(p^(n-1-i)) while processing level n
-    pow_cache = {}
     for n in range(len(levels), N):
         numerator = _ghost_target(p, n, op)
-        for i in range(n):
-            prev = pow_cache.get(i)
-            if prev is None:
-                prev = ip_pow(levels[i], p ** (n - 1 - i), mul)
-            cur = ip_pow(prev, p, mul)
-            pow_cache[i] = cur
-            ip_add_inplace(numerator, cur, scale=-(p**i))
+        for i in range(n):  # from T_i: each product that is not a square has T_i as a factor
+            ip_add_inplace(numerator, ip_pow(levels[i], p ** (n - i), mul), scale=-(p**i))
         q = p**n
         level = {}
         for k, c in numerator.items():
@@ -360,31 +368,53 @@ def check_triangular(levels, op):
 # text format and disk cache
 # ---------------------------------------------------------------------------
 
-_NAMES = tuple(f"X{i}" for i in range(MAX_SLOTS)) + tuple(f"Y{i}" for i in range(MAX_SLOTS))
-_FIELDS = struct.Struct(f"<{2 * MAX_SLOTS}H")  # a key's exponent fields, in slot order
+_HALF_BITS = SHIFT * MAX_SLOTS  # a key is its X half, then its Y half
+_HALF_MASK = (1 << _HALF_BITS) - 1
+
+
+class _HalfText(dict):
+    """Memo: one half of a packed key -> its text, e.g. ``*X1*X3^2``."""
+
+    def __init__(self, letter):
+        super().__init__()
+        self.letter = letter
+
+    def __missing__(self, half):
+        letter = self.letter
+        text = self[half] = "".join(
+            f"*{letter}{i}^{e}" if e > 1 else f"*{letter}{i}" for i, e in key_exponents(half)
+        )
+        return text
 
 
 def render_ip(poly):
+    """Text of an integer polynomial: terms ``c*X0^2*Y1`` in key order, joined by " + ".
+
+    Each key is rendered as its X half then its Y half, each through a memo
+    that lives for one call: the halves repeat far more than the keys.
+    """
     if not poly:
         return "0"
-    parts = []
-    for key in sorted(poly):
-        bits = [str(poly[key])]
-        for name, e in zip(_NAMES, _FIELDS.unpack(key.to_bytes(_FIELDS.size, "little"))):
-            if e:
-                bits.append(name if e == 1 else f"{name}^{e}")
-        parts.append("*".join(bits))
-    return " + ".join(parts)
+    xs, ys = _HalfText("X"), _HalfText("Y")
+    return " + ".join(
+        [f"{poly[key]}{xs[key & _HALF_MASK]}{ys[key >> _HALF_BITS]}" for key in sorted(poly)]
+    )
 
 
-_TOKEN = re.compile(r"([XY])(0|[1-9][0-9]*)(?:\^([1-9][0-9]*))?")
+# The patterns are compiled at their first use, through the cache of ``re``:
+# a process that only generates tables parses nothing.
+_NOT_SPACE = b"0123456789-*XY^+"  # every character render_ip writes but the space
+# a coefficient after the first that int() reads but render_ip never writes:
+# signed "+", or with a leading zero (zero itself included)
+_BAD_COEFFICIENT = r"\+ [+0]|\+ -0"
+_TOKEN = r"([XY])(0|[1-9][0-9]*)(?:\^([1-9][0-9]*))?"
 # variable token (``X1``, ``Y0^3``) -> (packed exponent, lowest key of its slot);
 # a memo of _token, which validates each distinct token once, when first seen
 _TOKENS = {}
 
 
 def _token(tok):
-    m = _TOKEN.fullmatch(tok)
+    m = re.fullmatch(_TOKEN, tok)
     if m is None:
         raise CacheCorrupt(f"bad variable token {tok!r}")
     letter, index, es = m.groups()
@@ -399,32 +429,39 @@ def _token(tok):
 def parse_ip(text):
     """Inverse of render_ip.
 
-    Raises CacheCorrupt on a malformed term, a zero coefficient, a variable
-    outside the packed key range, variables repeated or out of slot order
-    within a term, and a repeated monomial; render_ip writes none of these.
+    Raises CacheCorrupt on a malformed term, a space other than those of the
+    " + " separators, a coefficient spelled as render_ip never spells one
+    (``+1``, ``01``, ``1_0``, zero), a variable outside the packed key range,
+    variables repeated or out of slot order within a term, and a repeated
+    monomial; render_ip writes none of these.  The spaces, characters and
+    coefficient spellings are checked by scans of the whole text.
     """
-    text = text.strip()
     if text == "0":
         return {}
+    parts = text.split(" + ")
+    # one scan checks the characters and the spaces: all that may be left is
+    # the two spaces of each separator
+    if text.encode("ascii", "replace").translate(None, _NOT_SPACE) != b" " * (2 * len(parts) - 2):
+        raise CacheCorrupt("a character, or a space outside a ' + ' separator")
+    if text.startswith(("+", "0", "-0")) or re.search(_BAD_COEFFICIENT, text):
+        raise CacheCorrupt("a coefficient signed '+' or with a leading zero")
     poly = {}
     token = _TOKENS.get
-    for part in text.split(" + "):
+    for part in parts:
         bits = part.split("*")
         try:
             c = int(bits[0])
         except ValueError as exc:
             raise CacheCorrupt(f"bad coefficient in {part!r}") from exc
-        if not c:
-            raise CacheCorrupt(f"zero coefficient in {part!r}")
         key = 0
         for tok in bits[1:]:
             exp, floor = token(tok) or _token(tok)
             if floor <= key:  # a slot at or below one already read
                 raise CacheCorrupt(f"variables repeated or out of order in {part!r}")
             key += exp
-        if key in poly:
-            raise CacheCorrupt(f"repeated monomial in {part!r}")
         poly[key] = c
+    if len(poly) != len(parts):
+        raise CacheCorrupt("a repeated monomial")
     return poly
 
 
@@ -458,11 +495,11 @@ def load_cache(p, cache_dir):
     with open(path, "r", encoding="ascii") as fh:
         try:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
+                line = line.rstrip("\n")  # the body is kept as written, spaces and all
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    head, _, body = line.partition(":")
+                    head, _, body = line.partition(": ")
                     opname, ns = head.split()
                     n = int(ns)
                 except ValueError:
@@ -506,10 +543,6 @@ def write_cache(p, cache_dir, tables):
 # ---------------------------------------------------------------------------
 # the table object used by Witt arithmetic
 # ---------------------------------------------------------------------------
-
-_HALF_BITS = SHIFT * MAX_SLOTS  # a key is its X half, then its Y half
-_HALF_MASK = (1 << _HALF_BITS) - 1
-
 
 class _FoldedHalves(dict):
     """Memo: one half of a packed key -> that half folded by x^q = x."""

@@ -8,8 +8,6 @@ import pytest
 from wittgrass.errors import NonUnit, UsageError
 from wittgrass.fields import GF
 from wittgrass.greenberg import (
-    RealizedMap,
-    coord_ring,
     generic_vectors,
     localized_transition,
     parse_witt_map,
@@ -22,7 +20,6 @@ from wittgrass.poly import Polynomial, parse_polynomial
 from wittgrass.structure import MAX_SLOTS, gen_structure_polys, key_exponents
 from wittgrass.witt import (
     WittVector,
-    mat_det,
     random_sl,
     teichmuller,
     witt_from_int,

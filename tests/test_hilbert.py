@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wittgrass.errors import NotDominant, UsageError, WindowTooSmall
 from wittgrass.fields import GF
-from wittgrass.groebner import buchberger, ideal_contains
+from wittgrass.groebner import buchberger
 from wittgrass.hilbert import (
     GradedIdeal,
     _independent,

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never reads.
+"""Source hygiene: no module of the package or of its tests imports a name it
+never reads.
 
 pyflakes and ruff are not dependencies, so the check is a small ``ast`` scan.
 A name counts as read when any ``Name`` node of the module carries it, in any
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wittgrass"
-MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "wittgrass"
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source):
@@ -51,7 +53,9 @@ def test_the_scan_finds_an_unused_import():
 
 
 def test_modules_found():
-    assert {"cli.py", "lattice.py", "witt.py"} <= {m.name for m in MODULES}
+    names = {m.name for m in MODULES}
+    assert {"cli.py", "lattice.py", "witt.py", "conftest.py", "test_hygiene.py"} <= names
+    assert len(names) == len(MODULES)  # the names are the test ids
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,5 +1,6 @@
 """Structure polynomial generation: ghost identities, triangularity, cache."""
 
+import hashlib
 import os
 
 import pytest
@@ -182,6 +183,18 @@ def _record_parses(monkeypatch):
         "1*X0^65535*X0",  # repeated variable: would alias X1
         "1*Y0*X0",  # out of slot order
         "1*X0 + 2*X0",  # repeated monomial
+        # coefficients and spaces that int() reads but render_ip never writes
+        "1_0*X0",
+        "-1_1*X0*Y0",
+        "+1*X0",
+        "1*X0 + +1*Y0",
+        "01*X0",
+        "-01*X0",
+        " 1*X0",
+        "1 *X0",
+        "1*X0 +  1*Y0",
+        "1*X0 ",
+        "1\t*X0",
     ],
 )
 def test_cache_rejects_terms_render_ip_never_writes(tmp_path, body):
@@ -230,6 +243,26 @@ def test_kronecker_product_matches_schoolbook(f, g, w, cancel):
     if cancel:  # (f + g)(f - g): the cross terms cancel
         f, g = st.ip_add_inplace(dict(f), g), st.ip_add_inplace(dict(f), g, scale=-1)
     assert st._kron_mul(f, g, w) == st.ip_mul(f, g)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_factor_polys, hst.integers(1, 5))
+def test_kronecker_square_matches_schoolbook(f, w):
+    # the operand passed twice takes the path over unordered pairs of groups;
+    # an equal copy takes the general one
+    square = st.ip_mul(f, f)
+    assert st._kron_mul(f, f, w) == square
+    assert st._kron_mul(f, dict(f), w) == square
+
+
+@pytest.mark.parametrize("p,N,digest", [
+    (2, 6, "e9c38400fd8082e06aa6e4d02269d557ab81f6bf690183487cdcf77435399d91"),
+    (5, 4, "fb19fd38f6ee17c40e2252dbef19a17a915cfb531f4e5706133960d40794522d"),
+])
+def test_generated_cache_files_keep_their_bytes(tmp_path, p, N, digest):
+    st.StructurePolynomialTable.get(p, N, cache_dir=str(tmp_path))
+    body = (tmp_path / f"structure_p{p}.txt").read_bytes()
+    assert hashlib.sha256(body).hexdigest() == digest
 
 
 def test_tables_reduce_only_the_ops_a_call_evaluates(tmp_path, monkeypatch):
