@@ -8,10 +8,11 @@ inputs and seeds; --format json switches to a stable machine-readable schema
 
 Importing this module loads only errors and fields.  Each subcommand imports
 its modules when it runs, so a one-shot process loads, and with bytecode
-writing off compiles, only what it uses: a ``witt`` call loads structure,
-witt and textio (which brings poly and rings); ``lattice enumerate`` and
+writing off compiles, only what it uses: a ``witt`` call over F_q loads
+structure, witt and textio, and rings as well with ``--laurent``;
+``greenberg realize`` adds greenberg and poly; ``lattice enumerate`` and
 ``grass count`` load lattice and galois, and ``zadic`` for the z-adic count;
-``lattice snf`` and ``classify`` add textio, poly and rings.
+``lattice snf`` and ``classify`` add only textio to those two.
 ``witt_cell_table``, ``witt_arith`` and ``witt_inv`` are attributes of this
 module, resolved on first use by the module ``__getattr__``, so that they can
 be patched and wrapped.  Lazily imported functions are never stored in this

@@ -40,7 +40,7 @@ from .witt import WittVector, teichmuller, witt_from_int, random_sl
 POINTS_GUARD = 1 << 20
 
 
-def points_lattice(I, q=None, shift=0, check_stable=True):
+def points_lattice(I, shift=0, check_stable=True):
     """Lattice spanned by the F_q points of V(I) in W_N(F_q)^n, unshifted.
 
     The points are lifted to the lattice M they generate together with
@@ -51,8 +51,6 @@ def points_lattice(I, q=None, shift=0, check_stable=True):
     fails.  With check_stable the Groebner stability test runs first.
     """
     field = I.ring.coeff
-    if q is not None and field.q != q:
-        raise UsageError(f"ideal lives over GF({field.q}), not GF({q})")
     n, N = I.n, I.N
     if field.q ** (n * N) > POINTS_GUARD:
         raise SizeGuard(
@@ -107,7 +105,7 @@ def standard_cell_lattice(field, lam, prec=None):
 # degeneration families as ideals over F_q(t)
 # ---------------------------------------------------------------------------
 
-def degeneration_family_ideal(field, e, d, N=None, tvar="t"):
+def degeneration_family_ideal(field, e, d, N=None):
     """Ideal over F_q(t) of the family lattice with columns
     (p^(e-1-d), 0) and ([t^2], p) inside W_N^2 (the window -d shifted model).
 
@@ -119,7 +117,7 @@ def degeneration_family_ideal(field, e, d, N=None, tvar="t"):
         raise UsageError("family needs e > d")
     if N is None:
         N = max(e - d, 2)
-    K = RationalFunctionField(field, tvar)
+    K = RationalFunctionField(field)
     p = field.p
     nparams = 2 * N
     names = tuple(f"w[{l},{j}]" for l in range(1, 3) for j in range(N))
@@ -142,7 +140,7 @@ def degeneration_family_ideal(field, e, d, N=None, tvar="t"):
     from .groebner import buchberger
 
     gb = buchberger(relations)
-    fam = family_ring(field, 2, N, tvar)
+    fam = family_ring(field, 2, N)
     coord_only = []
     for g in gb:
         if all(not any(m[:nparams]) for m in g.terms):
@@ -159,7 +157,7 @@ def degeneration_family_ideal(field, e, d, N=None, tvar="t"):
 # the image report
 # ---------------------------------------------------------------------------
 
-def image_check(lam, q=2, samples=20, seed=7, N=None):
+def image_check(lam, q=2, samples=20, seed=7):
     """Sample the ideal-to-lattice map over the orbit and its degenerations.
 
     Reports the observed cells of (a) random orbit images of the cocharacter
@@ -180,8 +178,7 @@ def image_check(lam, q=2, samples=20, seed=7, N=None):
             "n*|lambda_n| <= 4"
         )
     field = GF(q)
-    if N is None:
-        N = tilde1 + 1
+    N = tilde1 + 1
     rng = random.Random(seed)
     window = -lam[-1]
 

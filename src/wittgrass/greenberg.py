@@ -18,7 +18,8 @@ from __future__ import annotations
 import re
 
 from .errors import NonUnit, NotPerfect, RingMismatch, UsageError
-from .poly import PolyRing, Polynomial, parse_polynomial
+from .poly import PolyRing, Polynomial
+from .textio import parse_expression
 from .witt import (
     WittVector,
     mat_det,
@@ -29,20 +30,17 @@ from .witt import (
 )
 
 
-def coord_names(arity, N, letter="x"):
-    return tuple(f"{letter}[{i},{j}]" for i in range(1, arity + 1) for j in range(N))
+# Witt polynomial maps are read in at most this many variables, so that a
+# mistyped index cannot build a coordinate ring of millions of variables.
+MAX_ARITY = 16
 
 
-def coord_weights(arity, N, p):
-    return tuple(p**j for _ in range(arity) for j in range(N))
-
-
-def coord_ring(scalar, arity, N, letter="x"):
+def coord_ring(scalar, arity, N):
     """k[x[i,j]] with the module grading deg x[i,j] = p^j."""
     return PolyRing(
         scalar,
-        coord_names(arity, N, letter),
-        coord_weights(arity, N, scalar.p),
+        tuple(f"x[{i},{j}]" for i in range(1, arity + 1) for j in range(N)),
+        tuple(scalar.p**j for _ in range(arity) for j in range(N)),
     )
 
 
@@ -144,9 +142,9 @@ class RealizedIdeal:
         return "\n".join(f"GEN {i}: {g!r}" for i, g in enumerate(self.generators))
 
 
-def generic_vectors(scalar, arity, N, ring=None):
+def generic_vectors(scalar, arity, N):
     """Witt vectors of polynomial variables: the universal point of A^arity."""
-    ring = ring or coord_ring(scalar, arity, N)
+    ring = coord_ring(scalar, arity, N)
     vecs = []
     for l in range(arity):
         coords = [ring.var(l * N + m) for m in range(N)]
@@ -228,24 +226,29 @@ def realize_action(g):
 def parse_witt_map(text, scalar, N):
     """Parse ``"T1*T2-1; T1+T2"`` into polynomials over W_N(scalar).
 
-    The arity is the largest T-index that occurs.  Over F_q with q > p, ``u``
-    is the Teichmueller lift of the generator of F_q.
+    The arity is the largest T-index that occurs, at most MAX_ARITY.  Over
+    F_q with q > p, ``u`` is the Teichmueller lift of the generator of F_q.
     """
     parts = [part.strip() for part in text.split(";") if part.strip()]
     if not parts:
         raise UsageError("empty map text")
-    arity = max([1] + [int(i) for i in re.findall(r"T(\d+)", text)])
+    found = re.findall(r"T([0-9]+)", text)
+    # the length test comes first: int() refuses very long digit strings
+    if any(len(i) > 4 or int(i) > MAX_ARITY for i in found):
+        raise UsageError(f"Witt maps take at most {MAX_ARITY} variables, T1..T{MAX_ARITY}")
+    arity = max([1] + [int(i) for i in found])
     R = witt_poly_ring(scalar, N, arity)
-    u = teichmuller(scalar, scalar.gen(), N) if scalar.e > 1 else None
+    u = R.const(teichmuller(scalar, scalar.gen(), N)) if scalar.e > 1 else None
 
     def resolve(name, indices):
-        if indices is None and name.startswith("T") and name[1:].isdigit():
-            l = int(name[1:])
+        var = re.fullmatch(r"T([0-9]+)", name)
+        if indices is None and var:
+            l = int(var[1])
             if not (1 <= l <= arity):
                 raise UsageError(f"variable {name} outside arity {arity}")
-            return ("var", l - 1)
+            return R.var(l - 1)
         if indices is None and name == "u" and u is not None:
-            return ("coeff", u)
+            return u
         raise UsageError(f"unknown symbol {name!r} in Witt polynomial")
 
-    return [parse_polynomial(R, part, resolve) for part in parts]
+    return [parse_expression(R, part, resolve) for part in parts]

@@ -336,176 +336,3 @@ class PolyRing:
 
     def __repr__(self):
         return f"{self.coeff!r}[{','.join(self.names)}]"
-
-
-# ---------------------------------------------------------------------------
-# shared expression parser
-# ---------------------------------------------------------------------------
-
-class _Tokens:
-    def __init__(self, text):
-        self.toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", int(text[i:j])))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j]))
-                i = j
-            elif ch in "+-*^()[],":
-                self.toks.append((ch, ch))
-                i += 1
-            else:
-                raise UsageError(f"unexpected character {ch!r} in polynomial text")
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise UsageError(f"expected {kind!r}, found {tok[1]!r}")
-        return tok
-
-
-def parse_expression(text, algebra):
-    """Recursive-descent parser over an algebra of callbacks.
-
-    ``algebra`` provides from_int(n), atom(name, indices) -> (kind, value)
-    with kind in {"var", "coeff"}, plus var(value), const(value) and pow_coeff
-    (value, n).  Values combine with the node type's own +, -, *, ** operators.
-    """
-    toks = _Tokens(text)
-
-    def parse_expr():
-        node = parse_term()
-        while True:
-            kind, _ = toks.peek()
-            if kind == "+":
-                toks.next()
-                node = node + parse_term()
-            elif kind == "-":
-                toks.next()
-                node = node - parse_term()
-            else:
-                return node
-
-    def parse_term():
-        node = parse_factor()
-        while True:
-            kind, _ = toks.peek()
-            if kind == "*":
-                toks.next()
-                node = node * parse_factor()
-            else:
-                return node
-
-    def parse_factor():
-        if toks.peek()[0] == "-":
-            toks.next()
-            return -parse_factor()
-        node, atom_kind, atom_val = parse_atom()
-        kind, _ = toks.peek()
-        if kind == "^":
-            toks.next()
-            sign = 1
-            if toks.peek()[0] == "-":
-                toks.next()
-                sign = -1
-            n = toks.expect("int")[1] * sign
-            if n >= 0 and atom_kind != "coeff":
-                return node**n
-            if atom_kind != "coeff":
-                raise UsageError("negative exponents only apply to coefficient units")
-            return algebra.const(algebra.pow_coeff(atom_val, n))
-        return node
-
-    def read_int():
-        sign = 1
-        if toks.peek()[0] == "-":
-            toks.next()
-            sign = -1
-        return sign * toks.expect("int")[1]
-
-    def parse_atom():
-        kind, val = toks.next()
-        if kind == "int":
-            return algebra.from_int(val), "int", val
-        if kind == "(":
-            node = parse_expr()
-            toks.expect(")")
-            return node, "expr", None
-        if kind == "name":
-            indices = None
-            if toks.peek()[0] == "[":
-                toks.next()
-                i = read_int()
-                toks.expect(",")
-                j = read_int()
-                toks.expect("]")
-                indices = (i, j)
-            what, payload = algebra.atom(val, indices)
-            if what == "var":
-                return algebra.var(payload), "var", None
-            if what == "coeff":
-                return algebra.const(payload), "coeff", payload
-            raise UsageError(f"cannot resolve {val!r}")
-        raise UsageError(f"unexpected token {val!r}")
-
-    node = parse_expr()
-    if toks.peek()[0] is not None:
-        raise UsageError(f"trailing input at {toks.peek()[1]!r}")
-    return node
-
-
-class _PolyAlgebra:
-    def __init__(self, ring, resolve):
-        self.ring = ring
-        self.resolve = resolve
-
-    def from_int(self, n):
-        return self.ring.from_int(n)
-
-    def atom(self, name, indices):
-        return self.resolve(name, indices)
-
-    def var(self, index):
-        return self.ring.var(index)
-
-    def const(self, c):
-        return self.ring.const(c)
-
-    def pow_coeff(self, c, n):
-        return c**n
-
-
-def parse_polynomial(ring, text, resolve=None):
-    """Parse an expression into a Polynomial of ``ring``.
-
-    ``resolve(name, indices)`` maps an identifier (with optional ``[i,j]``
-    index suffix) to ("var", index) or ("coeff", element).  The default
-    resolver knows the ring's own variable names, written either bare or as
-    ``x[i,j]`` style indexed names.
-    """
-    if resolve is None:
-        def resolve(name, indices):
-            display = name if indices is None else f"{name}[{indices[0]},{indices[1]}]"
-            return ("var", ring.index_of(display))
-
-    return parse_expression(text, _PolyAlgebra(ring, resolve))

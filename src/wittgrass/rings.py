@@ -86,22 +86,22 @@ def ugcd(field, a, b):
     return a
 
 
-def urender(field, a, var="t"):
-    if not a:
-        return "0"
+def render_terms(terms):
+    """Text of sum c*t^k over the (k, c) pairs, given highest power first."""
     parts = []
-    for k in range(len(a) - 1, -1, -1):
-        c = a[k]
-        if c.is_zero():
-            continue
+    for k, c in terms:
         cs = repr(c)
         need_paren = "+" in cs or "-" in cs[1:]
         if k == 0:
             parts.append(f"({cs})" if need_paren else cs)
             continue
         head = "" if cs == "1" else (f"({cs})*" if need_paren else f"{cs}*")
-        parts.append(f"{head}{var}" if k == 1 else f"{head}{var}^{k}")
-    return "+".join(parts)
+        parts.append(f"{head}t" if k == 1 else f"{head}t^{k}")
+    return "+".join(parts) if parts else "0"
+
+
+def urender(a):
+    return render_terms((k, a[k]) for k in range(len(a) - 1, -1, -1) if not a[k].is_zero())
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +158,7 @@ class LaurentElt:
         raise NotPerfect("Laurent polynomial rings are not perfect")
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        var = self.ring.var
-        parts = []
-        for k, c in reversed(self.terms):
-            cs = repr(c)
-            need_paren = "+" in cs or "-" in cs[1:]
-            if k == 0:
-                parts.append(f"({cs})" if need_paren else cs)
-                continue
-            head = "" if cs == "1" else (f"({cs})*" if need_paren else f"{cs}*")
-            parts.append(f"{head}{var}" if k == 1 else f"{head}{var}^{k}")
-        return "+".join(parts)
+        return render_terms(reversed(self.terms))
 
 
 class LaurentRing:
@@ -178,19 +166,18 @@ class LaurentRing:
 
     _cache: dict = {}
 
-    def __new__(cls, field, var="t"):
-        key = (id(field), var)
+    def __new__(cls, field):
+        key = id(field)
         if key in cls._cache:
             return cls._cache[key]
         self = super().__new__(cls)
         cls._cache[key] = self
         return self
 
-    def __init__(self, field, var="t"):
+    def __init__(self, field):
         if getattr(self, "_ready", False):
             return
         self.field = field
-        self.var = var
         self.p = field.p
         self.is_perfect = False
         self.zero = LaurentElt(self, ())
@@ -251,7 +238,7 @@ class LaurentRing:
         raise NotPerfect("Laurent polynomial rings are not perfect")
 
     def __repr__(self):
-        return f"{self.field!r}[{self.var},{self.var}^-1]"
+        return f"{self.field!r}[t,t^-1]"
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +292,10 @@ class RatFunc:
 
     def __repr__(self):
         k = self.field.base
-        ns = urender(k, self.num, self.field.var)
+        ns = urender(self.num)
         if self.den == (k.one,):
             return ns
-        return f"({ns})/({urender(k, self.den, self.field.var)})"
+        return f"({ns})/({urender(self.den)})"
 
 
 class RationalFunctionField:
@@ -316,19 +303,18 @@ class RationalFunctionField:
 
     _cache: dict = {}
 
-    def __new__(cls, base, var="t"):
-        key = (id(base), var)
+    def __new__(cls, base):
+        key = id(base)
         if key in cls._cache:
             return cls._cache[key]
         self = super().__new__(cls)
         cls._cache[key] = self
         return self
 
-    def __init__(self, base, var="t"):
+    def __init__(self, base):
         if getattr(self, "_ready", False):
             return
         self.base = base
-        self.var = var
         self.p = base.p
         self.is_perfect = False
         self.zero = RatFunc(self, (), (base.one,))
@@ -411,4 +397,4 @@ class RationalFunctionField:
         raise NotPerfect("F_q(t) is not perfect")
 
     def __repr__(self):
-        return f"{self.base!r}({self.var})"
+        return f"{self.base!r}(t)"

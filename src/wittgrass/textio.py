@@ -1,54 +1,175 @@
-"""Text formats for the CLI: ring-element, Witt-vector and matrix literals.
+"""Text formats for the CLI: ring-element, polynomial, Witt-vector and matrix
+literals.
 
-Witt vectors print and parse as ``(a0,a1,...)`` with one coefficient-ring
-literal per coordinate (``u+1`` in F_4, ``t^-2+1`` over Laurent coefficients).
-Valuation-shifted numbers are ``p^v*(a0,...)``; matrices are semicolon-
-separated rows of comma-separated entries, commas inside parentheses binding
-to their entry.  Every printer output parses back to an equal value.
+One expression parser reads every polynomial-like literal: a coordinate of a
+Witt vector (``u+1`` in F_4, ``t^-2+1`` over Laurent coefficients), an ideal
+generator in the ``x[i,j]``, a Witt polynomial map in T1..Td.  It builds
+elements of the ring it is given: an integer is ``ring.from_int(n)``, a symbol
+is what the caller's ``resolve(name, indices)`` returns, and the values
+combine with their own + - * **.  Witt vectors print and parse as
+``(a0,a1,...)``, one coefficient literal per coordinate.  Valuation-shifted
+numbers are ``p^v*(a0,...)``; matrices are semicolon-separated rows of
+comma-separated entries, commas inside parentheses binding to their entry.
+Every printer output parses back to an equal value.
 
-``lattice`` is imported only by the p-adic parsers and ``witt`` only by
-parse_witt_vector, so Witt-vector commands do not load ``lattice``, and the
-p-adic commands (``lattice snf`` and ``classify``) load neither ``witt`` nor
-``structure``.
+This module imports no ring at module level: ``rings`` only when a literal is
+read over F_q[t,1/t] or F_q(t), ``witt`` only in parse_witt_vector and
+``lattice`` only in the p-adic parsers.  So a Witt-vector command over F_q
+loads neither ``poly`` nor ``rings``, and the p-adic commands (``lattice snf``
+and ``classify``) load neither ``witt`` nor ``structure``.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import UsageError
-from .poly import PolyRing, parse_polynomial
-from .rings import LaurentRing, RationalFunctionField
+from .fields import FiniteField
+
+# Parentheses nested deeper than this are refused before Python's recursion
+# limit is reached.
+MAX_NESTING = 200
+
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
+
+
+def _tokens(text):
+    toks = []
+    for digits, name, ch in _TOKEN.findall(text):
+        if digits:
+            try:
+                toks.append(("int", int(digits)))
+            except ValueError:  # beyond the interpreter's limit on digits
+                raise UsageError(f"integer literal of {len(digits)} digits is too long") from None
+        elif name:
+            toks.append(("name", name))
+        elif ch in "+-*^()[],":
+            toks.append((ch, ch))
+        else:
+            raise UsageError(f"unexpected character {ch!r} in polynomial text")
+    return toks
+
+
+def parse_expression(ring, text, resolve):
+    """Parse a polynomial expression into an element of ``ring``.
+
+    An integer is ``ring.from_int(n)``; a symbol, with an optional ``[i,j]``
+    index suffix, is ``resolve(name, indices)``, an element of ``ring``.  A
+    negative exponent applies only to a symbol whose value is a unit.
+    """
+    toks = _tokens(text)
+    pos = 0
+
+    def peek():
+        return toks[pos] if pos < len(toks) else (None, None)
+
+    def take(kind=None):
+        nonlocal pos
+        tok = peek()
+        if kind is not None and tok[0] != kind:
+            raise UsageError(f"expected {kind!r}, found {tok[1]!r}")
+        pos += 1
+        return tok
+
+    def read_int():
+        if peek()[0] == "-":
+            take()
+            return -take("int")[1]
+        return take("int")[1]
+
+    def parse_expr(depth):
+        node = parse_term(depth)
+        while peek()[0] in ("+", "-"):
+            if take()[0] == "+":
+                node = node + parse_term(depth)
+            else:
+                node = node - parse_term(depth)
+        return node
+
+    def parse_term(depth):
+        node = parse_factor(depth)
+        while peek()[0] == "*":
+            take()
+            node = node * parse_factor(depth)
+        return node
+
+    def parse_factor(depth):
+        negate = False
+        while peek()[0] == "-":
+            take()
+            negate = not negate
+        kind, val = take()
+        if kind == "int":
+            node = ring.from_int(val)
+        elif kind == "(":
+            if depth >= MAX_NESTING:
+                raise UsageError(
+                    f"expression nested too deeply: more than {MAX_NESTING} parentheses"
+                )
+            node = parse_expr(depth + 1)
+            take(")")
+        elif kind == "name":
+            indices = None
+            if peek()[0] == "[":
+                take()
+                i = read_int()
+                take(",")
+                indices = (i, read_int())
+                take("]")
+            node = resolve(val, indices)
+        else:
+            raise UsageError(f"unexpected token {val!r}")
+        if peek()[0] == "^":
+            take()
+            n = read_int()
+            if n < 0 and not (kind == "name" and node.is_unit()):
+                raise UsageError("negative exponents only apply to coefficient units")
+            node = node**n
+        return -node if negate else node
+
+    node = parse_expr(0)
+    if peek()[0] is not None:
+        raise UsageError(f"trailing input at {peek()[1]!r}")
+    return node
+
+
+def parse_polynomial(ring, text):
+    """Parse an expression into a Polynomial of the PolyRing ``ring``, whose
+    variables are written by their names, bare or indexed like ``x[i,j]``."""
+
+    def resolve(name, indices):
+        display = name if indices is None else f"{name}[{indices[0]},{indices[1]}]"
+        return ring.var(ring.index_of(display))
+
+    return parse_expression(ring, text, resolve)
 
 
 def scalar_resolver(ring):
-    """Resolver mapping u (field generator) and t (Laurent/rational variable)
-    into the coefficient ring ``ring``."""
+    """Resolver of u (the generator of F_q) and t (the variable of
+    F_q[t,1/t] or F_q(t)) to elements of the coefficient ring ``ring``."""
+    if isinstance(ring, FiniteField):
+        symbols = {"u": ring.gen}
+    else:
+        from .rings import LaurentRing
+
+        if isinstance(ring, LaurentRing):
+            symbols = {"u": lambda: ring.const(ring.field.gen()), "t": lambda: ring.monomial(1)}
+        else:
+            symbols = {"u": lambda: ring.const(ring.base.gen()), "t": lambda: ring.t_power(1)}
 
     def resolve(name, indices):
         if indices is not None:
             raise UsageError(f"unexpected indexed symbol {name}[..] in a scalar")
-        if name == "u":
-            if isinstance(ring, LaurentRing):
-                return ("coeff", ring.const(ring.field.gen()))
-            if isinstance(ring, RationalFunctionField):
-                return ("coeff", ring.const(ring.base.gen()))
-            return ("coeff", ring.gen())
-        if name == "t":
-            if isinstance(ring, LaurentRing):
-                return ("coeff", ring.monomial(1))
-            if isinstance(ring, RationalFunctionField):
-                return ("coeff", ring.t_power(1))
-        raise UsageError(f"unknown scalar symbol {name!r}")
+        if name not in symbols:
+            raise UsageError(f"unknown scalar symbol {name!r}")
+        return symbols[name]()
 
     return resolve
 
 
 def parse_scalar(ring, text):
     """Parse a coefficient-ring literal (a polynomial expression in u, t)."""
-    shell = PolyRing(ring, (), ())
-    poly = parse_polynomial(shell, text, resolve=scalar_resolver(ring))
-    if poly.is_zero():
-        return ring.zero
-    return poly.terms[()]
+    return parse_expression(ring, text, scalar_resolver(ring))
 
 
 def split_top_level(text, sep):
@@ -159,19 +280,18 @@ def parse_cocharacter(text):
         raise UsageError(f"bad cocharacter literal {text!r}") from None
 
 
-def coordinate_resolver(ring, scalar_ring):
-    """Resolver for ideal/family polynomial text: x[i,j] are variables,
-    u and t are scalars."""
-    fallback = scalar_resolver(scalar_ring)
+def coordinate_resolver(ring):
+    """Resolver for ideal and family text over the PolyRing ``ring``: x[i,j]
+    are its variables, u and t scalars of its coefficient ring."""
+    scalar = scalar_resolver(ring.coeff)
 
     def resolve(name, indices):
         if name == "x" and indices is not None:
-            display = f"x[{indices[0]},{indices[1]}]"
-            return ("var", ring.index_of(display))
-        return fallback(name, indices)
+            return ring.var(ring.index_of(f"x[{indices[0]},{indices[1]}]"))
+        return ring.const(scalar(name, indices))
 
     return resolve
 
 
 def parse_coordinate_poly(ring, text):
-    return parse_polynomial(ring, text, resolve=coordinate_resolver(ring, ring.coeff))
+    return parse_expression(ring, text, coordinate_resolver(ring))

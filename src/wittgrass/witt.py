@@ -47,6 +47,9 @@ class WittVector:
     def __neg__(self):
         return witt_arith("neg", self)
 
+    def inv(self):
+        return witt_inv(self)
+
     def __pow__(self, n):
         if n < 0:
             return witt_inv(self) ** (-n)

@@ -356,6 +356,26 @@ def test_greenberg_realize_refuses_negative_powers_of_integers(capsys):
     assert "negative exponents" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["witt", "add", "--p", "2", "--N", "2", "(1\u00b2,0)", "(1,0)"],
+    ["greenberg", "realize", "--p", "2", "--N", "2", "--map", "T1\u00b2"],
+], ids=["witt", "greenberg"])
+def test_superscript_digits_are_a_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
+    assert "unexpected character '\u00b2'" in capsys.readouterr().err
+
+
+def _nested(depth, inner):
+    return "(" * depth + inner + ")" * depth
+
+
+def test_deep_nesting_is_a_usage_error(capsys):
+    assert cli.main(["witt", "add", "--p", "2", "--N", "1", _nested(260, "1"), "(1)"]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+    assert cli.main(["witt", "add", "--p", "2", "--N", "1", _nested(200, "1"), "(1)"]) == 0
+    assert capsys.readouterr().out.strip() == "(0)"
+
+
 def test_greenberg_realize_json_lines(capsys):
     argv = ["greenberg", "realize", "--p", "2", "--N", "2", "--format", "json", "--ideal"]
     assert cli.main(argv + ["T1*T2"]) == 0

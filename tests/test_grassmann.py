@@ -43,7 +43,7 @@ def test_zero_ideal_gives_standard_lattice():
 
 def test_cocharacter_ideal_maps_to_its_diagonal_lattice():
     I = ideal_I_lambda(F2, (1, -1), 3)
-    lat = points_lattice(I, q=2, shift=1)
+    lat = points_lattice(I, shift=1)
     assert lat.cell() == (1, -1)
     assert lat == standard_cell_lattice(F2, (1, -1))
 
@@ -141,12 +141,6 @@ def test_points_guard_names_the_parameters_to_lower():
     I = GradedIdeal(ambient_ring(F2, 3, 7), 3, 7, [])
     with pytest.raises(SizeGuard, match="lower q = 2, n = 3 or N = 7"):
         points_lattice(I, shift=0, check_stable=False)
-
-
-def test_points_lattice_field_mismatch():
-    I = ideal_I_lambda(F2, (1, -1), 3)
-    with pytest.raises(UsageError):
-        points_lattice(I, q=4, shift=1)
 
 
 # -- cell tables ------------------------------------------------------------------

@@ -16,7 +16,8 @@ from wittgrass.greenberg import (
     realize_poly_map,
     witt_poly_ring,
 )
-from wittgrass.poly import Polynomial, parse_polynomial
+from wittgrass.poly import Polynomial
+from wittgrass.textio import parse_polynomial
 from wittgrass.structure import MAX_SLOTS, gen_structure_polys, key_exponents
 from wittgrass.witt import (
     WittVector,
@@ -329,3 +330,10 @@ def test_parse_witt_map_rejects_unknown_symbols():
         parse_witt_map("u*T1", F2, 2)
     with pytest.raises(UsageError, match="outside arity"):
         parse_witt_map("T0", F2, 2)
+
+
+@pytest.mark.parametrize("text", ["T17", "T1*T99999999", "T" + "1" * 5000])
+def test_parse_witt_map_refuses_more_than_sixteen_variables(text):
+    with pytest.raises(UsageError, match="at most 16 variables"):
+        parse_witt_map(text, F2, 2)
+    assert len(parse_witt_map("T16", F2, 2)[0].ring.names) == 16

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wittgrass.errors import NotDominant, UsageError, WindowTooSmall
 from wittgrass.fields import GF
+from wittgrass.greenberg import generic_vectors
 from wittgrass.groebner import buchberger
 from wittgrass.hilbert import (
     GradedIdeal,
@@ -25,7 +26,7 @@ from wittgrass.hilbert import (
     monomials_of_weight,
     var_index,
 )
-from wittgrass.poly import parse_polynomial
+from wittgrass.textio import parse_polynomial
 from wittgrass.witt import random_sl, teichmuller, witt_one, witt_zero
 
 F2 = GF(2)
@@ -184,6 +185,38 @@ def test_stability_orbit_invariant():
     # and instability is preserved by the only action available at n = 1
     one = witt_one(F2, 2)
     assert not is_module_stable(act_on_ideal([[one]], bad))
+
+
+def _negation_stable(I):
+    """Does the negation comorphism (-x) keep every generator in I?"""
+    ring, xs = generic_vectors(I.ring.coeff, I.n, I.N)
+    images = [c for x in xs for c in (-x).coords]
+    return all(I.contains(g.map_into(ring, images)) for g in I.generators)
+
+
+def _random_homogeneous_ideal(field, rng, n=2, N=2):
+    R = ambient_ring(field, n, N)
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        monos = monomials_of_weight(R, rng.randrange(1, field.p + 1))
+        g = R.zero
+        for m in rng.sample(monos, rng.randrange(1, min(3, len(monos)) + 1)):
+            g = g + R.monomial(m, field.random(rng))
+        gens.append(g)
+    return GradedIdeal(R, n, N, gens)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_stability_implies_negation_stability(q):
+    """is_module_stable checks no negation: the scalar check implies it."""
+    field = GF(q)
+    rng = random.Random(q)
+    ideals = [_random_homogeneous_ideal(field, rng) for _ in range(100)]
+    I = ideal_I_lambda(field, (1, -1), 3)
+    ideals += [act_on_ideal(random_sl(field, 2, 3, rng), I) for _ in range(3)]
+    stable = [J for J in ideals if is_module_stable(J)]
+    assert 0 < len(stable) < len(ideals)
+    assert all(_negation_stable(J) for J in stable)
 
 
 # -- the group action ----------------------------------------------------------

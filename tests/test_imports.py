@@ -17,7 +17,10 @@ from wittgrass import structure
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-UNUSED_BY_WITT = ("lattice", "greenberg", "groebner", "hilbert", "grassmann", "zadic", "selftest")
+UNUSED_BY_WITT = (
+    "lattice", "greenberg", "groebner", "hilbert", "grassmann", "zadic", "selftest",
+    "poly", "rings",
+)
 
 
 def _python(code, *args, cwd=None):
@@ -79,7 +82,25 @@ CELL_STACK = [
     "wittgrass.lattice",
 ]
 # the p-adic literals of lattice snf and classify bring the text parsers
-PADIC_STACK = CELL_STACK + ["wittgrass.poly", "wittgrass.rings", "wittgrass.textio"]
+PADIC_STACK = CELL_STACK + ["wittgrass.textio"]
+# Witt arithmetic over F_q: the tables, the arithmetic and the literal parser
+WITT_STACK = [
+    "wittgrass", "wittgrass.cli", "wittgrass.errors", "wittgrass.fields", "wittgrass.structure",
+    "wittgrass.textio", "wittgrass.witt",
+]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["witt", "mul", "--p", "2", "--N", "2", "(1,1)", "(1,0)"], WITT_STACK),
+    (["witt", "add", "--p", "2", "--N", "2", "--laurent", "(t,1)", "(1,t^-1)"],
+     WITT_STACK + ["wittgrass.rings"]),
+    (["greenberg", "realize", "--p", "2", "--q", "4", "--N", "2", "--map", "u^-1*T1*T2"],
+     WITT_STACK + ["wittgrass.greenberg", "wittgrass.poly"]),
+], ids=["witt", "witt-laurent", "greenberg-realize"])
+def test_command_loads_exactly(tmp_path, argv, modules):
+    """The modules a one-shot command loads, pinned: a new import on one of
+    these paths fails here instead of adding compile time unnoticed."""
+    assert json.loads(_python(LOADED_BY, str(tmp_path), *argv)) == sorted(modules)
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -102,7 +123,7 @@ def test_cell_counts_load_no_groebner_stack(tmp_path, argv, extra):
 ])
 def test_padic_commands_load_no_witt_stack(tmp_path, argv):
     """lattice snf and classify parse their literals with textio, but load
-    neither witt nor structure."""
+    neither witt nor structure, nor poly or rings."""
     loaded = json.loads(_python(LOADED_BY, str(tmp_path), *argv))
     assert loaded == sorted(PADIC_STACK)
     assert list(tmp_path.iterdir()) == []
