@@ -1,4 +1,4 @@
-"""Universal Witt structure polynomials, generated exactly over the integers.
+"""Universal Witt structure polynomials modulo p.
 
 The addition/multiplication/negation laws of length-N Witt vectors are given
 by integer polynomials S_n, M_n, N_n in X_0..X_n, Y_0..Y_n, determined by the
@@ -6,35 +6,46 @@ ghost identities
 
     w_n(S) = w_n(X) + w_n(Y),   w_n(M) = w_n(X) * w_n(Y),   w_n(N) = -w_n(X),
 
-where w_n(Z) = sum_{i<=n} p^i * Z_i^(p^(n-i)).  Each level is solved
-triangularly: the level-n polynomial is (target - sum of lower-level ghost
-contributions) / p^n, and the division must be exact over Z (any remainder is
-a hard internal error).
+where w_n(Z) = sum_{i<=n} p^i * Z_i^(p^(n-i)).  Every coefficient ring the
+laws are evaluated over has characteristic p, so a table holds each level
+modulo p only: every stored coefficient is a residue in 1..p-1.
 
-Integer polynomials here are dicts mapping a packed exponent key to an int
+The residues are generated directly.  If a = b (mod p) then a^(p^k) = b^(p^k)
+(mod p^(k+1)), so p^i * T_i^(p^(n-i)) mod p^(n+1) depends only on T_i mod p.
+Level n is therefore solved triangularly from the stored residues below it:
+p^n * T_n = target - sum_{i<n} p^i * T_i^(p^(n-i)) (mod p^(n+1)), each power
+taken mod p^(n+1-i).  The right-hand side must be divisible by p^n (any
+remainder is a hard internal error), and the quotient mod p is the level.
+Given the levels below it, that congruence fixes a level mod p, and the
+residue range fixes the level itself; ``verify_ghost`` checks both.
+
+Polynomials here are dicts mapping a packed exponent key to an int
 coefficient.  Exponents are packed 16 bits per variable slot; X_i occupies
 slot i and Y_i occupies slot MAX_SLOTS + i.  This keeps monomial products a
 single integer addition.
 
 Generated tables are cached on disk, one polynomial per line, in the format
-``ADD n: <integer polynomial>``.  Cache writes are atomic (write a temp file,
-then rename), so concurrent processes can share a cache directory.  Loading
-reads the file once and checks every line head at once: each line names a
-known op and the next level of it.  The polynomial after the colon is kept as
-text and parsed the first time a call reads that level, so a call that adds
-never parses the multiplication table.  Parsing checks the syntax only: each
-term has a nonzero integer coefficient spelled as render_ip spells it, and
-distinct variables X_i/Y_i with i < MAX_SLOTS and exponents 1..EXP_MASK,
-written in slot order, so no token can alias another monomial.  A bad level is
-refused when it is first read, with the file and the line named; before a
-cache file is rewritten every level in it is parsed, so corrupt data is
-refused rather than written back.  Nothing re-checks the ghost identities; a
-well-formed but wrong coefficient is read as it stands.
+``ADD n: <polynomial>``.  Cache writes are atomic (write a temp file, then
+rename), so concurrent processes can share a cache directory.  Loading reads
+the file once and checks every line head at once: each line names a known op
+and the next level of it.  The polynomial after the colon is kept as text and
+parsed the first time a call reads that level, so a call that adds never
+parses the multiplication table.  Parsing checks the syntax: each term has a
+nonzero integer coefficient spelled as render_ip spells it, and distinct
+variables X_i/Y_i with i < MAX_SLOTS and exponents 1..EXP_MASK, written in
+slot order, so no token can alias another monomial.  It checks too that each
+coefficient is a residue 1..p-1; a file written before the tables held
+residues has integer coefficients such as -1 and is refused, not misread.  A
+bad level is refused when it is first read, with the file and the line named;
+before a cache file is rewritten every level in it is parsed, so corrupt data
+is refused rather than written back.  Nothing re-checks the ghost identities;
+a well-formed but wrong residue is read as it stands.
 
 Generation cost is governed by the number of monomials of weighted degree p^n
 (weights deg X_i = p^i), and nearly all of it goes into the powers
 T_i^(p^(n-i)) of lower levels.  Each is taken from T_i itself by repeated
-squaring, so a product that is not a square has the small T_i as one factor.
+squaring, its coefficients reduced mod p^(n+1-i) after every product, so a
+product that is not a square has the small T_i as one factor.
 Products are taken by Kronecker substitution (``_kron_mul``): the terms of
 each operand are grouped by their key with the X0 and X1 fields cleared and by
 s = e0 + w*e1, each group's coefficients are packed into one integer at digit
@@ -47,8 +58,8 @@ use, 2 to 10 terms in practice.  Writing a table renders each key as its X
 half and its Y half, each through a memo (``render_ip``).
 
 The monomial count explodes combinatorially: for p = 5 the level-4 addition
-polynomial already has more than 10^8 potential terms with coefficients of
-hundreds of digits, which no desk machine materializes in reasonable time.
+polynomial has more than 10^8 potential terms, and its powers would have to
+be taken over all of them, which no desk machine does in reasonable time.
 Generation therefore refuses, with TableLimit, any level whose potential
 support exceeds a configurable bound (default 200,000 monomials, which admits
 p=2 up to length 6, p=3 up to length 5 and p=5 up to length 4) instead of
@@ -133,17 +144,27 @@ def ip_mul(a, b):
     return out
 
 
-def ip_pow(a, n, mul=ip_mul):
-    """a**n by repeated squaring with the product ``mul``; a square passes one
-    object as both factors, which ``_kron_mul`` takes as its cue to square."""
-    if n == 0:
-        return {0: 1}
-    if n == 1:
+def ip_mod(a, m):
+    """a with its coefficients reduced to 0..m-1, the zeros dropped; a copy of a
+    if m is None."""
+    if m is None:
         return dict(a)
-    half = ip_pow(a, n // 2, mul)
-    out = mul(half, half)
+    return {k: r for k, c in a.items() if (r := c % m)}
+
+
+def ip_pow(a, n, mul=ip_mul, modulus=None):
+    """a**n by repeated squaring with the product ``mul``, the coefficients
+    reduced mod ``modulus`` after every product unless it is None; a square
+    passes one object as both factors, which ``_kron_mul`` takes as its cue to
+    square."""
+    if n == 0:
+        return ip_mod({0: 1}, modulus)
+    if n == 1:
+        return ip_mod(a, modulus)
+    half = ip_pow(a, n // 2, mul, modulus)
+    out = ip_mod(mul(half, half), modulus)
     if n & 1:
-        out = mul(out, a)
+        out = ip_mod(mul(out, a), modulus)
     return out
 
 
@@ -302,7 +323,7 @@ def _check_limits(p, op, start, N):
 
 
 def solve_levels(p, op, N, known=None):
-    """Return levels 0..N-1 of the op table, reusing any known prefix.
+    """Return levels 0..N-1 of the op table mod p, reusing any known prefix.
 
     Raises TableLimit, before solving any level, when one of the missing
     levels has a potential monomial support beyond the configured bound.
@@ -313,7 +334,8 @@ def solve_levels(p, op, N, known=None):
     for n in range(len(levels), N):
         numerator = _ghost_target(p, n, op)
         for i in range(n):  # from T_i: each product that is not a square has T_i as a factor
-            ip_add_inplace(numerator, ip_pow(levels[i], p ** (n - i), mul), scale=-(p**i))
+            power = ip_pow(levels[i], p ** (n - i), mul, p ** (n + 1 - i))
+            ip_add_inplace(numerator, power, scale=-(p**i))
         q = p**n
         level = {}
         for k, c in numerator.items():
@@ -322,32 +344,34 @@ def solve_levels(p, op, N, known=None):
                 raise ArithmeticError(
                     f"ghost solve failed: coefficient {c} at level {n} not divisible by {q}"
                 )
-            level[k] = d
+            if d := d % p:
+                level[k] = d
         levels.append(level)
     return levels
 
 
 def verify_ghost(p, op, levels):
-    """Re-expand the ghost identity for every level; True iff all hold exactly.
+    """True iff every coefficient is a residue 1..p-1 and every level n
+    satisfies its ghost congruence
 
-    The schoolbook reference the generator is checked against: it
-    re-multiplies everything out with ``ip_mul``, not with the Kronecker
-    product that ``solve_levels`` uses, and compares to the closed-form targets.
+        sum_{i<=n} p^i * T_i^(p^(n-i)) = target  (mod p^(n+1)).
+
+    Given the levels below it, the congruence fixes level n mod p and the
+    residue range fixes it outright.  The schoolbook reference the generator is
+    checked against: it multiplies with ``ip_mul``, not with the Kronecker
+    product that ``solve_levels`` uses, and takes each power from the one a
+    level below, as (T^(p^(k-1)) mod p^k)^p = T^(p^k) mod p^(k+1).
     """
-    pow_cache = {}
-    for n in range(len(levels)):
+    if not all(0 < c < p for level in levels for c in level.values()):
+        return False
+    powers = []  # at level n: T_i^(p^(n-i)) mod p^(n+1-i), for i = 0..n
+    for n, level in enumerate(levels):
+        powers = [ip_pow(t, p, modulus=p ** (n + 1 - i)) for i, t in enumerate(powers)]
+        powers.append(level)
         acc = {}
-        for i in range(n + 1):
-            if i == n:
-                cur = dict(levels[i])
-            else:
-                prev = pow_cache.get(i)
-                if prev is None:
-                    prev = dict(levels[i])
-                cur = ip_pow(prev, p)
-            pow_cache[i] = cur
-            ip_add_inplace(acc, cur, scale=p**i)
-        if acc != _ghost_target(p, n, op):
+        for i, t in enumerate(powers):
+            ip_add_inplace(acc, t, scale=p**i)
+        if ip_mod(acc, p ** (n + 1)) != ip_mod(_ghost_target(p, n, op), p ** (n + 1)):
             return False
     return True
 
@@ -515,12 +539,22 @@ def load_cache(p, cache_dir):
     return tables
 
 
-def parse_level(path, op, n, text):
-    """parse_ip of level n of op, read from the cache file at path."""
+def parse_level(path, p, op, n, text):
+    """parse_ip of level n of op, read from the cache file of prime p at path;
+    every coefficient must be a residue 1..p-1."""
+    line = f"line {op.upper()} {n}"
     try:
-        return parse_ip(text)
+        level = parse_ip(text)
     except CacheCorrupt as exc:
-        raise _corrupt(path, f"line {op.upper()} {n}: {exc}") from None
+        raise _corrupt(path, f"{line}: {exc}") from None
+    for c in level.values():
+        if not 0 < c < p:
+            raise _corrupt(
+                path,
+                f"{line}: coefficient {c} is not a residue 1..{p - 1}; files with such "
+                f"coefficients predate residue tables",
+            )
+    return level
 
 
 def write_cache(p, cache_dir, tables):
@@ -565,17 +599,17 @@ class _FoldedHalves(dict):
 
 
 class StructurePolynomialTable:
-    """Integer structure polynomials for the prime p plus mod-p evaluation forms.
+    """Structure polynomials mod p for the prime p, and their evaluation forms.
 
-    ``levels(op, N)`` gives the exact integer levels 0..N-1 of op.
-    ``reduced(op, q, N)`` gives their mod-p reductions in the form Witt
-    arithmetic evaluates: per level, a list of ``(mask, variables,
+    ``levels(op, N)`` gives the levels 0..N-1 of op, each a packed polynomial
+    with coefficients in 1..p-1.  ``reduced(op, q, N)`` gives them in the form
+    Witt arithmetic evaluates: per level, a list of ``(mask, variables,
     coefficient)`` terms.  ``variables`` is a tuple of ``slot << SHIFT |
     exponent`` for the variables the term uses, ``mask`` has bit ``slot`` set
     for each of them, and the coefficient lies in 1..p-1.  N None means every
     level of the table.
 
-    With ``q`` None the form is the plain reduction, valid over every ring of
+    With ``q`` None the form is the level itself, valid over every ring of
     characteristic p (polynomial rings, Laurent rings, F_q(t)).  For a finite
     field F_q the form is folded by x^q = x, which holds for every coordinate:
     each exponent e >= 1 becomes ((e - 1) mod (q - 1)) + 1 and terms that then
@@ -585,14 +619,14 @@ class StructurePolynomialTable:
 
     The unit of work is one level of one op, and each stage is a prefix list
     per op that grows on demand: a level read from the cache file stays text
-    until a call first reads it, then is parsed (``parse_level``), reduced mod
-    p (``_reduce``, which serves every q) and folded once per q (``_fold``),
-    and each result is kept.  So ``witt add --N 3`` parses three lines of the
-    file whatever else it holds.  The fold takes each key as its X half and
-    its Y half and folds each half once per level, through a memo: the halves
-    repeat far more than the keys (p = 3 ``add`` level 4: 49,278 keys, 4,373
-    distinct halves).  Only the merged monomials are decoded.  Loading and
-    generation reduce nothing; generated levels are kept parsed.
+    until a call first reads it, then is parsed (``parse_level``) and folded
+    once per q (``_fold``), and each result is kept.  So ``witt add --N 3``
+    parses three lines of the file whatever else it holds.  The fold takes
+    each key as its X half and its Y half and folds each half once per level,
+    through a memo: the halves repeat far more than the keys (p = 3 ``add``
+    level 4: 49,278 keys, 4,373 distinct halves).  Only the merged monomials
+    are decoded.  Loading and generation fold nothing; generated levels are
+    kept parsed.
 
     A table of length N serves every length up to N.  There is one table per
     prime and cache directory, holding every level the cache file holds and at
@@ -606,27 +640,22 @@ class StructurePolynomialTable:
         self.N = N
         self.path = path
         self._bodies = {op: bodies[op][:N] for op in OPS}  # the text of each level
-        # op -> the parsed, then the reduced levels; both prefixes of the table
+        # op -> the parsed levels, a prefix of the table
         self._levels = {op: list(levels[op][:N]) if levels else [] for op in OPS}
-        self._reduced = {op: [] for op in OPS}
         self._forms = {}  # (op, q) -> evaluation forms, a prefix of the table
 
-    def _reduce(self, poly):
-        p = self.p
-        return [(key, cp) for key, c in poly.items() if (cp := c % p)]
-
     def _fold(self, level, q):
-        """Evaluation form of one reduced level, folded by x^q = x unless q is None."""
+        """Evaluation form of one level, folded by x^q = x unless q is None."""
         if q is not None:
             halves = _FoldedHalves(q)
             merged = {}
-            for key, c in level:
+            for key, c in level.items():
                 folded = halves[key & _HALF_MASK] | halves[key >> _HALF_BITS] << _HALF_BITS
                 merged[folded] = merged.get(folded, 0) + c
-            level = merged.items()
+            level = merged
         p = self.p
         form = []
-        for key, c in level:
+        for key, c in level.items():
             if cp := c % p:
                 variables = []
                 mask = slot = 0
@@ -645,7 +674,7 @@ class StructurePolynomialTable:
         parsed, bodies = self._levels[op], self._bodies[op]
         while len(parsed) < N:
             n = len(parsed)
-            parsed.append(parse_level(self.path, op, n, bodies[n]))
+            parsed.append(parse_level(self.path, self.p, op, n, bodies[n]))
         return parsed[:N]
 
     def reduced(self, op, q=None, N=None):
@@ -655,10 +684,7 @@ class StructurePolynomialTable:
         if form is None:
             form = self._forms[(op, q)] = []
         if len(form) < N:
-            red = self._reduced[op]
-            if len(red) < N:
-                red += [self._reduce(t) for t in self.levels(op, N)[len(red):]]
-            form += [self._fold(level, q) for level in red[len(form):N]]
+            form += [self._fold(level, q) for level in self.levels(op, N)[len(form):]]
         return form
 
     @classmethod
@@ -682,7 +708,7 @@ class StructurePolynomialTable:
             # the file is rewritten whole, so every level in it is parsed
             # first: corrupt data is refused, never written back
             levels = {
-                op: [parse_level(path, op, n, text) for n, text in enumerate(bodies[op])]
+                op: [parse_level(path, p, op, n, text) for n, text in enumerate(bodies[op])]
                 for op in OPS
             }
             for op in missing:
@@ -701,7 +727,7 @@ class StructurePolynomialTable:
 
 
 def gen_structure_polys(p, N, op, cache_dir=None):
-    """Levels 0..N-1 of the requested operation table (exact integer polys)."""
+    """Levels 0..N-1 of the requested operation table, with coefficients in 1..p-1."""
     if op not in OPS:
         raise UsageError(f"op must be add, mul or neg, not {op!r}")
     return StructurePolynomialTable.get(p, N, cache_dir=cache_dir).levels(op, N)

@@ -219,8 +219,9 @@ def parse_padic(ring, text, N=None):
 
     With N given the mantissa has N coordinates, or, after a prefix with
     v > 0, the N - v that the printer writes for a value known modulo p^N:
-    ``p^1*(1)`` at N = 2, and ``p^2*()``, zero modulo p^2.  With or without
-    N, ``()`` after such a prefix is the empty mantissa.
+    ``p^1*(1)`` at N = 2, and ``p^2*()``, zero modulo p^2.  ``()`` is the
+    empty mantissa after such a prefix, and without N after any prefix or
+    none: ``()`` and ``p^-1*()`` are zero modulo p^0 and p^-1.
     """
     from .lattice import PadicWittNumber
 
@@ -242,8 +243,9 @@ def parse_padic(ring, text, N=None):
         if not rest:
             rest = "(1" + ",0" * ((N or 1) - 1) + ")"
         text = rest
-    # after a prefix, () is the empty mantissa, not one blank coordinate
-    coords = [] if shift > 0 and text.replace(" ", "") == "()" else _coords(ring, text)
+    # () is the empty mantissa, not one blank coordinate, unless N asks for one
+    empty = (shift > 0 or N is None) and text.replace(" ", "") == "()"
+    coords = [] if empty else _coords(ring, text)
     if N is None:
         return PadicWittNumber(ring, shift, coords)
     short = max(N - shift, 0) if shift > 0 else N

@@ -1,15 +1,15 @@
 """Truncated Witt vectors W_N(A) over characteristic-p coefficient rings.
 
-Arithmetic is evaluation of the universal structure polynomials (reduced mod
-p) at the operand coordinates, so it works uniformly over finite fields,
-polynomial rings and Laurent rings.  Over a finite field F_q the tables are
-folded by x^q = x first (see ``StructurePolynomialTable``), which is exact at
-F_q points and leaves far fewer terms; other rings evaluate the plain
-reduction.  Each call marks its zero coordinates in a bitmask once, so a term
-that uses one costs a single AND, and shares one cache of coordinate powers
-across all levels.  Inversion is the componentwise triangular solve: the n-th
-component of a product depends on the n-th component of the second factor
-only through the term a_0^(p^n) * b_n.
+Arithmetic is evaluation of the universal structure polynomials, which the
+tables hold mod p, at the operand coordinates, so it works uniformly over
+finite fields, polynomial rings and Laurent rings.  Over a finite field F_q
+the tables are folded by x^q = x first (see ``StructurePolynomialTable``),
+which is exact at F_q points and leaves far fewer terms; other rings evaluate
+the levels as stored.  Each call marks its zero coordinates in a bitmask
+once, so a term that uses one costs a single AND, and shares one cache of
+coordinate powers across all levels.  Inversion is the componentwise
+triangular solve: the n-th component of a product depends on the n-th
+component of the second factor only through the term a_0^(p^n) * b_n.
 
 Over F_q only WittVector uses the tables; the p-adic numbers of ``lattice``
 compute in the Galois ring W_N(F_q) = GR(p^N, e) of ``galois`` instead.

@@ -11,7 +11,7 @@ def _direct_fold(level, q, p):
     """Fold every exponent field of every key by e -> ((e - 1) mod (q - 1)) + 1,
     merge equal monomials mod p and decode: the rule, one field at a time."""
     merged = {}
-    for key, c in level:
+    for key, c in level.items():
         monomial = tuple(
             (slot, (e - 1) % (q - 1) + 1) for slot, e in st.key_exponents(key)
         )
@@ -44,7 +44,7 @@ def _levels(draw):
     for x, y in draw(hst.lists(hst.tuples(hst.sampled_from(xs), hst.sampled_from(ys)),
                                min_size=1, max_size=40)):
         keys.add(_key(x) + _key({st.MAX_SLOTS + slot: e for slot, e in y.items()}))
-    level = [(key, draw(hst.integers(1, p - 1))) for key in sorted(keys)]
+    level = {key: draw(hst.integers(1, p - 1)) for key in sorted(keys)}
     return q, p, level
 
 

@@ -178,9 +178,9 @@ def test_benchmark_setup_writes_the_same_tables(tmp_path):
         for name, body in run.cache_files(tmp_path).items()
     }
     assert digests == {
-        "structure_p2.txt": "0d64a09990a3",
-        "structure_p3.txt": "7b17e145324e",
-        "structure_p5.txt": "31c167b04aca",
+        "structure_p2.txt": "ec76596b6cc4",
+        "structure_p3.txt": "6eb7fc8174fb",
+        "structure_p5.txt": "38d2053eb75b",
     }
 
 

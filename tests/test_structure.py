@@ -1,5 +1,6 @@
 """Structure polynomial generation: ghost identities, triangularity, cache."""
 
+import functools
 import hashlib
 import os
 
@@ -14,21 +15,34 @@ def poly_text(levels):
     return [st.render_ip(t) for t in levels]
 
 
+def exact_levels(p, op, N):
+    """Levels 0..N-1 of op over the integers: the exact triangular ghost solve,
+    the reference the residue tables are checked against."""
+    mul = functools.partial(st._kron_mul, w=p)
+    levels = []
+    for n in range(N):
+        numerator = st._ghost_target(p, n, op)
+        for i in range(n):
+            st.ip_add_inplace(numerator, st.ip_pow(levels[i], p ** (n - i), mul), scale=-(p**i))
+        assert all(c % p**n == 0 for c in numerator.values())
+        levels.append({k: c // p**n for k, c in numerator.items()})
+    return levels
+
+
 def test_addition_level_zero_and_one_p2():
     add = st.solve_levels(2, "add", 2)
     assert st.render_ip(add[0]) == "1*X0 + 1*Y0"
-    # S_1 = X_1 + Y_1 - X_0*Y_0
-    assert add[1] == {st.xvar(1): 1, st.yvar(1): 1, st.xvar(0) + st.yvar(0): -1}
+    # S_1 = X_1 + Y_1 - X_0*Y_0 = X_1 + Y_1 + X_0*Y_0 mod 2
+    assert add[1] == {st.xvar(1): 1, st.yvar(1): 1, st.xvar(0) + st.yvar(0): 1}
 
 
 def test_multiplication_levels_p2():
     mul = st.solve_levels(2, "mul", 2)
     assert mul[0] == {st.xvar(0) + st.yvar(0): 1}
-    # M_1 = X_0^2*Y_1 + X_1*Y_0^2 + 2*X_1*Y_1
+    # M_1 = X_0^2*Y_1 + X_1*Y_0^2 + 2*X_1*Y_1 = X_0^2*Y_1 + X_1*Y_0^2 mod 2
     assert mul[1] == {
         2 * st.xvar(0) + st.yvar(1): 1,
         st.xvar(1) + 2 * st.yvar(0): 1,
-        st.xvar(1) + st.yvar(1): 2,
     }
 
 
@@ -36,7 +50,37 @@ def test_negation_is_minus_for_odd_p():
     for p in (3, 5):
         neg = st.solve_levels(p, "neg", 3)
         for n, level in enumerate(neg):
-            assert level == {st.xvar(n): -1}
+            assert level == {st.xvar(n): p - 1}  # N_n = -X_n
+
+
+@pytest.mark.parametrize("p,N", [(2, 6), (3, 4), (5, 3)])
+@pytest.mark.parametrize("op", ["add", "mul", "neg"])
+def test_tables_are_the_exact_levels_mod_p(p, N, op):
+    exact = exact_levels(p, op, N)
+    assert st.solve_levels(p, op, N) == [st.ip_mod(level, p) for level in exact]
+    assert not st.verify_ghost(p, op, exact)  # the integers are not residues
+
+
+def _edits(p, level):
+    """The level with its first term's residue changed (to 0 if that is the
+    next one mod p), or with that coefficient stored as 0 or as p."""
+    key, c = min(level.items())
+    changed = dict(level)
+    if (c + 1) % p:
+        changed[key] = (c + 1) % p
+    else:
+        del changed[key]
+    return [changed] + [{**level, key: bad} for bad in (0, p)]
+
+
+@pytest.mark.parametrize("p,N", [(2, 4), (3, 3), (5, 3)])
+@pytest.mark.parametrize("op", ["add", "mul", "neg"])
+def test_ghost_congruence_refuses_each_edit(p, N, op):
+    levels = st.solve_levels(p, op, N)
+    assert st.verify_ghost(p, op, levels)
+    for n in range(N):
+        for edited in _edits(p, levels[n]):
+            assert not st.verify_ghost(p, op, levels[:n] + [edited] + levels[n + 1:]), (n, edited)
 
 
 @pytest.mark.parametrize("p,N", [(2, 5), (3, 4), (5, 3)])
@@ -163,7 +207,7 @@ def _record_parses(monkeypatch):
     real = st.parse_level
     monkeypatch.setattr(
         st, "parse_level",
-        lambda path, op, n, text: parsed.append((op, n)) or real(path, op, n, text),
+        lambda path, p, op, n, text: parsed.append((op, n)) or real(path, p, op, n, text),
     )
     return parsed
 
@@ -256,8 +300,8 @@ def test_kronecker_square_matches_schoolbook(f, w):
 
 
 @pytest.mark.parametrize("p,N,digest", [
-    (2, 6, "e9c38400fd8082e06aa6e4d02269d557ab81f6bf690183487cdcf77435399d91"),
-    (5, 4, "fb19fd38f6ee17c40e2252dbef19a17a915cfb531f4e5706133960d40794522d"),
+    (2, 6, "e0571a4fc29d06af555822a6c1bb1b33b35c8d162b40d2a95fba0cce86a83ba6"),
+    (5, 4, "678bfc778283c6182d08b33b189c8a300fc2e21fb797840fac2a2ea442997da0"),
 ])
 def test_generated_cache_files_keep_their_bytes(tmp_path, p, N, digest):
     st.StructurePolynomialTable.get(p, N, cache_dir=str(tmp_path))
@@ -265,49 +309,49 @@ def test_generated_cache_files_keep_their_bytes(tmp_path, p, N, digest):
     assert hashlib.sha256(body).hexdigest() == digest
 
 
+def _record_folds(monkeypatch):
+    """(level, q) of every fold from now on."""
+    folds = []
+    real_fold = st.StructurePolynomialTable._fold
+    monkeypatch.setattr(
+        st.StructurePolynomialTable, "_fold",
+        lambda self, level, q: folds.append((level, q)) or real_fold(self, level, q),
+    )
+    return folds
+
+
 def test_tables_reduce_only_the_ops_a_call_evaluates(tmp_path, monkeypatch):
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
-    reduced = []
-    real_reduce = st.StructurePolynomialTable._reduce
-    monkeypatch.setattr(
-        st.StructurePolynomialTable,
-        "_reduce",
-        lambda self, poly: reduced.append(poly) or real_reduce(self, poly),
-    )
+    folds = _record_folds(monkeypatch)
     for op in st.OPS:
         st.gen_structure_polys(3, 3, op)
-    assert reduced == []
+    assert folds == []
 
-    def reduced_exactly(op):
+    def folded_exactly(op):
         levels = st.StructurePolynomialTable.get(3, 3).levels(op)
-        return len(reduced) == len(levels) and all(a is b for a, b in zip(reduced, levels))
+        return len(folds) == len(levels) and all(
+            level is stored and q == 3 for (level, q), stored in zip(folds, levels)
+        )
 
-    for _ in range(2):  # the second call reuses the reduced form
+    for _ in range(2):  # the second call reuses the folded form
         assert cli.main(["witt", "add", "--p", "3", "--N", "3", "(1,2,0)", "(2,2,1)"]) == 0
-        assert reduced_exactly("add")
-    reduced.clear()
+        assert folded_exactly("add")
+    folds.clear()
     assert cli.main(["witt", "inv", "--p", "3", "--N", "3", "(1,2,0)"]) == 0
-    assert reduced_exactly("mul")
+    assert folded_exactly("mul")
 
 
 def test_fold_is_built_once_per_op_and_field_size(tmp_path, monkeypatch):
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
-    table = st.StructurePolynomialTable
-    reduced, folds = [], []
-    real_reduce, real_fold = table._reduce, table._fold
-    monkeypatch.setattr(
-        table, "_reduce", lambda self, poly: reduced.append(poly) or real_reduce(self, poly)
-    )
-    monkeypatch.setattr(
-        table, "_fold", lambda self, level, q: folds.append(q) or real_fold(self, level, q)
-    )
+    folds = _record_folds(monkeypatch)
     for _ in range(2):
         assert cli.main(["witt", "add", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,1)"]) == 0
-    assert folds == [2, 2, 2]
+    assert [q for _, q in folds] == [2, 2, 2]
     for _ in range(2):
         assert cli.main(["witt", "add", "--p", "2", "--q", "4", "--N", "3", "(u,1,0)", "(1,0,u)"]) == 0
-    assert folds == [2, 2, 2, 4, 4, 4]
-    assert len(reduced) == 3  # F_2 and F_4 fold one reduction
+    assert [q for _, q in folds] == [2, 2, 2, 4, 4, 4]
+    # F_2 and F_4 fold one parse of each level
+    assert all(a is b for (a, _), (b, _) in zip(folds[:3], folds[3:]))
 
 
 def test_folding_by_x_to_the_q_shrinks_the_tables():
@@ -367,6 +411,32 @@ def test_a_corrupt_level_fails_only_the_calls_that_read_it(tmp_path, monkeypatch
     assert f"structure cache {path}, line MUL 2: bad variable token 'X0^-1'" in err
     assert "delete the file to regenerate it" in err
     assert (tmp_path / "structure_p2.txt").read_text() == cache
+
+
+def test_a_cache_file_of_integer_coefficients_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    # the p = 2, length 3 file as written before the tables held residues
+    st.write_cache(2, str(tmp_path), {op: exact_levels(2, op, 3) for op in st.OPS})
+    path = tmp_path / "structure_p2.txt"
+    cache = path.read_bytes()
+    assert hashlib.sha256(cache).hexdigest() == (
+        "0d64a09990a302ef5612f5d2dc1d3b2a372bdd95a16e27da38b2df9bb8356798"
+    )
+    problem = f"structure cache {path}, line ADD 1: coefficient -1 is not a residue 1..1"
+    assert cli.main(["witt", "add", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,0)"]) == 1
+    err = capsys.readouterr().err
+    assert problem in err
+    assert "predate residue tables; delete the file to regenerate it" in err
+    solved = []
+    real_solve = st.solve_levels
+    monkeypatch.setattr(
+        st, "solve_levels", lambda *a, **k: solved.append(a) or real_solve(*a, **k)
+    )
+    # length 4 needs a new level of every op, so every level is parsed first
+    with pytest.raises(CacheCorrupt, match="line ADD 1: coefficient -1 .* predate residue"):
+        st.StructurePolynomialTable.get(2, 4)
+    assert solved == []
+    assert path.read_bytes() == cache
 
 
 def test_corrupt_data_is_refused_before_the_cache_is_rewritten(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import assume, given, settings, strategies as hst
+from hypothesis import given, settings, strategies as hst
 
 from wittgrass import cli
 from wittgrass.errors import UsageError, WittgrassError
@@ -141,16 +141,19 @@ def test_padic_numbers_parse_back(q, shift, data):
     F = GF(q)
     coords = data.draw(hst.lists(hst.sampled_from(F.elements()), min_size=1, max_size=3))
     x = PadicWittNumber(F, shift, coords)
-    # zero known modulo p^k, k <= 0, does not come back (see the test below)
-    assume(x.abs_prec > 0 or not x.is_zero())
     assert parse_padic(F, repr(x)) == x
 
 
-@pytest.mark.xfail(strict=True, reason="a zero with no digits prints as '()' or 'p^v*()', v <= 0, "
-                                       "which parse_padic reads as one zero digit")
 def test_padic_zero_without_digits_parses_back():
-    x = PadicWittNumber(GF(2), -1, [GF(2).zero])
-    assert parse_padic(GF(2), repr(x)) == x
+    F = GF(2)
+    x = PadicWittNumber(F, -1, [F.zero])  # zero modulo p^0
+    assert repr(x) == "()"
+    assert parse_padic(F, repr(x)) == x
+    for text, shift in (("()", 0), ("p^-1*()", -1), ("p^2*()", 2)):
+        y = parse_padic(F, text)
+        assert (y.is_zero(), y.abs_prec, repr(y)) == (True, shift, text)
+    # with N, () is one zero coordinate unless a prefix v > 0 comes first
+    assert parse_padic(F, "()", 1) == PadicWittNumber(F, 0, [F.zero])
 
 
 def test_overlong_integer_literal_is_refused():
