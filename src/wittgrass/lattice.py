@@ -17,10 +17,11 @@ Lattices rest on one routine, column_reduce, which brings generating columns
 to the reduced column Hermite form: pivots exactly p^a_i, zeros above them,
 and each entry below the pivot of row i cut to its Teichmuller digits below
 a_i.  That form is finite and unique, so it is the identity of a lattice (no
-window or precision enters it), the basis lattice_from_columns builds, and
-the object enumerate_lattices walks to list the special lattices of a
-symmetric window.  CellTable counts those lattices per cell, next to the
-independent z-adic count of ``zadic``.
+window or precision enters it) and the basis lattice_from_columns builds.
+enumerate_lattices lists the special lattices of a symmetric window by
+writing those forms down directly, each form its own basis.  CellTable
+counts those lattices per cell, next to the independent z-adic count of
+``zadic``.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# Hermite forms enumerate_lattices may visit; each costs a reduction and a
-# Smith form at precision 2*window + n.
+# Hermite forms enumerate_lattices may visit; each costs one Smith form at
+# precision max(2*window + n, n*window + 1).
 ENUM_GUARD = 1 << 20
 
 
@@ -597,13 +598,14 @@ def _hermite_exponents(n, window):
 def enumerate_lattices(n, q, window):
     """All special lattices with p^window W^n <= L <= p^-window W^n.
 
-    Walks the reduced column Hermite forms of M = p^window L directly: every
-    pivot exponent vector b of _hermite_exponents and every residue mod p^b_i
-    below the pivot of row i, each form a distinct lattice.  M lies in the
-    window when it contains p^(2*window) W^n (Smith exponents mu_1 <=
-    2*window); exactly then appending the columns of that sublattice leaves
-    a cell summing to zero.  The forms are counted against ENUM_GUARD, in
-    closed form, before any Witt arithmetic.  Returns (Lattice, cell) pairs.
+    Walks the reduced column Hermite forms of M = p^window L: every pivot
+    exponent vector b of _hermite_exponents and every residue mod p^b_i below
+    the pivot of row i.  Each form is its own lattice, distinct from the
+    others, and its one Smith form gives the cell.  The pivots make the cell
+    sum to zero, and M lies in the window, i.e. contains p^(2*window) W^n,
+    exactly when mu_1 <= window; the form is kept iff so.  The forms are
+    counted against ENUM_GUARD, in closed form, before any Witt arithmetic.
+    Returns (Lattice, cell) pairs.
     """
     if n < 1 or window < 0:
         raise UsageError("lattice enumeration needs n >= 1 and window >= 0")
@@ -616,17 +618,11 @@ def enumerate_lattices(n, q, window):
                 f"n={n}, q={q}, window={window} has more than {ENUM_GUARD} "
                 "Hermite forms to visit; lower the window, n or q"
             )
-    # digits enough to find pivots up to p^(2w) and the digits below them
-    prec = 2 * window + n
+    # 2w + n digits find pivots to p^(2w); a Smith exponent of M reaches n*w
+    prec = max(2 * window + n, n * window + 1)
     pad = (field.zero,) * prec
     elems = field.elements()
     zero = padic_zero(field, prec)
-    top = 2 * window
-    kernel = [  # the columns of p^(2w) W^n, appended to every form
-        [padic_p_power(field, top, prec) if i == j else padic_zero(field, prec + top)
-         for i in range(n)]
-        for j in range(n)
-    ]
     below = [(i, j) for i in range(n) for j in range(i)]
     out = []
     for exps in _hermite_exponents(n, window):
@@ -636,12 +632,12 @@ def enumerate_lattices(n, q, window):
             for b in (exps[i] for i, _ in below)
         ]
         for entries in itertools.product(*residues):
-            cols = [[pivots[j] if i == j else zero for i in range(n)] for j in range(n)]
+            rows = [[pivots[i] if i == j else zero for j in range(n)] for i in range(n)]
             for (i, j), x in zip(below, entries):
-                cols[j][i] = x
-            lat = lattice_from_columns(cols + kernel, n, window, field)
+                rows[i][j] = x
+            lat = Lattice(WittMatrix(field, rows).p_times(-window))
             mu = lat.cell()
-            if sum(mu) == 0:
+            if mu[0] <= window:
                 out.append((lat, mu))
     return out
 

@@ -1,5 +1,6 @@
 """p-adic numbers over F_q, Smith forms, cells, basis normalization, and the
-lattice enumeration against closed-form counts.
+lattice enumeration against closed-form counts, against the two-step
+construction it replaced, and under the Frobenius of F_q.
 
 The degeneration family is checked in its ideal form, through its flat
 limit, in test_grassmann.py.
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from wittgrass import lattice, zadic
 from wittgrass.errors import (
     DetValuationMismatch,
     NotDominant,
@@ -30,12 +32,14 @@ from wittgrass.lattice import (
     classify_cell,
     diag_p_matrix,
     enumerate_lattices,
+    lattice_from_columns,
     normalize_basis,
     padic_from_witt,
     padic_p_power,
     padic_zero,
     smith_normal_form,
     stabilizes_standard,
+    witt_cell_table,
 )
 from wittgrass.witt import random_sl, teichmuller, witt_from_int, witt_inv, witt_random
 from wittgrass.zadic import zadic_oracle
@@ -364,6 +368,110 @@ def test_enumeration_matches_closed_form(n, q, window):
 )
 def test_zadic_oracle_matches_closed_form(n, q, window):
     assert zadic_oracle(n, q, window) == window_counts(n, q, window)
+
+
+def two_step_enumeration(n, q, window):
+    """The special lattices as enumerate_lattices once built them: each
+    Hermite form plus the columns of p^(2*window) W^n, brought back to Hermite
+    form by lattice_from_columns and kept iff its cell sums to zero."""
+    field = GF(q)
+    prec = 2 * window + n
+    pad = (field.zero,) * prec
+    zero = padic_zero(field, prec)
+    top = 2 * window
+    kernel = [
+        [one_at(field, top, prec) if i == j else padic_zero(field, prec + top) for i in range(n)]
+        for j in range(n)
+    ]
+    below = [(i, j) for i in range(n) for j in range(i)]
+    out = []
+    for exps in lattice._hermite_exponents(n, window):
+        pivots = [one_at(field, b, prec - b) for b in exps]
+        residues = [
+            [PadicWittNumber(field, 0, r + pad[exps[i]:])
+             for r in itertools.product(field.elements(), repeat=exps[i])]
+            for i, _ in below
+        ]
+        for entries in itertools.product(*residues):
+            cols = [[pivots[j] if i == j else zero for i in range(n)] for j in range(n)]
+            for (i, j), x in zip(below, entries):
+                cols[j][i] = x
+            lat = lattice_from_columns(cols + kernel, n, window, field)
+            mu = lat.cell()
+            if sum(mu) == 0:
+                out.append((lat, mu))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,q,window", [(2, 2, 2), (2, 3, 1), (3, 2, 1), (2, 4, 2), (2, 5, 2), (3, 3, 1), (4, 2, 1)]
+)
+def test_forms_are_the_two_step_lattices(n, q, window):
+    """Each Hermite form taken as its own basis is the lattice that appending
+    the kernel columns and reducing again gave, in the same order."""
+    out = enumerate_lattices(n, q, window)
+    ref = two_step_enumeration(n, q, window)
+    assert [lat.canonical_key() for lat, _ in out] == [lat.canonical_key() for lat, _ in ref]
+    assert [cell for _, cell in out] == [cell for _, cell in ref]
+    assert all(a.basis.eq_at_precision(b.basis) for (a, _), (b, _) in zip(out, ref))
+
+
+def test_enumeration_past_the_old_precision(monkeypatch):
+    """At n = 3, window 3 a Smith exponent of M reaches n*window = 9 = 2*window + n:
+    the forms with pivot exponents (1,5,3) and (1,6,2) need one digit more."""
+
+    def hard_forms(n, window):
+        assert (n, window) == (3, 3)
+        return iter([(1, 5, 3), (1, 6, 2)])
+
+    monkeypatch.setattr(lattice, "_hermite_exponents", hard_forms)
+    monkeypatch.setattr(zadic, "_hermite_exponents", hard_forms)
+    assert witt_cell_table(3, 2, 3).counts == zadic_oracle(3, 2, 3)
+
+
+def frobenius(lat, window):
+    """sigma(L): every Witt coordinate of every basis entry raised to the p-th
+    power, the basis rebuilt by lattice_from_columns."""
+    ring, n = lat.basis.ring, lat.n
+    ents = lat.basis.entries
+
+    def sigma(x):
+        return PadicWittNumber(ring, x.shift, [c**ring.p for c in x.mantissa])
+
+    cols = [[sigma(ents[i][j]).p_times(window) for i in range(n)] for j in range(n)]
+    return lattice_from_columns(cols, n, window, ring)
+
+
+def base_change(lat, field):
+    """An F_p lattice read over W(F_q) along GF(p) in GF(q)."""
+    return Lattice(WittMatrix(field, [
+        [PadicWittNumber(field, x.shift, [field.from_int(c.val[0]) for c in x.mantissa])
+         for x in row]
+        for row in lat.basis.entries
+    ]))
+
+
+@pytest.mark.parametrize(
+    "n,q,window", [(2, 4, 1), (2, 8, 1), (2, 9, 1), (2, 25, 1), (2, 4, 2), (3, 4, 1)]
+)
+def test_galois_descent_on_the_enumeration(n, q, window):
+    """Frobenius permutes each cell, and the lattices it fixes are exactly
+    the F_p lattices of the window after base change."""
+    field = GF(q)
+    out = enumerate_lattices(n, q, window)
+    cells = {lat.canonical_key(): cell for lat, cell in out}
+    fixed = set()
+    images = set()
+    for lat, cell in out:
+        image = frobenius(lat, window)
+        key = image.canonical_key()
+        assert cells[key] == cell == image.cell()
+        images.add(key)
+        if key == lat.canonical_key():
+            fixed.add(key)
+    assert images == set(cells)
+    prime = {base_change(lat, field).canonical_key() for lat, _ in enumerate_lattices(n, field.p, window)}
+    assert fixed == prime
 
 
 def relative_positions(n, q, lam):
