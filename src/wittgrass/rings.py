@@ -12,7 +12,21 @@ first) normalized to have no trailing zeros; () is the zero polynomial.
 
 from __future__ import annotations
 
-from .errors import NonUnit, NotPerfect
+from .errors import NonUnit, NotPerfect, UsageError
+
+# A power that would span more exponents of t than this is refused before it
+# is taken: a**n spans n times what a spans, and a power of a non-monomial
+# fills that span in either ring, one term or coefficient per exponent.
+MAX_POWER_DEGREE = 100_000
+
+
+def _check_power_size(ring, span, n):
+    """Refuse a**n when a spans ``span`` exponents of t beyond its lowest."""
+    if span * abs(n) > MAX_POWER_DEGREE:
+        raise UsageError(
+            f"a power of degree {span} * {abs(n)} in {ring!r} is beyond the bound of "
+            f"{MAX_POWER_DEGREE} on the degree of a power"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +237,8 @@ class LaurentRing:
         return LaurentElt(self, tuple(sorted(acc.items())))
 
     def pow(self, a, n):
+        if a.terms:
+            _check_power_size(self, a.terms[-1][0] - a.terms[0][0], n)
         if n < 0:
             return self.pow(a.inv(), -n)
         acc = self.one
@@ -382,6 +398,7 @@ class RationalFunctionField:
         return self.make(a.den, a.num)
 
     def pow(self, a, n):
+        _check_power_size(self, max(len(a.num), len(a.den)) - 1, n)
         if n < 0:
             return self.pow(self.inv(a), -n)
         acc = self.one

@@ -29,6 +29,9 @@ from .fields import FiniteField
 # Parentheses nested deeper than this are refused before Python's recursion
 # limit is reached.
 MAX_NESTING = 200
+# Exponents beyond this are refused before any power is taken: F_q(t) stores
+# t^k as k + 1 coefficients, so a power costs memory linear in its exponent.
+MAX_EXPONENT = 10_000
 
 _TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
 
@@ -55,7 +58,8 @@ def parse_expression(ring, text, resolve):
 
     An integer is ``ring.from_int(n)``; a symbol, with an optional ``[i,j]``
     index suffix, is ``resolve(name, indices)``, an element of ``ring``.  A
-    negative exponent applies only to a symbol whose value is a unit.
+    negative exponent applies only to a symbol whose value is a unit, and no
+    exponent may exceed MAX_EXPONENT in absolute value.
     """
     toks = _tokens(text)
     pos = 0
@@ -122,6 +126,11 @@ def parse_expression(ring, text, resolve):
         if peek()[0] == "^":
             take()
             n = read_int()
+            if abs(n) > MAX_EXPONENT:
+                raise UsageError(
+                    f"exponent {n} in {text!r} is beyond the bound of {MAX_EXPONENT} "
+                    f"on an exponent in a literal"
+                )
             if n < 0 and not (kind == "name" and node.is_unit()):
                 raise UsageError("negative exponents only apply to coefficient units")
             node = node**n

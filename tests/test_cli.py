@@ -1,10 +1,11 @@
 """Command-line front end."""
 
 import json
+import time
 
 import pytest
 
-from wittgrass import cli
+from wittgrass import cli, textio
 
 
 def test_selftest_quick_passes(capsys):
@@ -198,6 +199,24 @@ def test_hilbert_limit_is_exact_without_a_bound(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--bound", "8"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("where", ["family", "map", "laurent"])
+def test_a_huge_literal_exponent_is_refused_at_once(capsys, tmp_path, where):
+    # the exponent is refused as it is read, before any power is taken
+    argv = {
+        "family": ["hilbert", "limit", "--n", "2", "--p", "2", "--N", "2", "--family-file",
+                   _lines(tmp_path, "family.txt", "x[1,0] + t^1000000000*x[2,0]")],
+        "map": ["greenberg", "realize", "--p", "2", "--N", "2", "--map", "T1^1000000000"],
+        "laurent": ["witt", "add", "--laurent", "--p", "2", "--N", "2",
+                    "(t^1000000000,1)", "(1,0)"],
+    }[where]
+    assert cli.main(argv) == 2  # the first call also imports the command's modules
+    err = capsys.readouterr().err
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 0.2
+    assert "^1000000000" in err and f"bound of {textio.MAX_EXPONENT}" in err
 
 
 def test_hilbert_stable(capsys, tmp_path):

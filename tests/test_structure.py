@@ -17,8 +17,9 @@ def poly_text(levels):
 
 def exact_levels(p, op, N):
     """Levels 0..N-1 of op over the integers: the exact triangular ghost solve,
-    the reference the residue tables are checked against."""
-    mul = functools.partial(st._kron_mul, w=p)
+    the reference the residue tables are checked against.  Its products pack
+    X0 and X1 for every op, so add is checked against another packing."""
+    mul = functools.partial(st._kron_mul, u=0, v=1, w=p)
     levels = []
     for n in range(N):
         numerator = st._ghost_target(p, n, op)
@@ -265,42 +266,69 @@ def test_render_parse_round_trip_on_random_packed_polynomials(poly):
     assert st.parse_ip(st.render_ip(poly)) == poly
 
 
-def _factor_key(exps):
-    # exponents stay below half a field, so products do not overflow it; X1's
-    # stays small, as it sets the number of digits in a packed group
-    return sum(min(e, 40) << (st.SHIFT * s) if s == 1 else e << (st.SHIFT * s)
-               for s, e in exps.items())
+def _factor_polys(digit_slot):
+    # exponents stay below half a field, so products do not overflow it; the
+    # digit slot's stays small, as it sets the number of digits in a group
+    def key(exps):
+        return sum(min(e, 40) << (st.SHIFT * s) if s == digit_slot else e << (st.SHIFT * s)
+                   for s, e in exps.items())
+
+    return hst.dictionaries(
+        hst.dictionaries(
+            hst.integers(0, 2 * st.MAX_SLOTS - 1), hst.integers(1, st.EXP_MASK // 2), max_size=5
+        ).map(key),
+        hst.integers(-(2**80), 2**80).filter(bool),
+        max_size=8,
+    )
 
 
-_factor_polys = hst.dictionaries(
-    hst.dictionaries(
-        hst.integers(0, 2 * st.MAX_SLOTS - 1), hst.integers(1, st.EXP_MASK // 2), max_size=5
-    ).map(_factor_key),
-    hst.integers(-(2**80), 2**80).filter(bool),
-    max_size=8,
+# (u, v, w): the pairs the tables pack, (X0, Y0, 1) for add and (X0, X1, p) for
+# mul and neg, and any other pair of distinct slots with any w
+_packed_pairs = hst.one_of(
+    hst.sampled_from([(0, st.MAX_SLOTS, 1), (0, 1, 2), (0, 1, 3), (0, 1, 5)]),
+    hst.tuples(
+        hst.lists(hst.integers(0, 2 * st.MAX_SLOTS - 1), min_size=2, max_size=2, unique=True),
+        hst.integers(1, 5),
+    ).map(lambda t: (*t[0], t[1])),
 )
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(_factor_polys, _factor_polys, hst.integers(1, 5), hst.booleans())
-def test_kronecker_product_matches_schoolbook(f, g, w, cancel):
+@given(_packed_pairs, hst.booleans(), hst.data())
+def test_kronecker_product_matches_schoolbook(slots, cancel, data):
+    f, g = data.draw(_factor_polys(slots[1])), data.draw(_factor_polys(slots[1]))
     if cancel:  # (f + g)(f - g): the cross terms cancel
         f, g = st.ip_add_inplace(dict(f), g), st.ip_add_inplace(dict(f), g, scale=-1)
-    assert st._kron_mul(f, g, w) == st.ip_mul(f, g)
+    assert st._kron_mul(f, g, *slots) == st.ip_mul(f, g)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(_factor_polys, hst.integers(1, 5))
-def test_kronecker_square_matches_schoolbook(f, w):
+@given(_packed_pairs, hst.data())
+def test_kronecker_square_matches_schoolbook(slots, data):
+    f = data.draw(_factor_polys(slots[1]))
     # the operand passed twice takes the path over unordered pairs of groups;
     # an equal copy takes the general one
     square = st.ip_mul(f, f)
-    assert st._kron_mul(f, f, w) == square
-    assert st._kron_mul(f, dict(f), w) == square
+    assert st._kron_mul(f, f, *slots) == square
+    assert st._kron_mul(f, dict(f), *slots) == square
+
+
+@pytest.mark.parametrize("u,v,w", [(0, st.MAX_SLOTS, 1), (0, 1, 5), (3, 12, 2)])
+def test_kronecker_product_at_the_field_limits(u, v, w):
+    # the product's s = e_u + w*e_v needs more bits than one exponent field
+    def mono(eu, ev):
+        return eu << st.SHIFT * u | ev << st.SHIFT * v
+
+    half = st.EXP_MASK // 2
+    f = {mono(half, 40): 3, mono(half, 0): -1, mono(0, 1): 2}
+    g = {mono(half + 1, 40): -5, mono(7, 0): 1}
+    assert st._kron_mul(f, g, u, v, w) == st.ip_mul(f, g)
+    assert st._kron_mul(f, f, u, v, w) == st.ip_mul(f, f)
 
 
 @pytest.mark.parametrize("p,N,digest", [
     (2, 6, "e0571a4fc29d06af555822a6c1bb1b33b35c8d162b40d2a95fba0cce86a83ba6"),
+    (3, 5, "6ad22eca0fef50e95f0a990c21a4975fb5532df01c9d17806978d22c9a0b0dff"),
     (5, 4, "678bfc778283c6182d08b33b189c8a300fc2e21fb797840fac2a2ea442997da0"),
 ])
 def test_generated_cache_files_keep_their_bytes(tmp_path, p, N, digest):

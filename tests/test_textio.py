@@ -1,6 +1,7 @@
 """Text formats: printer output parses back to an equal value."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -11,8 +12,9 @@ from wittgrass.fields import GF
 from wittgrass.greenberg import coord_ring, parse_witt_map
 from wittgrass.hilbert import family_ring
 from wittgrass.lattice import PadicWittNumber
-from wittgrass.rings import LaurentRing
+from wittgrass.rings import MAX_POWER_DEGREE, LaurentRing, RationalFunctionField
 from wittgrass.textio import (
+    MAX_EXPONENT,
     parse_coordinate_poly,
     parse_padic,
     parse_padic_matrix,
@@ -160,6 +162,29 @@ def test_overlong_integer_literal_is_refused():
     # int() refuses more digits than sys.get_int_max_str_digits() allows
     with pytest.raises(UsageError, match="5000 digits is too long"):
         parse_scalar(GF(2), "1" * 5000)
+
+
+def test_literal_exponents_are_bounded():
+    F = GF(4)
+    assert parse_scalar(F, f"u^{MAX_EXPONENT}") == parse_scalar(F, f"u^{MAX_EXPONENT % 3}")
+    for text in (f"u^{MAX_EXPONENT + 1}", f"u^-{MAX_EXPONENT + 1}"):
+        message = f"in {text!r} is beyond the bound of {MAX_EXPONENT}"
+        with pytest.raises(UsageError, match=re.escape(message)):
+            parse_scalar(F, text)
+
+
+@pytest.mark.parametrize("ring", [LaurentRing(GF(2)), RationalFunctionField(GF(2))],
+                         ids=["laurent", "rational"])
+def test_powers_past_the_degree_bound_are_refused(ring):
+    # values built without the parser: the ring bounds degree times exponent
+    t, one = parse_scalar(ring, "t"), ring.one
+    at_bound = parse_scalar(ring, f"t^{MAX_EXPONENT}") ** (MAX_POWER_DEGREE // MAX_EXPONENT)
+    assert t**MAX_POWER_DEGREE == at_bound
+    for base, n in ((t + one, MAX_POWER_DEGREE + 1), (t * t + one, -(MAX_POWER_DEGREE // 2 + 1))):
+        with pytest.raises(UsageError, match=f"bound of {MAX_POWER_DEGREE}"):
+            base**n
+    if isinstance(ring, LaurentRing):  # a monomial stays one term at any exponent
+        assert (t ** 10**9).terms == ((10**9, ring.field.one),)
 
 
 # text over digits that int() and str.isdigit() take but the grammar does not
