@@ -285,7 +285,10 @@ def build_parser():
         prog="wittgrass",
         description="Exact Witt-vector arithmetic and desk-scale p-adic Grassmannian computations",
     )
-    top.add_argument("--cache-dir", help="structure-polynomial cache directory")
+    top.add_argument(
+        "--cache-dir",
+        help="structure-polynomial cache directory, used only by ring arithmetic",
+    )
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_common(p, N=True, q=True):

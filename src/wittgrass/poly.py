@@ -16,7 +16,27 @@ computations are run: Witt vectors whose coordinates are polynomial variables.
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import NonUnit, NotPerfect, RingMismatch, UsageError
+
+# A power that could have more terms than this is refused before it is taken.
+MAX_POWER_TERMS = 100_000
+
+
+def _power_terms(k, n, p):
+    """A bound on the terms of the n-th power of a k-term polynomial: the
+    number C(n + k - 1, k - 1) of monomials of degree n in k letters.  Over a
+    ring of characteristic p (``p`` not None) a^n is the product over the
+    base-p digits d of n of (a^(p^i))^d, and a^(p^i) has k terms, so the bound
+    is the product of the C(d + k - 1, k - 1)."""
+    if p is None:
+        return comb(n + k - 1, k - 1)
+    bound = 1
+    while n:
+        bound *= comb(n % p + k - 1, k - 1)
+        n //= p
+    return bound
 
 
 class Polynomial:
@@ -111,6 +131,15 @@ class Polynomial:
         if len(self.terms) == 1:
             (m, c), = self.terms.items()
             return self.ring.monomial([e * n for e in m], c**n)
+        if n > 1 and self.terms:
+            # W_N(k) has characteristic p^N; every other coefficient ring here has p
+            p = self.ring.p if getattr(self.ring.coeff, "N", 1) == 1 else None
+            terms = _power_terms(len(self.terms), n, p)
+            if terms > MAX_POWER_TERMS:
+                raise UsageError(
+                    f"a power ({len(self.terms)} terms)^{n} may have {terms} terms, beyond "
+                    f"the bound of {MAX_POWER_TERMS} on the terms of a power"
+                )
         acc = self.ring.one
         base = self
         while n:

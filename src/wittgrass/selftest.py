@@ -235,7 +235,7 @@ def check_image_report():
 
 def check_cache_roundtrip():
     def read_add(tmp):  # a level is parsed when first read
-        return structure.StructurePolynomialTable(2, 3, structure.load_cache(2, tmp)).levels("add")
+        return structure.StructurePolynomialTable(2, tmp).levels("add", 3)
 
     with tempfile.TemporaryDirectory() as tmp:
         levels = structure.solve_levels(2, "add", 3)

@@ -24,23 +24,6 @@ coefficient.  Exponents are packed 16 bits per variable slot; X_i occupies
 slot i and Y_i occupies slot MAX_SLOTS + i.  This keeps monomial products a
 single integer addition.
 
-Generated tables are cached on disk, one polynomial per line, in the format
-``ADD n: <polynomial>``.  Cache writes are atomic (write a temp file, then
-rename), so concurrent processes can share a cache directory.  Loading reads
-the file once and checks every line head at once: each line names a known op
-and the next level of it.  The polynomial after the colon is kept as text and
-parsed the first time a call reads that level, so a call that adds never
-parses the multiplication table.  Parsing checks the syntax: each term has a
-nonzero integer coefficient spelled as render_ip spells it, and distinct
-variables X_i/Y_i with i < MAX_SLOTS and exponents 1..EXP_MASK, written in
-slot order, so no token can alias another monomial.  It checks too that each
-coefficient is a residue 1..p-1; a file written before the tables held
-residues has integer coefficients such as -1 and is refused, not misread.  A
-bad level is refused when it is first read, with the file and the line named;
-before a cache file is rewritten every level in it is parsed, so corrupt data
-is refused rather than written back.  Nothing re-checks the ghost identities;
-a well-formed but wrong residue is read as it stands.
-
 Generation cost is governed by the number of monomials of weighted degree p^n
 (weights deg X_i = p^i), and nearly all of it goes into the powers
 T_i^(p^(n-i)) of lower levels.  Each is taken from T_i itself by repeated
@@ -64,8 +47,40 @@ visits 128,935 pairs of groups, against 699,111 with X0 and X1.
 leave one term per group; it packs (X0, X1, p), X1 weighing p under the
 X-block weight, and so does ``neg``, which has no Y.
 
-Writing a table renders each key as its X half and its Y half, each through a
-memo (``render_ip``).
+Over a finite field F_q every coordinate satisfies x^q = x, so Witt
+arithmetic evaluates the laws in R_q = Z[X, Y]/(X_j^q - X_j, Y_j^q - Y_j),
+where a monomial is folded: each exponent e >= 1 becomes ((e - 1) mod (q - 1))
++ 1.  ``solve_levels(p, op, N, q=q)`` gives these folded levels.  The solve is
+exact in R_q: R_q is a free Z-module, so the ghost identities hold there and
+the division by p^n stays exact; the power lemma above holds in every
+commutative ring; and folding and reduction mod p^k are ring maps, so they may
+be applied after any product.  Where to fold is derived from q.  Over F_p
+(q = p) the whole solve runs in R_p: the ghost target and every product are
+folded, by schoolbook products whose keys fold through one memo, and the levels
+stay tiny (p = 2 ``add`` level 5: 33 terms, against 4,565 unfolded).  Over F_q
+with q > p folding keeps most terms (p = 3 ``add`` level 4 over F_9: 16,534
+of 49,278) and breaks the grading the Kronecker products pack by, so the levels
+are solved unfolded and each is folded once.
+
+Generated tables for the other coefficient rings (polynomial, Laurent and
+F_q(t) rings) are cached on disk, one polynomial per line, in the format
+``ADD n: <polynomial>``; finite fields never read or write the cache.  Cache
+writes are atomic (write a temp file, then rename), so concurrent processes
+can share a cache directory.  Writing renders each key as its X half and its Y
+half, each through a memo (``render_ip``).  Loading reads the file once and
+checks every line head at once: each line names a known op and the next level
+of it.  The polynomial after the colon is kept as text and parsed the first
+time a call reads that level, so a call that adds never parses the
+multiplication table.  Parsing checks the syntax: each term has a nonzero
+integer coefficient spelled as render_ip spells it, and distinct variables
+X_i/Y_i with i < MAX_SLOTS and exponents 1..EXP_MASK, written in slot order,
+so no token can alias another monomial.  It checks too that each coefficient
+is a residue 1..p-1; a file written before the tables held residues has
+integer coefficients such as -1 and is refused, not misread.  A bad level is
+refused when it is first read, with the file and the line named; before a
+cache file is rewritten every level in it is parsed, so corrupt data is
+refused rather than written back.  Nothing re-checks the ghost identities; a
+well-formed but wrong residue is read as it stands.
 
 The monomial count explodes combinatorially: for p = 5 the level-4 addition
 polynomial has more than 10^8 potential terms, and its powers would have to
@@ -73,7 +88,9 @@ be taken over all of them, which no desk machine does in reasonable time.
 Generation therefore refuses, with TableLimit, any level whose potential
 support exceeds a configurable bound (default 200,000 monomials, which admits
 p=2 up to length 6, p=3 up to length 5 and p=5 up to length 4) instead of
-grinding without hope of finishing.
+grinding without hope of finishing.  A level solved in R_p has at most p^v
+monomials in its v variables, so its support counts as the smaller of the
+two; that admits W_8(F_2), whose level 7 has at most 2^16.
 """
 
 from __future__ import annotations
@@ -92,6 +109,8 @@ MAX_N = 8
 MAX_SLOTS = 8          # one block of variable slots per letter
 SHIFT = 16             # bits per exponent field
 EXP_MASK = (1 << SHIFT) - 1
+_HALF_BITS = SHIFT * MAX_SLOTS  # a key is its X half, then its Y half
+_HALF_MASK = (1 << _HALF_BITS) - 1
 
 OPS = ("add", "mul", "neg")
 DEFAULT_TERM_LIMIT = 200_000
@@ -252,6 +271,60 @@ def ghost(p, n, var):
 
 
 # ---------------------------------------------------------------------------
+# the quotient R_q = Z[X, Y]/(X_j^q - X_j, Y_j^q - Y_j)
+# ---------------------------------------------------------------------------
+
+class _Fold(dict):
+    """Memo: packed key -> the key of its monomial in R_q, each exponent e >= 1
+    replaced by ((e - 1) mod (q - 1)) + 1.  The rule is the same in every
+    field, so the memo serves the X and Y halves of keys as well as keys."""
+
+    def __init__(self, q):
+        super().__init__()
+        self.period = q - 1
+
+    def __missing__(self, key):
+        period = self.period
+        folded = self[key] = sum(
+            ((e - 1) % period + 1) << (SHIFT * slot) for slot, e in key_exponents(key)
+        )
+        return folded
+
+
+def _fold_poly(a, fold):
+    """a in R_q, each key folded as its X half and its Y half through the memo
+    ``fold``: the halves repeat far more than the keys.  Zero sums are kept."""
+    out = {}
+    for key, c in a.items():
+        k = fold[key & _HALF_MASK] | fold[key >> _HALF_BITS] << _HALF_BITS
+        out[k] = out.get(k, 0) + c
+    return out
+
+
+def _folded_mul(a, b, fold):
+    """Schoolbook product in R_q, each product key folded through the memo
+    ``fold``; a square, one object passed as both factors, visits each
+    unordered pair of terms once.  Zero sums are kept, for ``ip_mod`` to drop."""
+    out = {}
+    get = out.get
+    if a is b:
+        items = list(a.items())
+        for i, (k1, c1) in enumerate(items):
+            k = fold[k1 + k1]
+            out[k] = get(k, 0) + c1 * c1
+            c1 <<= 1
+            for k2, c2 in items[i + 1:]:
+                k = fold[k1 + k2]
+                out[k] = get(k, 0) + c1 * c2
+        return out
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = fold[k1 + k2]
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
+# ---------------------------------------------------------------------------
 # support-size estimates (drive the generation guard)
 # ---------------------------------------------------------------------------
 
@@ -318,8 +391,10 @@ def _ghost_target(p, n, op):
     raise UsageError(f"unknown Witt operation {op!r}")
 
 
-def _check_limits(p, op, start, N):
-    """Raise TableLimit unless levels start..N-1 of the op table are in reach."""
+def _check_limits(p, op, start, N, folded):
+    """Raise TableLimit unless levels start..N-1 of the op table are in reach;
+    a level solved in R_p (``folded``) has at most p^v monomials in its v
+    variables."""
     if p not in SUPPORTED_PRIMES:
         raise TableLimit(f"prime {p} not supported; supported: {SUPPORTED_PRIMES}")
     if not (1 <= N <= MAX_N):
@@ -327,6 +402,8 @@ def _check_limits(p, op, start, N):
     limit = term_limit()
     for n in range(start, N):
         cost = level_cost(p, n, op)
+        if folded:
+            cost = min(cost, p ** ((n + 1) * (1 if op == "neg" else 2)))
         if cost > limit:
             raise TableLimit(
                 f"structure table {op} level {n} for p={p} has a potential support of "
@@ -335,58 +412,82 @@ def _check_limits(p, op, start, N):
             )
 
 
-def solve_levels(p, op, N, known=None):
+def solve_levels(p, op, N, known=None, q=None):
     """Return levels 0..N-1 of the op table mod p, reusing any known prefix.
 
-    Raises TableLimit, before solving any level, when one of the missing
-    levels has a potential monomial support beyond the configured bound.
+    With q, the levels of the table over F_q, folded into R_q (module
+    docstring): over F_p the solve runs in R_p, over a larger F_q the levels
+    are solved unfolded and folded once each.  ``known`` is a prefix of the
+    levels solved in the same ring, unfolded or in R_p.  Raises TableLimit,
+    before solving any level, when one of the missing levels has a potential
+    monomial support beyond the configured bound.
     """
+    folded = q == p  # the whole solve runs in R_p
     levels = [dict(t) for t in (known or [])][:N]
-    _check_limits(p, op, len(levels), N)
-    # the slot pair and weight that op's grading makes dense (module docstring)
-    u, v, w = (0, MAX_SLOTS, 1) if op == "add" else (0, 1, p)
-    mul = functools.partial(_kron_mul, u=u, v=v, w=w)
+    _check_limits(p, op, len(levels), N, folded)
+    fold = _Fold(q) if q is not None else None
+    if folded:
+        mul = functools.partial(_folded_mul, fold=fold)
+    else:  # the slot pair and weight that op's grading makes dense (module docstring)
+        u, v, w = (0, MAX_SLOTS, 1) if op == "add" else (0, 1, p)
+        mul = functools.partial(_kron_mul, u=u, v=v, w=w)
     for n in range(len(levels), N):
         numerator = _ghost_target(p, n, op)
+        if folded:
+            numerator = _fold_poly(numerator, fold)
         for i in range(n):  # from T_i: each product that is not a square has T_i as a factor
             power = ip_pow(levels[i], p ** (n - i), mul, p ** (n + 1 - i))
             ip_add_inplace(numerator, power, scale=-(p**i))
-        q = p**n
+        pn = p**n
         level = {}
         for k, c in numerator.items():
-            d, r = divmod(c, q)
+            d, r = divmod(c, pn)
             if r:
                 raise ArithmeticError(
-                    f"ghost solve failed: coefficient {c} at level {n} not divisible by {q}"
+                    f"ghost solve failed: coefficient {c} at level {n} not divisible by {pn}"
                 )
             if d := d % p:
                 level[k] = d
         levels.append(level)
+    if fold is not None and not folded:
+        levels = [ip_mod(_fold_poly(level, fold), p) for level in levels]
     return levels
 
 
-def verify_ghost(p, op, levels):
+def verify_ghost(p, op, levels, q=None):
     """True iff every coefficient is a residue 1..p-1 and every level n
     satisfies its ghost congruence
 
-        sum_{i<=n} p^i * T_i^(p^(n-i)) = target  (mod p^(n+1)).
+        sum_{i<=n} p^i * T_i^(p^(n-i)) = target  (mod p^(n+1)),
 
-    Given the levels below it, the congruence fixes level n mod p and the
-    residue range fixes it outright.  The schoolbook reference the generator is
-    checked against: it multiplies with ``ip_mul``, not with the Kronecker
-    product that ``solve_levels`` uses, and takes each power from the one a
-    level below, as (T^(p^(k-1)) mod p^k)^p = T^(p^k) mod p^(k+1).
+    in R_q with q, where every key must be folded too.  Given the levels below
+    it, the congruence fixes level n mod p and the residue range fixes it
+    outright.  The schoolbook reference the generator is checked against: it
+    multiplies with ``ip_mul`` and folds each product afterwards, not with the
+    Kronecker or folded products that ``solve_levels`` uses, and takes each
+    power from the one a level below, as (T^(p^(k-1)) mod p^k)^p = T^(p^k) mod
+    p^(k+1).
     """
     if not all(0 < c < p for level in levels for c in level.values()):
         return False
+    fold = _Fold(q) if q is not None else None
+    if fold is not None and any(fold[key] != key for level in levels for key in level):
+        return False
+
+    def mul(a, b):
+        return ip_mul(a, b) if fold is None else _fold_poly(ip_mul(a, b), fold)
+
+    def reduce(a, m):
+        return ip_mod(a if fold is None else _fold_poly(a, fold), m)
+
     powers = []  # at level n: T_i^(p^(n-i)) mod p^(n+1-i), for i = 0..n
     for n, level in enumerate(levels):
-        powers = [ip_pow(t, p, modulus=p ** (n + 1 - i)) for i, t in enumerate(powers)]
+        powers = [ip_pow(t, p, mul, p ** (n + 1 - i)) for i, t in enumerate(powers)]
         powers.append(level)
         acc = {}
         for i, t in enumerate(powers):
             ip_add_inplace(acc, t, scale=p**i)
-        if ip_mod(acc, p ** (n + 1)) != ip_mod(_ghost_target(p, n, op), p ** (n + 1)):
+        if reduce(acc, p ** (n + 1)) != reduce(_ghost_target(p, n, op), p ** (n + 1)):
             return False
     return True
 
@@ -406,10 +507,6 @@ def check_triangular(levels, op):
 # ---------------------------------------------------------------------------
 # text format and disk cache
 # ---------------------------------------------------------------------------
-
-_HALF_BITS = SHIFT * MAX_SLOTS  # a key is its X half, then its Y half
-_HALF_MASK = (1 << _HALF_BITS) - 1
-
 
 class _HalfText(dict):
     """Memo: one half of a packed key -> its text, e.g. ``*X1*X3^2``."""
@@ -593,24 +690,26 @@ def write_cache(p, cache_dir, tables):
 # the table object used by Witt arithmetic
 # ---------------------------------------------------------------------------
 
-class _FoldedHalves(dict):
-    """Memo: one half of a packed key -> that half folded by x^q = x."""
+def _decode_half(half, first):
+    """(mask, variables) of one half of a packed key whose first slot is ``first``."""
+    fields = key_exponents(half)
+    return (sum(1 << (first + slot) for slot, _ in fields),
+            tuple((first + slot) << SHIFT | e for slot, e in fields))
 
-    def __init__(self, q):
-        super().__init__()
-        self.period = q - 1
 
-    def __missing__(self, half):
-        folded = shift = 0
-        rest = half
-        while rest:
-            e = rest & EXP_MASK
-            if e:
-                folded |= ((e - 1) % self.period + 1) << shift
-            rest >>= SHIFT
-            shift += SHIFT
-        self[half] = folded
-        return folded
+def _evaluation_form(level):
+    """A level as Witt arithmetic evaluates it: per term, ``(mask, variables,
+    coefficient)``, ``variables`` a tuple of ``slot << SHIFT | exponent`` for
+    the variables the term uses and ``mask`` with bit ``slot`` set for each.
+    Each key is decoded as its X half and its Y half, each through a memo."""
+    xs, ys = {}, {}
+    form = []
+    for key, c in level.items():
+        x, y = key & _HALF_MASK, key >> _HALF_BITS
+        xmask, xvars = xs.get(x) or xs.setdefault(x, _decode_half(x, 0))
+        ymask, yvars = ys.get(y) or ys.setdefault(y, _decode_half(y, MAX_SLOTS))
+        form.append((xmask | ymask, xvars + yvars, c))
+    return form
 
 
 class StructurePolynomialTable:
@@ -618,73 +717,74 @@ class StructurePolynomialTable:
 
     ``levels(op, N)`` gives the levels 0..N-1 of op, each a packed polynomial
     with coefficients in 1..p-1.  ``reduced(op, q, N)`` gives them in the form
-    Witt arithmetic evaluates: per level, a list of ``(mask, variables,
-    coefficient)`` terms.  ``variables`` is a tuple of ``slot << SHIFT |
-    exponent`` for the variables the term uses, ``mask`` has bit ``slot`` set
-    for each of them, and the coefficient lies in 1..p-1.  N None means every
-    level of the table.
+    Witt arithmetic evaluates (``_evaluation_form``), the coefficients in
+    1..p-1.  N None means every level of the table.
 
     With ``q`` None the form is the level itself, valid over every ring of
     characteristic p (polynomial rings, Laurent rings, F_q(t)).  For a finite
-    field F_q the form is folded by x^q = x, which holds for every coordinate:
-    each exponent e >= 1 becomes ((e - 1) mod (q - 1)) + 1 and terms that then
-    share a monomial are merged, their coefficients summed mod p.  Evaluation
-    at F_q points is unchanged, and the folded levels are far smaller (p = 3
-    ``add`` level 4: 49,278 terms, 470 over F_3).
+    field F_q the forms are those of the levels folded into R_q, which
+    ``solve_levels(p, op, N, q=q)`` solves in memory (module docstring): exact
+    at F_q points and far smaller (p = 3 ``add`` level 4: 49,278 terms, 470
+    over F_3).  So a finite-field call reads no file, parses nothing and writes
+    nothing, and no edit of the cache file changes its result.
 
-    The unit of work is one level of one op, and each stage is a prefix list
-    per op that grows on demand: a level read from the cache file stays text
-    until a call first reads it, then is parsed (``parse_level``) and folded
-    once per q (``_fold``), and each result is kept.  So ``witt add --N 3``
-    parses three lines of the file whatever else it holds.  The fold takes
-    each key as its X half and its Y half and folds each half once per level,
-    through a memo: the halves repeat far more than the keys (p = 3 ``add``
-    level 4: 49,278 keys, 4,373 distinct halves).  Only the merged monomials
-    are decoded.  Loading and generation fold nothing; generated levels are
-    kept parsed.
-
-    A table of length N serves every length up to N.  There is one table per
-    prime and cache directory, holding every level the cache file holds and at
-    least the lengths asked for; ``path`` names the file in error messages.
+    The handle is per prime and cache directory, and ``get`` reads nothing.
+    The unfolded levels are read from the cache file, with the levels it lacks
+    generated and the file rewritten, on the first ``levels`` or ``reduced(op,
+    None)`` call that needs them.  Each stage is a prefix list per op that
+    grows on demand: a level read from the file stays text until a call first
+    reads it, then is parsed (``parse_level``) and turned into its form, and
+    each result is kept.  So ``witt add --laurent --N 3`` parses three lines of
+    the file whatever else it holds.  A table of length N serves every length
+    up to N; ``N`` is the longest length asked for, or the file's once read.
     """
 
     _registry: dict = {}
 
-    def __init__(self, p, N, bodies, path=None, levels=None):
+    def __init__(self, p, cache_dir):
         self.p = p
-        self.N = N
-        self.path = path
-        self._bodies = {op: bodies[op][:N] for op in OPS}  # the text of each level
-        # op -> the parsed levels, a prefix of the table
-        self._levels = {op: list(levels[op][:N]) if levels else [] for op in OPS}
+        self.cache_dir = cache_dir
+        self.path = _cache_path(cache_dir, p)
+        self.N = 0
+        self._read = None  # the length read from the file or generated, once read
+        self._bodies = {}  # op -> the text of each level the file holds
+        self._levels = {op: [] for op in OPS}  # op -> the parsed levels, a prefix
         self._forms = {}  # (op, q) -> evaluation forms, a prefix of the table
 
-    def _fold(self, level, q):
-        """Evaluation form of one level, folded by x^q = x unless q is None."""
-        if q is not None:
-            halves = _FoldedHalves(q)
-            merged = {}
-            for key, c in level.items():
-                folded = halves[key & _HALF_MASK] | halves[key >> _HALF_BITS] << _HALF_BITS
-                merged[folded] = merged.get(folded, 0) + c
-            level = merged
-        p = self.p
-        form = []
-        for key, c in level.items():
-            if cp := c % p:
-                variables = []
-                mask = slot = 0
-                while key:
-                    e = key & EXP_MASK
-                    if e:
-                        variables.append(slot << SHIFT | e)
-                        mask |= 1 << slot
-                    key >>= SHIFT
-                    slot += 1
-                form.append((mask, tuple(variables), cp))
-        return form
+    def _load(self, N):
+        """Read the cache file; generate the levels it lacks below length N and
+        write them back, every level of the file parsed first."""
+        p, path = self.p, self.path
+        try:
+            bodies = load_cache(p, self.cache_dir)
+        except OSError:
+            bodies = {op: [] for op in OPS}
+        length = max(N, min(len(bodies[op]) for op in OPS))
+        missing = [op for op in OPS if len(bodies[op]) < length]
+        levels = None
+        if missing:
+            for op in missing:  # refuse before solving any op
+                _check_limits(p, op, len(bodies[op]), length, folded=False)
+            # the file is rewritten whole, so every level in it is parsed
+            # first: corrupt data is refused, never written back
+            levels = {
+                op: [parse_level(path, p, op, n, text) for n, text in enumerate(bodies[op])]
+                for op in OPS
+            }
+            for op in missing:
+                levels[op] = solve_levels(p, op, length, known=levels[op])
+            try:
+                write_cache(p, self.cache_dir, levels)
+            except OSError as exc:  # the cache is an optimization; carry on in memory
+                print(f"wittgrass: could not write structure cache {path}: {exc}", file=sys.stderr)
+        self.N = max(self.N, length)
+        self._read = length
+        self._bodies = {op: bodies[op][:length] for op in OPS}
+        self._levels = {op: list(levels[op][:length]) if levels else [] for op in OPS}
 
     def levels(self, op, N=None):
+        if self._read is None or self._read < (N or self.N):
+            self._load(N or self.N)
         N = self.N if N is None else N
         parsed, bodies = self._levels[op], self._bodies[op]
         while len(parsed) < N:
@@ -695,45 +795,20 @@ class StructurePolynomialTable:
     def reduced(self, op, q=None, N=None):
         """Evaluation forms of op; the first N entries are those of levels 0..N-1."""
         N = self.N if N is None else N
-        form = self._forms.get((op, q))
-        if form is None:
-            form = self._forms[(op, q)] = []
-        if len(form) < N:
-            form += [self._fold(level, q) for level in self.levels(op, N)[len(form):]]
-        return form
+        if len(self._forms.get((op, q), ())) < N:
+            levels = self.levels(op, N) if q is None else solve_levels(self.p, op, N, q=q)
+            form = self._forms.setdefault((op, q), [])
+            form += map(_evaluation_form, levels[len(form):])
+        return self._forms.get((op, q), [])
 
     @classmethod
     def get(cls, p, N, cache_dir=None):
-        cdir = resolve_cache_dir(cache_dir)
-        key = (p, cdir)
-        hit = cls._registry.get(key)
-        if hit is not None and hit.N >= N:
-            return hit
-        path = _cache_path(cdir, p)
-        try:
-            bodies = load_cache(p, cdir)
-        except OSError:
-            bodies = {op: [] for op in OPS}
-        length = max(N, min(len(bodies[op]) for op in OPS))
-        missing = [op for op in OPS if len(bodies[op]) < length]
-        levels = None
-        if missing:
-            for op in missing:  # refuse before solving any op
-                _check_limits(p, op, len(bodies[op]), length)
-            # the file is rewritten whole, so every level in it is parsed
-            # first: corrupt data is refused, never written back
-            levels = {
-                op: [parse_level(path, p, op, n, text) for n, text in enumerate(bodies[op])]
-                for op in OPS
-            }
-            for op in missing:
-                levels[op] = solve_levels(p, op, length, known=levels[op])
-            try:
-                write_cache(p, cdir, levels)
-            except OSError as exc:  # the cache is an optimization; carry on in memory
-                print(f"wittgrass: could not write structure cache {path}: {exc}", file=sys.stderr)
-        table = cls(p, length, bodies, path, levels)
-        cls._registry[key] = table
+        """The table of prime p and the cache directory, serving length N; reads nothing."""
+        key = (p, resolve_cache_dir(cache_dir))
+        table = cls._registry.get(key)
+        if table is None:
+            table = cls._registry[key] = cls(*key)
+        table.N = max(table.N, N)
         return table
 
     @classmethod

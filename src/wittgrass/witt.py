@@ -3,11 +3,12 @@
 Arithmetic is evaluation of the universal structure polynomials, which the
 tables hold mod p, at the operand coordinates, so it works uniformly over
 finite fields, polynomial rings and Laurent rings.  Over a finite field F_q
-the tables are folded by x^q = x first (see ``StructurePolynomialTable``),
-which is exact at F_q points and leaves far fewer terms; other rings evaluate
-the levels as stored.  Each call marks its zero coordinates in a bitmask
-once, so a term that uses one costs a single AND, and shares one cache of
-coordinate powers across all levels.  Inversion is the componentwise
+the laws are those folded by x^q = x, which hold at every F_q point and have
+far fewer terms; ``StructurePolynomialTable`` solves them in memory, so a
+finite-field call reads no cache file.  Other rings evaluate the levels as
+generated or read from the cache.  Each call marks its zero coordinates in a
+bitmask once, so a term that uses one costs a single AND, and shares one cache
+of coordinate powers across all levels.  Inversion is the componentwise
 triangular solve: the n-th component of a product depends on the n-th
 component of the second factor only through the term a_0^(p^n) * b_n.
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from wittgrass import cli, textio
+from wittgrass import cli, poly, textio
 
 
 def test_selftest_quick_passes(capsys):
@@ -66,6 +66,46 @@ def test_laurent_witt_beyond_the_table_limit_is_refused_before_work(capsys, monk
     assert captured.out == ""
     assert "WITTGRASS_TABLE_LIMIT" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def _bits(n, N=8):
+    """n mod 2^N as a vector of W_N(F_2): the Teichmuller lifts of F_2 are 0
+    and 1, so the Witt coordinates of an integer are its binary digits."""
+    return "(" + ",".join(str(n >> i & 1) for i in range(N)) + ")"
+
+
+@pytest.mark.parametrize("a,b", [(3, 5), (255, 255), (171, 86), (129, 254)])
+def test_witt_vectors_of_length_8_over_f2_are_the_integers_mod_256(capsys, a, b):
+    def witt(op, *vectors):
+        assert cli.main(["witt", op, "--p", "2", "--N", "8", *vectors]) == 0
+        return capsys.readouterr().out.strip()
+
+    assert witt("add", _bits(a), _bits(b)) == _bits(a + b)
+    assert witt("mul", _bits(a), _bits(b)) == _bits(a * b)
+    assert witt("neg", _bits(a)) == _bits(-a)
+    for unit in (x for x in (a, b) if x % 2):
+        assert witt("inv", _bits(unit)) == _bits(pow(unit, -1, 256))
+
+
+@pytest.mark.parametrize("argv, problem", [
+    # over F_3 level 5 is solved folded, in 12 variables of at most 3 states each
+    (["add", "--p", "3", "--N", "6"],
+     "structure table add level 5 for p=3 has a potential support of 531441 monomials"),
+    (["add", "--p", "2", "--q", "4", "--N", "7"],
+     "structure table add level 6 for p=2 has a potential support of 1357608 monomials"),
+    (["add", "--p", "2", "--N", "9"], "table length 9 outside 1..8"),
+], ids=["F3-N6", "F4-N7", "N9"])
+def test_finite_field_witt_beyond_the_tables_is_refused(capsys, monkeypatch, argv, problem):
+    monkeypatch.delenv("WITTGRASS_TABLE_LIMIT", raising=False)
+    N = int(argv[-1])
+    one = "(" + ",".join(["1"] + ["0"] * (N - 1)) + ")"
+    assert cli.main(["witt", *argv, one, one]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {problem}" in captured.err
+    if "support" in problem:
+        assert ("beyond the limit of 200000; this is out of reach for exact generation "
+                "(set WITTGRASS_TABLE_LIMIT to override at your own risk)") in captured.err
 
 
 @pytest.mark.parametrize("op", ["neg", "inv"])
@@ -217,6 +257,19 @@ def test_a_huge_literal_exponent_is_refused_at_once(capsys, tmp_path, where):
     assert cli.main(argv) == 2
     assert time.perf_counter() - start < 0.2
     assert "^1000000000" in err and f"bound of {textio.MAX_EXPONENT}" in err
+
+
+def test_a_huge_polynomial_power_is_refused_at_once(capsys, tmp_path):
+    # the exponent is under the literal bound, but the power would have
+    # 15^5 terms: (a + b + c)^3124 over F_5, 3124 = 44444 in base 5
+    argv = ["hilbert", "stable", "--n", "2", "--p", "5", "--N", "2", "--ideal-file",
+            _lines(tmp_path, "power.txt", "(x[1,0]+x[2,0]+x[1,1])^3124")]
+    assert cli.main(argv) == 2  # the first call also imports the command's modules
+    err = capsys.readouterr().err
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 0.2
+    assert "759375 terms" in err and f"bound of {poly.MAX_POWER_TERMS}" in err
 
 
 def test_hilbert_stable(capsys, tmp_path):

@@ -1,10 +1,15 @@
-"""The F_q fold of the evaluation forms against the per-field rule."""
+"""The levels solved over F_q against the per-field fold of the unfolded ones."""
 
-from hypothesis import given, settings, strategies as hst
+import pytest
 
 from wittgrass import structure as st
 
 FIELD_SIZES = (2, 3, 4, 5, 8, 9, 25)
+ENVELOPE = {2: 6, 3: 5, 5: 4}  # the longest table of each prime under the default limit
+
+
+def _prime(q):
+    return next(p for p in (2, 3, 5) if q % p == 0)
 
 
 def _direct_fold(level, q, p):
@@ -25,32 +30,36 @@ def _direct_fold(level, q, p):
     return sorted(form)
 
 
-def _key(fields):
-    return sum(e << (st.SHIFT * slot) for slot, e in fields.items())
+@pytest.mark.parametrize("q", FIELD_SIZES, ids=lambda q: f"F{q}")
+@pytest.mark.parametrize("op", st.OPS)
+def test_folded_levels_match_the_per_field_rule(tmp_path, op, q):
+    p = _prime(q)
+    top = ENVELOPE[p]
+    expected = [_direct_fold(level, q, p) for level in st.solve_levels(p, op, top)]
+    for N in range(1, top + 1):
+        folded = st.solve_levels(p, op, N, q=q)
+        assert [sorted(st._evaluation_form(level)) for level in folded] == expected[:N]
+    assert st.verify_ghost(p, op, folded, q=q)
+    # the forms Witt arithmetic evaluates, from a table that reads no file
+    table = st.StructurePolynomialTable(p, str(tmp_path))
+    assert [sorted(form) for form in table.reduced(op, q, top)] == expected
+    assert list(tmp_path.iterdir()) == []
 
 
-_exponents = hst.one_of(hst.integers(1, 60), hst.integers(1, st.EXP_MASK))
-_halves = hst.dictionaries(hst.integers(0, st.MAX_SLOTS - 1), _exponents, min_size=1, max_size=4)
-
-
-@hst.composite
-def _levels(draw):
-    q = draw(hst.sampled_from(FIELD_SIZES))
-    p = next(p for p in (2, 3, 5) if q % p == 0)
-    # a few X and Y halves, reused across keys, as the halves of real tables are
-    xs = draw(hst.lists(_halves, min_size=1, max_size=6))
-    ys = draw(hst.lists(_halves, min_size=1, max_size=6))
-    keys = set()
-    for x, y in draw(hst.lists(hst.tuples(hst.sampled_from(xs), hst.sampled_from(ys)),
-                               min_size=1, max_size=40)):
-        keys.add(_key(x) + _key({st.MAX_SLOTS + slot: e for slot, e in y.items()}))
-    level = {key: draw(hst.integers(1, p - 1)) for key in sorted(keys)}
-    return q, p, level
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_levels())
-def test_memoised_fold_matches_the_per_field_rule(case):
-    q, p, level = case
-    table = st.StructurePolynomialTable(p, 0, {op: [] for op in st.OPS})
-    assert sorted(table._fold(level, q)) == _direct_fold(level, q, p)
+@pytest.mark.parametrize("q", (2, 4, 9, 25), ids=lambda q: f"F{q}")
+def test_folded_ghost_congruence_refuses_edits(q):
+    p = _prime(q)
+    levels = st.solve_levels(p, "add", 3, q=q)
+    assert st.verify_ghost(p, "add", levels, q=q)
+    key, c = min(levels[2].items())
+    edited = dict(levels[2])
+    if (c + 1) % p:
+        edited[key] = (c + 1) % p
+    else:
+        del edited[key]
+    assert not st.verify_ghost(p, "add", levels[:2] + [edited], q=q)
+    # X0 * m spelled X0^q * m: the same function on F_q, but not a folded key
+    unfolded = dict(levels[1])
+    key = next(k for k in unfolded if k & st.EXP_MASK)
+    unfolded[key + (q - 1) * st.xvar(0)] = unfolded.pop(key)
+    assert not st.verify_ghost(p, "add", [levels[0], unfolded, levels[2]], q=q)

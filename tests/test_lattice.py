@@ -23,7 +23,7 @@ from wittgrass.errors import (
 )
 from wittgrass.fields import GF
 from wittgrass.grassmann import points_lattice, standard_cell_lattice
-from wittgrass.hilbert import GradedIdeal, ambient_ring, ideal_I_lambda
+from wittgrass.hilbert import GradedIdeal, act_on_ideal, ambient_ring, ideal_I_lambda
 from wittgrass.lattice import (
     Lattice,
     PadicWittNumber,
@@ -41,6 +41,7 @@ from wittgrass.lattice import (
     stabilizes_standard,
     witt_cell_table,
 )
+from wittgrass.poly import Polynomial
 from wittgrass.witt import random_sl, teichmuller, witt_from_int, witt_inv, witt_random
 from wittgrass.zadic import zadic_oracle
 
@@ -472,6 +473,29 @@ def test_galois_descent_on_the_enumeration(n, q, window):
     assert images == set(cells)
     prime = {base_change(lat, field).canonical_key() for lat, _ in enumerate_lattices(n, field.p, window)}
     assert fixed == prime
+
+
+# N = 2 is the tight window of (1,-1): it keeps the F_8 and F_9 point lists at
+# q^4 candidates (q^6 at N = 3)
+@pytest.mark.parametrize("q,N", [(4, 3), (8, 2), (9, 2)])
+def test_points_lattice_is_frobenius_equivariant(q, N):
+    """points_lattice(sigma(I)) = sigma(points_lattice(I)) on orbit images of
+    I_(1,-1), sigma acting on the coefficients of the generators: the
+    ideal-to-lattice map commutes with the Frobenius of F_q."""
+    field = GF(q)
+    I = ideal_I_lambda(field, (1, -1), N, allow_tight_window=N == 2)
+    rng = random.Random(q)
+    moved = 0
+    for _ in range(3):
+        J = act_on_ideal(random_sl(field, 2, N, rng), I)
+        sigma_J = GradedIdeal(J.ring, J.n, J.N, [
+            Polynomial(J.ring, {m: c**field.p for m, c in g.terms.items()}) for g in J.generators
+        ])
+        lat = points_lattice(J, shift=1, check_stable=False)
+        image = points_lattice(sigma_J, shift=1, check_stable=False)
+        assert image.canonical_key() == frobenius(lat, 1).canonical_key()
+        moved += image.canonical_key() != lat.canonical_key()
+    assert moved  # sigma moved at least one of the lattices
 
 
 def relative_positions(n, q, lam):

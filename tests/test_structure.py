@@ -114,7 +114,7 @@ def test_cache_write_load_and_corruption(tmp_path):
         "neg": st.solve_levels(2, "neg", 3),
     }
     st.write_cache(2, cdir, tables)
-    loaded = st.StructurePolynomialTable(2, 3, st.load_cache(2, cdir))
+    loaded = st.StructurePolynomialTable(2, cdir)
     assert {op: loaded.levels(op) for op in st.OPS} == tables
     path = os.path.join(cdir, "structure_p2.txt")
     with open(path, "a") as fh:
@@ -156,7 +156,9 @@ def test_non_positive_table_limit_is_a_usage_error(monkeypatch, raw):
 
 def test_each_cache_dir_gets_its_own_table(tmp_path):
     for name in ("a", "b"):
-        st.StructurePolynomialTable.get(2, 2, cache_dir=str(tmp_path / name))
+        table = st.StructurePolynomialTable.get(2, 2, cache_dir=str(tmp_path / name))
+        assert not (tmp_path / name).exists()  # get reads and writes nothing
+        table.levels("add")
         assert (tmp_path / name / "structure_p2.txt").exists()
 
 
@@ -168,7 +170,7 @@ def test_table_loads_once_per_prime_and_cache_dir(tmp_path, monkeypatch):
     )
     cdir = str(tmp_path / "a")
     for N in (3, 2, 3):
-        st.StructurePolynomialTable.get(2, N, cache_dir=cdir)
+        st.StructurePolynomialTable.get(2, N, cache_dir=cdir).levels("add", N)
     assert loads == [(2, cdir)]
     for op in st.OPS:
         assert len(st.gen_structure_polys(2, 2, op, cache_dir=cdir)) == 2
@@ -176,8 +178,10 @@ def test_table_loads_once_per_prime_and_cache_dir(tmp_path, monkeypatch):
     # a load keeps every level the file holds, and serves shorter lengths
     fuller = str(tmp_path / "b")
     st.write_cache(2, fuller, {op: st.solve_levels(2, op, 3) for op in st.OPS})
-    assert st.StructurePolynomialTable.get(2, 2, cache_dir=fuller).N == 3
-    st.StructurePolynomialTable.get(2, 3, cache_dir=fuller)
+    table = st.StructurePolynomialTable.get(2, 2, cache_dir=fuller)
+    table.levels("mul", 2)
+    assert table.N == 3
+    st.StructurePolynomialTable.get(2, 3, cache_dir=fuller).levels("mul", 3)
     assert loads == [(2, cdir), (2, fuller)]
 
 
@@ -332,54 +336,65 @@ def test_kronecker_product_at_the_field_limits(u, v, w):
     (5, 4, "678bfc778283c6182d08b33b189c8a300fc2e21fb797840fac2a2ea442997da0"),
 ])
 def test_generated_cache_files_keep_their_bytes(tmp_path, p, N, digest):
-    st.StructurePolynomialTable.get(p, N, cache_dir=str(tmp_path))
+    st.StructurePolynomialTable.get(p, N, cache_dir=str(tmp_path)).levels("add")
     body = (tmp_path / f"structure_p{p}.txt").read_bytes()
     assert hashlib.sha256(body).hexdigest() == digest
 
 
-def _record_folds(monkeypatch):
-    """(level, q) of every fold from now on."""
-    folds = []
-    real_fold = st.StructurePolynomialTable._fold
+def _record_forms(monkeypatch):
+    """Every level turned into its evaluation form from now on."""
+    forms = []
+    real = st._evaluation_form
+    monkeypatch.setattr(st, "_evaluation_form", lambda level: forms.append(level) or real(level))
+    return forms
+
+
+def _record_solves(monkeypatch):
+    """(p, op, N, q) of every solve from now on."""
+    solves = []
+    real = st.solve_levels
     monkeypatch.setattr(
-        st.StructurePolynomialTable, "_fold",
-        lambda self, level, q: folds.append((level, q)) or real_fold(self, level, q),
+        st, "solve_levels",
+        lambda p, op, N, known=None, q=None: solves.append((p, op, N, q)) or real(p, op, N, known, q),
     )
-    return folds
+    return solves
 
 
 def test_tables_reduce_only_the_ops_a_call_evaluates(tmp_path, monkeypatch):
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
-    folds = _record_folds(monkeypatch)
+    forms = _record_forms(monkeypatch)
     for op in st.OPS:
         st.gen_structure_polys(3, 3, op)
-    assert folds == []
+    assert forms == []
 
-    def folded_exactly(op):
+    def reduced_exactly(op):
         levels = st.StructurePolynomialTable.get(3, 3).levels(op)
-        return len(folds) == len(levels) and all(
-            level is stored and q == 3 for (level, q), stored in zip(folds, levels)
-        )
+        return len(forms) == len(levels) and all(a is b for a, b in zip(forms, levels))
 
-    for _ in range(2):  # the second call reuses the folded form
-        assert cli.main(["witt", "add", "--p", "3", "--N", "3", "(1,2,0)", "(2,2,1)"]) == 0
-        assert folded_exactly("add")
-    folds.clear()
-    assert cli.main(["witt", "inv", "--p", "3", "--N", "3", "(1,2,0)"]) == 0
-    assert folded_exactly("mul")
+    for _ in range(2):  # the second call reuses the forms
+        argv = ["witt", "add", "--laurent", "--p", "3", "--N", "3", "(1,2,0)", "(2,t,1)"]
+        assert cli.main(argv) == 0
+        assert reduced_exactly("add")
+    forms.clear()
+    assert cli.main(["witt", "inv", "--laurent", "--p", "3", "--N", "3", "(1,t,0)"]) == 0
+    assert reduced_exactly("mul")
 
 
 def test_fold_is_built_once_per_op_and_field_size(tmp_path, monkeypatch):
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
-    folds = _record_folds(monkeypatch)
+    solves = _record_solves(monkeypatch)
+    f2 = ["witt", "add", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,1)"]
     for _ in range(2):
-        assert cli.main(["witt", "add", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,1)"]) == 0
-    assert [q for _, q in folds] == [2, 2, 2]
+        assert cli.main(f2) == 0
+    assert solves == [(2, "add", 3, 2)]
     for _ in range(2):
         assert cli.main(["witt", "add", "--p", "2", "--q", "4", "--N", "3", "(u,1,0)", "(1,0,u)"]) == 0
-    assert [q for _, q in folds] == [2, 2, 2, 4, 4, 4]
-    # F_2 and F_4 fold one parse of each level
-    assert all(a is b for (a, _), (b, _) in zip(folds[:3], folds[3:]))
+    assert solves == [(2, "add", 3, 2), (2, "add", 3, 4)]
+    # the folded forms live on the table, so dropping the registry drops them
+    st.StructurePolynomialTable.drop_registry()
+    assert cli.main(f2) == 0
+    assert solves == [(2, "add", 3, 2), (2, "add", 3, 4), (2, "add", 3, 2)]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_folding_by_x_to_the_q_shrinks_the_tables():
@@ -390,14 +405,14 @@ def test_folding_by_x_to_the_q_shrinks_the_tables():
 
 def test_witt_calls_parse_only_the_lines_they_read(tmp_path, monkeypatch):
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
-    add = ["witt", "add", "--p", "3", "--N", "5", "(1,2,0,1,2)", "(2,2,1,0,1)"]
+    add = ["witt", "add", "--laurent", "--p", "3", "--N", "5", "(1,2,0,1,2)", "(2,2,1,0,t)"]
     assert cli.main(add) == 0  # generates the tables, parsing nothing
     bodies = st.load_cache(3, str(tmp_path))
     assert [len(bodies[op]) for op in st.OPS] == [5, 5, 5]
     parses = []
     real_parse = st.parse_ip
     monkeypatch.setattr(st, "parse_ip", lambda text: parses.append(text) or real_parse(text))
-    inv = ["witt", "inv", "--p", "3", "--N", "5", "(1,2,0,1,2)"]
+    inv = ["witt", "inv", "--laurent", "--p", "3", "--N", "5", "(1,2,0,t,2)"]
     for argv, op in ((add, "add"), (inv, "mul")):
         st.StructurePolynomialTable.drop_registry()  # as in a fresh process
         parses.clear()
@@ -409,7 +424,7 @@ def test_a_longer_cache_parses_only_the_levels_below_the_length(tmp_path, monkey
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
     st.write_cache(2, str(tmp_path), {op: st.solve_levels(2, op, 6) for op in st.OPS})
     parsed = _record_parses(monkeypatch)
-    assert cli.main(["witt", "add", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,0)"]) == 0
+    assert cli.main(["witt", "add", "--laurent", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,0)"]) == 0
     assert capsys.readouterr().out.strip() == "(0,0,1)"  # 3 + 1 = 4 in Z/8
     assert parsed == [("add", 0), ("add", 1), ("add", 2)]
     assert st.StructurePolynomialTable.get(2, 3).N == 6
@@ -423,17 +438,21 @@ def test_grass_image_parses_no_level_it_does_not_evaluate(tmp_path, monkeypatch,
     assert cli.main(argv) == 0
     capsys.readouterr()
     # the job evaluates Witt vectors of lengths 1-3 (N = 3); its p-adic numbers
-    # compute in the Galois ring and read no table: levels 0-2 of each op,
-    # each parsed once
-    assert sorted(parsed) == [(op, n) for op in sorted(st.OPS) for n in range(3)]
+    # compute in the Galois ring and its vectors over F_2 in memory, so only
+    # the stability test and the realized actions over polynomial rings read
+    # the file: levels 0-2 of add and mul, each parsed once
+    assert sorted(parsed) == [(op, n) for op in ("add", "mul") for n in range(3)]
 
 
 def test_a_corrupt_level_fails_only_the_calls_that_read_it(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
     cache = _cache_with(tmp_path, 2, 3, "MUL 2", "1*X0^-1")
-    assert cli.main(["witt", "add", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,0)"]) == 0
+    assert cli.main(["witt", "add", "--laurent", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,0)"]) == 0
     assert capsys.readouterr().out.strip() == "(0,0,1)"  # 3 + 1 = 4 in Z/8
-    assert cli.main(["witt", "mul", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,1)"]) == 1
+    # a finite-field product reads no file: 3 * 5 = 15 in Z/8
+    assert cli.main(["witt", "mul", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,1)"]) == 0
+    assert capsys.readouterr().out.strip() == "(1,1,1)"
+    assert cli.main(["witt", "mul", "--laurent", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,1)"]) == 1
     err = capsys.readouterr().err
     path = str(tmp_path / "structure_p2.txt")
     assert f"structure cache {path}, line MUL 2: bad variable token 'X0^-1'" in err
@@ -451,7 +470,8 @@ def test_a_cache_file_of_integer_coefficients_is_refused(tmp_path, monkeypatch, 
         "0d64a09990a302ef5612f5d2dc1d3b2a372bdd95a16e27da38b2df9bb8356798"
     )
     problem = f"structure cache {path}, line ADD 1: coefficient -1 is not a residue 1..1"
-    assert cli.main(["witt", "add", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,0)"]) == 1
+    argv = ["witt", "add", "--laurent", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,0)"]
+    assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert problem in err
     assert "predate residue tables; delete the file to regenerate it" in err
@@ -462,9 +482,41 @@ def test_a_cache_file_of_integer_coefficients_is_refused(tmp_path, monkeypatch, 
     )
     # length 4 needs a new level of every op, so every level is parsed first
     with pytest.raises(CacheCorrupt, match="line ADD 1: coefficient -1 .* predate residue"):
-        st.StructurePolynomialTable.get(2, 4)
+        st.StructurePolynomialTable.get(2, 4).levels("add")
     assert solved == []
     assert path.read_bytes() == cache
+
+
+def test_an_edited_residue_cannot_change_a_finite_field_result(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    st.write_cache(3, str(tmp_path), {op: st.solve_levels(3, op, 2) for op in st.OPS})
+    path = tmp_path / "structure_p3.txt"
+    text = path.read_text()
+    assert "ADD 1: 1*X1 + 2*X0^2*Y0 + " in text
+    path.write_text(text.replace("2*X0^2*Y0", "1*X0^2*Y0", 1))
+    # 1 + 1 = 2 = (2, 1) in W_2(F_3) = Z/9, whatever the file says
+    assert cli.main(["witt", "add", "--p", "3", "--N", "2", "(1,0)", "(1,0)"]) == 0
+    assert capsys.readouterr().out.strip() == "(2,1)"
+    # the edit is live: ring arithmetic still reads the file as it stands
+    assert cli.main(["witt", "add", "--laurent", "--p", "3", "--N", "2", "(1,0)", "(1,0)"]) == 0
+    assert capsys.readouterr().out.strip() != "(2,1)"
+
+
+def test_finite_field_calls_read_and_write_no_cache(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    calls = []
+    for name in ("load_cache", "parse_ip", "write_cache"):
+        monkeypatch.setattr(st, name, lambda *a, _name=name: calls.append(_name))
+    for argv in (
+        ["witt", "add", "--p", "3", "--N", "5", "(1,2,0,1,2)", "(2,2,1,0,1)"],
+        ["witt", "mul", "--p", "5", "--q", "25", "--N", "2", "(u,1)", "(2,u)"],
+        ["witt", "inv", "--p", "2", "--q", "4", "--N", "3", "(u,1,0)"],
+        ["witt", "neg", "--p", "2", "--N", "4", "(1,0,1,1)"],
+    ):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_corrupt_data_is_refused_before_the_cache_is_rewritten(tmp_path, monkeypatch):
@@ -477,7 +529,7 @@ def test_corrupt_data_is_refused_before_the_cache_is_rewritten(tmp_path, monkeyp
     )
     # length 3 needs a new level of every op, so the file would be rewritten
     with pytest.raises(CacheCorrupt, match="line NEG 1: variables repeated or out of order"):
-        st.StructurePolynomialTable.get(2, 3)
+        st.StructurePolynomialTable.get(2, 3).levels("neg")
     assert solved == []
     assert (tmp_path / "structure_p2.txt").read_text() == cache
 
