@@ -12,7 +12,8 @@ writing off compiles, only what it uses: a ``witt`` call over F_q loads
 structure, witt and textio, and rings as well with ``--laurent``;
 ``greenberg realize`` adds greenberg and poly; ``lattice enumerate`` and
 ``grass count`` load lattice and galois, and ``zadic`` for the z-adic count;
-``lattice snf`` and ``classify`` add only textio to those two.
+``lattice snf`` and ``classify`` add only textio to those two; ``hilbert hf``
+loads hilbert, groebner, poly and textio, and no Witt arithmetic.
 ``witt_cell_table``, ``witt_arith`` and ``witt_inv`` are attributes of this
 module, resolved on first use by the module ``__getattr__``, so that they can
 be patched and wrapped.  Lazily imported functions are never stored in this

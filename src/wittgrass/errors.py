@@ -49,6 +49,11 @@ class NotDominant(WittgrassError):
     """A dominant cocharacter was required."""
 
 
+def dominant_or_raise(lam):
+    if sum(lam) != 0 or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+        raise NotDominant(f"{lam} is not a dominant cocharacter")
+
+
 class WindowTooSmall(WittgrassError):
     """The truncation length cannot hold the requested cocharacter ideal."""
 

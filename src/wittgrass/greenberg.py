@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .errors import NonUnit, NotPerfect, RingMismatch, UsageError
-from .poly import PolyRing, Polynomial
+from .poly import PolyRing, Polynomial, coord_ring
 from .textio import parse_expression
 from .witt import (
     WittVector,
@@ -33,15 +33,6 @@ from .witt import (
 # Witt polynomial maps are read in at most this many variables, so that a
 # mistyped index cannot build a coordinate ring of millions of variables.
 MAX_ARITY = 16
-
-
-def coord_ring(scalar, arity, N):
-    """k[x[i,j]] with the module grading deg x[i,j] = p^j."""
-    return PolyRing(
-        scalar,
-        tuple(f"x[{i},{j}]" for i in range(1, arity + 1) for j in range(N)),
-        tuple(scalar.p**j for _ in range(arity) for j in range(N)),
-    )
 
 
 class WittRing:

@@ -38,6 +38,7 @@ from .errors import (
     SizeGuard,
     UsageError,
     ZeroAtPrecision,
+    dominant_or_raise,
 )
 from .fields import GF
 
@@ -430,11 +431,6 @@ def classify_cell(g):
             "classify_cell expects a determinant-one basis"
         )
     return mu
-
-
-def dominant_or_raise(lam):
-    if sum(lam) != 0 or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise NotDominant(f"{lam} is not a dominant cocharacter")
 
 
 def bruhat_leq(lam, mu):

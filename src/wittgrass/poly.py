@@ -365,3 +365,12 @@ class PolyRing:
 
     def __repr__(self):
         return f"{self.coeff!r}[{','.join(self.names)}]"
+
+
+def coord_ring(scalar, arity, N):
+    """k[x[i,j]] with the module grading deg x[i,j] = p^j."""
+    return PolyRing(
+        scalar,
+        tuple(f"x[{i},{j}]" for i in range(1, arity + 1) for j in range(N)),
+        tuple(scalar.p**j for _ in range(arity) for j in range(N)),
+    )

@@ -54,13 +54,22 @@ where a monomial is folded: each exponent e >= 1 becomes ((e - 1) mod (q - 1))
 exact in R_q: R_q is a free Z-module, so the ghost identities hold there and
 the division by p^n stays exact; the power lemma above holds in every
 commutative ring; and folding and reduction mod p^k are ring maps, so they may
-be applied after any product.  Where to fold is derived from q.  Over F_p
-(q = p) the whole solve runs in R_p: the ghost target and every product are
-folded, by schoolbook products whose keys fold through one memo, and the levels
-stay tiny (p = 2 ``add`` level 5: 33 terms, against 4,565 unfolded).  Over F_q
+be applied after any product.  Where to fold is derived from q.  Over F_q
 with q > p folding keeps most terms (p = 3 ``add`` level 4 over F_9: 16,534
 of 49,278) and breaks the grading the Kronecker products pack by, so the levels
-are solved unfolded and each is folded once.
+are solved unfolded and each is folded once.  Over F_p (q = p) the whole solve
+runs in R_p, and the levels stay tiny (p = 2 ``add`` level 5: 33 terms,
+against 4,565 unfolded).  There a monomial is a class key (``_ClassKeys``): on
+F_p, x^e depends only on whether e >= 1 and on e mod (p - 1), so a key holds
+one support bit per slot and, per slot, the class e mod (p - 1) in a field of
+log2(p - 1) + 1 bits.  p - 1 is 1, 2 or 4, a power of two, so the class of a
+product is the sum of the classes masked to the field's low bits, and the
+field's spare top bit takes the carry of that sum, which never reaches the
+next field: a product key is ``(k1 + k2) & classes | (k1 | k2) & support``,
+a few integer operations in place of a fold.  For p = 2 there is one class,
+the key is its support mask and the product an OR.  The ghost target is built
+in class keys, and each finished level is decoded once to packed keys with
+exponents 1..p-1.
 
 Generated tables for the other coefficient rings (polynomial, Laurent and
 F_q(t) rings) are cached on disk, one polynomial per line, in the format
@@ -301,27 +310,56 @@ def _fold_poly(a, fold):
     return out
 
 
-def _folded_mul(a, b, fold):
-    """Schoolbook product in R_q, each product key folded through the memo
-    ``fold``; a square, one object passed as both factors, visits each
-    unordered pair of terms once.  Zero sums are kept, for ``ip_mod`` to drop."""
-    out = {}
-    get = out.get
-    if a is b:
-        items = list(a.items())
-        for i, (k1, c1) in enumerate(items):
-            k = fold[k1 + k1]
-            out[k] = get(k, 0) + c1 * c1
-            c1 <<= 1
-            for k2, c2 in items[i + 1:]:
-                k = fold[k1 + k2]
+class _ClassKeys:
+    """Class keys: the monomials of R_p as small ints, and their product
+    (module docstring).  The class fields of the 2 * MAX_SLOTS slots come
+    first, slot i at bit ``width * i``, and the support bits above them, slot
+    i at bit ``base + i``; the fields are empty for p = 2."""
+
+    def __init__(self, p):
+        self.p = p
+        self.width = 0 if p == 2 else (p - 1).bit_length()
+        self.base = 2 * MAX_SLOTS * self.width  # the first support bit
+        self.classes = sum((p - 2) << (self.width * slot) for slot in range(2 * MAX_SLOTS))
+        self.support = ((1 << 2 * MAX_SLOTS) - 1) << self.base
+
+    def encode(self, key):
+        """Key of the monomial of the packed ``key``."""
+        out = 0
+        for slot, e in key_exponents(key):
+            out |= 1 << (self.base + slot) | (e % (self.p - 1)) << (self.width * slot)
+        return out
+
+    def decode(self, key):
+        """The packed key, exponents folded to 1..p-1, of the monomial ``key``."""
+        period = self.p - 1
+        return sum(
+            ((key >> (self.width * slot) & (period - 1)) - 1) % period + 1 << (SHIFT * slot)
+            for slot in range(2 * MAX_SLOTS) if key >> (self.base + slot) & 1
+        )
+
+    def mul(self, a, b):
+        """Product in R_p; a square, one object passed as both factors, visits
+        each unordered pair of terms once.  Zero sums are kept, for ``ip_mod``
+        to drop."""
+        classes, support = self.classes, self.support
+        out = {}
+        get = out.get
+        if a is b:
+            items = list(a.items())
+            for i, (k1, c1) in enumerate(items):
+                k = (k1 + k1) & classes | k1 & support
+                out[k] = get(k, 0) + c1 * c1
+                c1 <<= 1
+                for k2, c2 in items[i + 1:]:
+                    k = (k1 + k2) & classes | (k1 | k2) & support
+                    out[k] = get(k, 0) + c1 * c2
+            return out
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = (k1 + k2) & classes | (k1 | k2) & support
                 out[k] = get(k, 0) + c1 * c2
         return out
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = fold[k1 + k2]
-            out[k] = get(k, 0) + c1 * c2
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +416,19 @@ def term_limit():
 # triangular ghost solve
 # ---------------------------------------------------------------------------
 
-def _ghost_target(p, n, op):
+def _ghost_target(p, n, op, keys=None):
+    """The right-hand side of level n's ghost identity, in packed keys, or in
+    the class keys of R_p with ``keys`` (a ``_ClassKeys``)."""
+    x, y, mul = ghost(p, n, xvar), ghost(p, n, yvar), ip_mul
+    if keys is not None:
+        x, y = ({keys.encode(k): c for k, c in g.items()} for g in (x, y))
+        mul = keys.mul
     if op == "add":
-        out = ghost(p, n, xvar)
-        ip_add_inplace(out, ghost(p, n, yvar))
-        return out
+        return ip_add_inplace(x, y)
     if op == "mul":
-        return ip_mul(ghost(p, n, xvar), ghost(p, n, yvar))
+        return mul(x, y)
     if op == "neg":
-        out = ghost(p, n, xvar)
-        return {k: -c for k, c in out.items()}
+        return {k: -c for k, c in x.items()}
     raise UsageError(f"unknown Witt operation {op!r}")
 
 
@@ -416,25 +457,30 @@ def solve_levels(p, op, N, known=None, q=None):
     """Return levels 0..N-1 of the op table mod p, reusing any known prefix.
 
     With q, the levels of the table over F_q, folded into R_q (module
-    docstring): over F_p the solve runs in R_p, over a larger F_q the levels
-    are solved unfolded and folded once each.  ``known`` is a prefix of the
-    levels solved in the same ring, unfolded or in R_p.  Raises TableLimit,
+    docstring).  Over a larger F_q the levels are solved unfolded and folded
+    once each.  Over F_p the solve runs in R_p on class keys (``_ClassKeys``):
+    a monomial keeps, per variable, only whether it occurs and its exponent
+    mod p - 1.  As p - 1 is a power of two, a product's classes are the masked
+    sum of the factors' classes, exact because each field has a spare bit for
+    its carry, and its support the OR of theirs.  The ghost target is built in
+    class keys and each level decoded once, to packed keys with exponents
+    1..p-1.  ``known`` is a prefix of the levels solved in the same ring,
+    unfolded or in R_p, in packed keys.  Raises TableLimit,
     before solving any level, when one of the missing levels has a potential
     monomial support beyond the configured bound.
     """
-    folded = q == p  # the whole solve runs in R_p
+    folded = q == p  # the whole solve runs in R_p, on class keys
     levels = [dict(t) for t in (known or [])][:N]
     _check_limits(p, op, len(levels), N, folded)
-    fold = _Fold(q) if q is not None else None
+    keys = _ClassKeys(p) if folded else None
     if folded:
-        mul = functools.partial(_folded_mul, fold=fold)
+        levels = [{keys.encode(k): c for k, c in level.items()} for level in levels]
+        mul = keys.mul
     else:  # the slot pair and weight that op's grading makes dense (module docstring)
         u, v, w = (0, MAX_SLOTS, 1) if op == "add" else (0, 1, p)
         mul = functools.partial(_kron_mul, u=u, v=v, w=w)
     for n in range(len(levels), N):
-        numerator = _ghost_target(p, n, op)
-        if folded:
-            numerator = _fold_poly(numerator, fold)
+        numerator = _ghost_target(p, n, op, keys)
         for i in range(n):  # from T_i: each product that is not a square has T_i as a factor
             power = ip_pow(levels[i], p ** (n - i), mul, p ** (n + 1 - i))
             ip_add_inplace(numerator, power, scale=-(p**i))
@@ -449,7 +495,10 @@ def solve_levels(p, op, N, known=None, q=None):
             if d := d % p:
                 level[k] = d
         levels.append(level)
-    if fold is not None and not folded:
+    if folded:
+        return [{keys.decode(k): c for k, c in level.items()} for level in levels]
+    if q is not None:
+        fold = _Fold(q)
         levels = [ip_mod(_fold_poly(level, fold), p) for level in levels]
     return levels
 

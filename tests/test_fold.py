@@ -1,6 +1,8 @@
 """The levels solved over F_q against the per-field fold of the unfolded ones."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from wittgrass import structure as st
 
@@ -63,3 +65,33 @@ def test_folded_ghost_congruence_refuses_edits(q):
     key = next(k for k in unfolded if k & st.EXP_MASK)
     unfolded[key + (q - 1) * st.xvar(0)] = unfolded.pop(key)
     assert not st.verify_ghost(p, "add", [levels[0], unfolded, levels[2]], q=q)
+
+
+def _fold_fields(key, p):
+    """key with every exponent e >= 1 folded to ((e - 1) mod (p - 1)) + 1."""
+    return sum(((e - 1) % (p - 1) + 1) << (st.SHIFT * slot) for slot, e in st.key_exponents(key))
+
+
+@hst.composite
+def _folded_keys(draw):
+    """A prime and two packed keys of R_p: each slot's exponent 0..p-1."""
+    p = draw(hst.sampled_from((2, 3, 5)))
+    exponent = hst.integers(0, p - 1)
+    slots = range(2 * st.MAX_SLOTS)
+    k1, k2 = (sum(draw(exponent) << (st.SHIFT * slot) for slot in slots) for _ in "ab")
+    return p, k1, k2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_folded_keys())
+def test_class_keys_multiply_as_folded_monomials(case):
+    p, k1, k2 = case
+    keys = st._ClassKeys(p)
+    c1, c2 = keys.encode(k1), keys.encode(k2)
+    assert keys.decode(c1) == k1
+    assert keys.decode(c2) == k2
+    (product,) = keys.mul({c1: 1}, {c2: 1})
+    assert keys.decode(product) == _fold_fields(k1 + k2, p)
+    square = {c1: 1}
+    (product,) = keys.mul(square, square)
+    assert keys.decode(product) == _fold_fields(2 * k1, p)

@@ -8,17 +8,19 @@ integer lift of c.  The ring below shares no code with the structure tables.
 """
 
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from wittgrass.fields import GF, IRREDUCIBLE
 from wittgrass.witt import WittVector, witt_arith, witt_inv
 
-# longest N per prime; (3, 5) and (5, 4) are in the table envelope too, but
-# generating them costs 12 s and 3 s per test session
+# longest p-adic length per prime, for tests/test_padic.py
 N_MAX = {2: 6, 3: 4, 5: 3}
-QS = (2, 3, 4, 5, 8, 9, 25)
+# longest Witt length per field size: all that witt_arith reaches over F_q
+WITT_N_MAX = {2: 8, 3: 5, 5: 4, 4: 6, 8: 6, 9: 5, 25: 4}
 
 
 class GaloisRing:
@@ -87,22 +89,40 @@ def test_the_map_to_the_galois_ring_is_injective():
 
 @hst.composite
 def _operands(draw):
-    q = draw(hst.sampled_from(QS))
+    q = draw(hst.sampled_from(sorted(WITT_N_MAX)))
     F = GF(q)
-    N = draw(hst.integers(1, N_MAX[F.p]))
+    N = draw(hst.integers(1, WITT_N_MAX[q]))
     # half the coordinates are zero, so terms skipped by the zero mask abound
     coord = hst.one_of(hst.just(F.zero), hst.sampled_from(F.elements()))
     a, b = (WittVector(F, draw(hst.lists(coord, min_size=N, max_size=N))) for _ in "ab")
     return GaloisRing(q, N), a, b
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(_operands())
-def test_witt_arithmetic_is_galois_ring_arithmetic(case):
-    gr, a, b = case
+def _check_arithmetic(gr, a, b):
     ga, gb = gr.of_witt(a), gr.of_witt(b)
     assert gr.of_witt(witt_arith("add", a, b)) == gr.add(ga, gb)
     assert gr.of_witt(witt_arith("mul", a, b)) == gr.mul(ga, gb)
     assert gr.of_witt(witt_arith("neg", a)) == gr.neg(ga)
     if a.is_unit():
         assert gr.mul(gr.of_witt(witt_inv(a)), ga) == gr.one
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_operands())
+def test_witt_arithmetic_is_galois_ring_arithmetic(case):
+    _check_arithmetic(*case)
+
+
+@pytest.mark.parametrize("q", sorted(WITT_N_MAX), ids=lambda q: f"F{q}")
+def test_witt_arithmetic_at_the_longest_length(q):
+    """The same check at the longest length of each field, which the draws
+    above need not reach."""
+    gr = GaloisRing(q, WITT_N_MAX[q])
+    F, rng = gr.field, random.Random(q)
+    for _ in range(4):
+        # half the coordinates are zero, as in the draws above
+        a, b = (
+            WittVector(F, [rng.choice((F.zero, rng.choice(F.elements()))) for _ in range(gr.N)])
+            for _ in "ab"
+        )
+        _check_arithmetic(gr, a, b)

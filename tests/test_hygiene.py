@@ -1,20 +1,24 @@
 """Source hygiene: no module of the package or of its tests imports a name it
-never reads.
+never reads, and no top-level function or class of the package goes unused.
 
-pyflakes and ruff are not dependencies, so the check is a small ``ast`` scan.
+pyflakes and ruff are not dependencies, so the checks are small ``ast`` scans.
 A name counts as read when any ``Name`` node of the module carries it, in any
 scope, or when ``__all__`` lists it.  ``from __future__`` imports are compiler
 directives, not names, and are skipped.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-PACKAGE = TESTS.parent / "src" / "wittgrass"
+ROOT = TESTS.parent
+PACKAGE = ROOT / "src" / "wittgrass"
 MODULES = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+# where a definition of the package may be used, besides the package itself
+USERS = sorted(TESTS.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def unused_imports(source):
@@ -61,3 +65,70 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _references(tree):
+    """Every name the tree uses: ``Name`` ids, attribute names, imported names,
+    and the parts of string constants spelled as a dotted name (``__all__``
+    entries, the tracer's targets); docstrings and other bare strings are
+    comments, not uses."""
+    comments = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.alias):
+            names.append(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in comments and re.fullmatch(r"[\w.]+", node.value)):
+            names += node.value.split(".")
+    return names
+
+
+def dead_definitions(package, users):
+    """(module, name) of each top-level function or class of the ``package``
+    sources ({module: source}) used nowhere but in its own definition, across
+    the package and the ``users`` sources.  Dunder functions such as a module
+    ``__getattr__`` are called by the interpreter and are skipped."""
+    uses = {}
+    for source in [*package.values(), *users]:
+        for name in _references(ast.parse(source)):
+            uses[name] = uses.get(name, 0) + 1
+    dead = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            own = _references(node).count(node.name)
+            if uses.get(node.name, 0) == own:
+                dead.append((module, node.name))
+    return sorted(dead)
+
+
+def test_the_scan_finds_a_dead_definition():
+    package = {
+        "m": (
+            "def used():\n"
+            "    return 1\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "def mentioned():\n"
+            "    'Only a docstring names used and mentioned.'\n"
+            "class Traced:\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    raise AttributeError(name)\n"
+        ),
+    }
+    users = ["from m import used\nused()\nTARGETS = ('m', 'Traced.run')\n"]
+    assert dead_definitions(package, users) == [("m", "mentioned"), ("m", "recursive")]
+
+
+def test_every_definition_is_used():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    users = [path.read_text(encoding="utf-8") for path in USERS]
+    assert dead_definitions(package, users) == []

@@ -88,6 +88,11 @@ WITT_STACK = [
     "wittgrass", "wittgrass.cli", "wittgrass.errors", "wittgrass.fields", "wittgrass.structure",
     "wittgrass.textio", "wittgrass.witt",
 ]
+# Hilbert functions: the Groebner stack and the cocharacter parser, no Witt arithmetic
+HILBERT_HF_STACK = [
+    "wittgrass", "wittgrass.cli", "wittgrass.errors", "wittgrass.fields", "wittgrass.groebner",
+    "wittgrass.hilbert", "wittgrass.poly", "wittgrass.textio",
+]
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -96,7 +101,9 @@ WITT_STACK = [
      WITT_STACK + ["wittgrass.rings"]),
     (["greenberg", "realize", "--p", "2", "--q", "4", "--N", "2", "--map", "u^-1*T1*T2"],
      WITT_STACK + ["wittgrass.greenberg", "wittgrass.poly"]),
-], ids=["witt", "witt-laurent", "greenberg-realize"])
+    (["hilbert", "hf", "--lambda", "1,0,-1", "--n", "3", "--p", "2", "--N", "4", "--bound", "24"],
+     HILBERT_HF_STACK),
+], ids=["witt", "witt-laurent", "greenberg-realize", "hilbert-hf"])
 def test_command_loads_exactly(tmp_path, argv, modules):
     """The modules a one-shot command loads, pinned: a new import on one of
     these paths fails here instead of adding compile time unnoticed."""

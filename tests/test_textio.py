@@ -2,9 +2,10 @@
 
 import json
 import re
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 from wittgrass import cli
 from wittgrass.errors import UsageError, WittgrassError
@@ -204,11 +205,25 @@ PARSERS = {
 }
 
 
+# seconds any one input may take to parse or be refused: generous beside the
+# few milliseconds an input takes, for machines whose speed drifts by 2x
+PER_INPUT_SECONDS = 1.0
+# a literal exponent far past MAX_EXPONENT, which a dense power would take
+# seconds and gigabytes to build
+HUGE_POWER = "t^1000000000"
+
+
 @pytest.mark.parametrize("parser", PARSERS, ids=list(PARSERS))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(text=hst.text(ALPHABET, max_size=24))
+@example(text=HUGE_POWER)
 def test_any_text_parses_or_is_refused(parser, text):
+    refused = None
+    start = time.perf_counter()
     try:
         PARSERS[parser](text)
-    except WittgrassError:
-        pass
+    except WittgrassError as exc:
+        refused = exc
+    assert time.perf_counter() - start < PER_INPUT_SECONDS
+    if text == HUGE_POWER:  # a usage error, which the CLI exits with 2
+        assert isinstance(refused, UsageError)
