@@ -13,7 +13,9 @@ structure, witt and textio, and rings as well with ``--laurent``;
 ``greenberg realize`` adds greenberg and poly; ``lattice enumerate`` and
 ``grass count`` load lattice and galois, and ``zadic`` for the z-adic count;
 ``lattice snf`` and ``classify`` add only textio to those two; ``hilbert hf``
-loads hilbert, groebner, poly and textio, and no Witt arithmetic.
+loads hilbert, groebner and poly, and no Witt arithmetic; ``grass image`` adds
+grassmann, lattice, galois, greenberg, witt, structure and rings to those.
+Neither loads textio: ``--lambda`` is read by its argparse type.
 ``witt_cell_table``, ``witt_arith`` and ``witt_inv`` are attributes of this
 module, resolved on first use by the module ``__getattr__``, so that they can
 be patched and wrapped.  Lazily imported functions are never stored in this
@@ -159,15 +161,13 @@ def _read_poly_lines(path):
 
 def cmd_hilbert_hf(args):
     from .hilbert import default_bound, hilbert_function, ideal_I_lambda
-    from .textio import parse_cocharacter
 
     field = _field(args)
-    lam = parse_cocharacter(args.lam)
-    if args.n != len(lam):
-        raise UsageError(f"--n {args.n} differs from the length {len(lam)} of --lambda")
+    if args.n != len(args.lam):
+        raise UsageError(f"--n {args.n} differs from the length {len(args.lam)} of --lambda")
     if args.bound is not None and args.bound < 0:
         raise UsageError(f"the weight bound cannot be negative, not {args.bound}")
-    I = ideal_I_lambda(field, lam, args.N, allow_tight_window=args.tight)
+    I = ideal_I_lambda(field, args.lam, args.N, allow_tight_window=args.tight)
     bound = args.bound if args.bound is not None else default_bound(field.p, args.N)
     hf = hilbert_function(I, bound)
     _emit(args, {"values": hf.values}, repr(hf))
@@ -234,10 +234,8 @@ def cmd_grass_count(args):
 
 def cmd_grass_image(args):
     from .grassmann import image_check
-    from .textio import parse_cocharacter
 
-    lam = parse_cocharacter(args.lam)
-    rep = image_check(lam, q=args.q, samples=args.samples, seed=args.seed)
+    rep = image_check(args.lam, q=args.q, samples=args.samples, seed=args.seed)
     payload = {
         "lambda": rep["lambda"],
         "q": rep["q"],
@@ -279,6 +277,13 @@ def length(text):
     if N < 1:
         raise argparse.ArgumentTypeError(f"truncation length must be at least 1, not {N}")
     return N
+
+
+def cocharacter(text):
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad cocharacter literal {text!r}") from None
 
 
 def build_parser():
@@ -338,7 +343,7 @@ def build_parser():
     h = sub.add_parser("hilbert", help="graded ideals and Hilbert functions")
     hsub = h.add_subparsers(dest="hcmd", required=True)
     hh = hsub.add_parser("hf")
-    hh.add_argument("--lambda", dest="lam", required=True)
+    hh.add_argument("--lambda", dest="lam", type=cocharacter, required=True)
     hh.add_argument("--n", type=int, required=True)
     add_common(hh)
     hh.add_argument("--bound", type=int)
@@ -367,7 +372,7 @@ def build_parser():
     gc.add_argument("--format", choices=("text", "json"), default="text")
     gc.set_defaults(fn=cmd_grass_count)
     gi = grsub.add_parser("image")
-    gi.add_argument("--lambda", dest="lam", required=True)
+    gi.add_argument("--lambda", dest="lam", type=cocharacter, required=True)
     gi.add_argument("--q", type=int, default=2)
     gi.add_argument("--samples", type=int, default=20)
     gi.add_argument("--seed", type=int, default=7)

@@ -6,11 +6,13 @@ integers modulo p^L, the coefficients of 1, u, ..., u^(e-1); for a prime
 field it is a 1-tuple.  A Witt vector (a_0, ..., a_{L-1}) is the element
 sum_i p^i * T(a_i^(p^-i)), where T(c) = c^(q^(L-1)) for any integer lift of c
 is the Teichmuller lift, so Witt coordinates are needed only to read or print
-a value.
+a value.  det and mat_inv serve the small matrices of witt.random_sl and
+witt.mat_inv.
 """
 
 from __future__ import annotations
 
+from .errors import NonUnit
 from .fields import IRREDUCIBLE
 
 _TEICH = {}  # (field, L) -> {residue tuple: its Teichmuller lift mod p^L}
@@ -103,3 +105,32 @@ def digits(field, x, L, count):
         coords.append(field.make(b) ** (p**i))
     mod = p ** (L - count)
     return coords, tuple(c % mod for c in x)
+
+
+def det(field, M, mod):
+    """Determinant of a square matrix over GR(p^L, e), mod = p^L, by
+    expansion along the first row (desk-scale n); 1 for the empty matrix."""
+    if not M:
+        return (1,) + (0,) * (field.e - 1)
+    acc = (0,) * field.e
+    for j, x in enumerate(M[0]):
+        term = mul(field, x, det(field, [row[:j] + row[j + 1:] for row in M[1:]], mod), mod)
+        acc = tuple((a - t if j % 2 else a + t) % mod for a, t in zip(acc, term))
+    return acc
+
+
+def mat_inv(field, M, L):
+    """Inverse of a square matrix over GR(p^L, e): its adjugate over its
+    determinant.  NonUnit if the determinant is not a unit."""
+    mod, n = field.p**L, len(M)
+    d = det(field, M, mod)
+    if not any(c % field.p for c in d):
+        raise NonUnit("matrix is not invertible over W_N")
+    dinv = inv(field, d, L)
+
+    def entry(i, j):  # the (j, i) cofactor over the determinant
+        minor = [row[:i] + row[i + 1:] for k, row in enumerate(M) if k != j]
+        c = mul(field, det(field, minor, mod), dinv, mod)
+        return tuple(-x % mod for x in c) if (i + j) % 2 else c
+
+    return [[entry(i, j) for j in range(n)] for i in range(n)]

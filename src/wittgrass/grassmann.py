@@ -5,6 +5,15 @@ points_lattice enumerates the F_q points of a module-stable subscheme of
 W_N^n and lifts the point set to the lattice it spans in the appropriate
 window; the set is a submodule exactly when it is as large as that span, so
 one count checks closure under the module operations.
+
+ideal_points finds those points by walking the Witt levels, not by testing
+all q^(nN) candidates: it extends partial points one level at a time and
+keeps those on which the generators of that level vanish.  The ideals are
+weighted-homogeneous with deg x[i,j] = p^j, so low-weight generators use only
+low levels and prune early.  The guard, POINTS_GUARD, is counted as the walk
+goes: a level that would test more candidates than it is refused, because
+the work depends on how many partial points survive, which no bound known in
+advance measures.
 """
 
 from __future__ import annotations
@@ -37,7 +46,45 @@ from .poly import PolyRing
 from .rings import RationalFunctionField
 from .witt import WittVector, teichmuller, witt_from_int, random_sl
 
+# Candidates the point walk may test at one Witt level: partial points times
+# the q^n values of the next level.  It also bounds the point count.
 POINTS_GUARD = 1 << 20
+
+
+def ideal_points(I):
+    """The F_q points of V(I) in W_N(F_q)^n, as coordinate tuples in the
+    variable order x[1,0], ..., x[1,N-1], x[2,0], ...
+
+    The walk sets one Witt level j at a time for all n vectors, q^n values a
+    level, and keeps a partial point only if it satisfies every generator
+    whose highest level is j; each generator is checked once all its
+    variables are set, so the result is exact for any generating set.
+    SizeGuard when a level would test more than POINTS_GUARD candidates.
+    """
+    field, n, N = I.ring.coeff, I.n, I.N
+    buckets = [[] for _ in range(N)]
+    for g in I.generators:
+        top = max((k % N for m in g.terms for k, e in enumerate(m) if e), default=0)
+        buckets[top].append(g)
+    values = list(itertools.product(field.elements(), repeat=n))
+    partial = [[field.zero] * (n * N)]
+    for j, bucket in enumerate(buckets):
+        if len(partial) * len(values) > POINTS_GUARD:
+            raise SizeGuard(
+                f"the point walk would test {len(partial)} x {field.q}^{n} candidates at "
+                f"Witt level {j}, beyond the guard {POINTS_GUARD}: lower q = {field.q}, "
+                f"n = {n} or N = {N} (grass image takes N = lambda_1 - lambda_n + 1, so "
+                "pass a smaller --q or --lambda)"
+            )
+        extended = []
+        for point in partial:
+            for level in values:
+                cand = point[:]
+                cand[j::N] = level
+                if all(g.evaluate(cand).is_zero() for g in bucket):
+                    extended.append(cand)
+        partial = extended
+    return [tuple(point) for point in partial]
 
 
 def points_lattice(I, shift=0, check_stable=True):
@@ -52,27 +99,25 @@ def points_lattice(I, shift=0, check_stable=True):
     """
     field = I.ring.coeff
     n, N = I.n, I.N
-    if field.q ** (n * N) > POINTS_GUARD:
-        raise SizeGuard(
-            f"point enumeration of q^(n*N) = {field.q}^{n * N} candidates is beyond "
-            f"the guard {POINTS_GUARD}: lower q = {field.q}, n = {n} or N = {N} "
-            "(grass image takes N = lambda_1 - lambda_n + 1)"
-        )
     if check_stable and not is_module_stable(I):
         raise NotStable("points_lattice needs a module-stable ideal")
 
-    points = [
-        coords
-        for coords in itertools.product(field.elements(), repeat=n * N)
-        if all(g.evaluate(list(coords)).is_zero() for g in I.generators)
-    ]
+    points = ideal_points(I)
     # one digit beyond the kernel level N, the deepest pivot the reduction meets
     pad = (field.zero,)
-    columns = [
-        [PadicWittNumber(field, 0, coords[i * N:(i + 1) * N] + pad) for i in range(n)]
-        for coords in points
-        if any(not c.is_zero() for c in coords)
-    ]
+    origin = (field.zero,) * (n * N)
+    lifts = {}  # a vector recurs in many points; each distinct one is lifted once
+    columns = []
+    for coords in points:
+        if coords != origin:
+            col = []
+            for i in range(n):
+                v = coords[i * N:(i + 1) * N]
+                x = lifts.get(v)
+                if x is None:
+                    x = lifts[v] = PadicWittNumber(field, 0, v + pad)
+                col.append(x)
+            columns.append(col)
     for row in range(n):  # the kernel of reduction: p^N W^n
         col = [padic_zero(field, N + 1) for _ in range(n)]
         col[row] = padic_p_power(field, N, N + 1)

@@ -19,7 +19,6 @@ import re
 
 from .errors import NonUnit, NotPerfect, RingMismatch, UsageError
 from .poly import PolyRing, Polynomial, coord_ring
-from .textio import parse_expression
 from .witt import (
     WittVector,
     mat_det,
@@ -203,8 +202,10 @@ def realize_action(g):
     The returned map substitutes for x[i,j] the j-th Witt component of the
     i-th entry of g.x at the generic point.  For the induced left action on
     ideals, compose with matrix inversion first (see hilbert.act_on_ideal).
+    g is invertible exactly when its residue matrix over k is, since the first
+    Witt coordinate W_N(k) -> k is a ring map.
     """
-    if not mat_det(g).is_unit():
+    if not mat_det([[x.coords[0] for x in row] for row in g]).is_unit():
         raise NonUnit("realize_action needs an invertible matrix")
     n = len(g)
     R = witt_poly_ring(g[0][0].ring, g[0][0].length, n)
@@ -220,6 +221,8 @@ def parse_witt_map(text, scalar, N):
     The arity is the largest T-index that occurs, at most MAX_ARITY.  Over
     F_q with q > p, ``u`` is the Teichmueller lift of the generator of F_q.
     """
+    from .textio import parse_expression
+
     parts = [part.strip() for part in text.split(";") if part.strip()]
     if not parts:
         raise UsageError("empty map text")

@@ -284,13 +284,6 @@ def parse_padic_matrix(ring, text, N=None):
     return WittMatrix(ring, rows)
 
 
-def parse_cocharacter(text):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad cocharacter literal {text!r}") from None
-
-
 def coordinate_resolver(ring):
     """Resolver for ideal and family text over the PolyRing ``ring``: x[i,j]
     are its variables, u and t scalars of its coefficient ring."""

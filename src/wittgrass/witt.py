@@ -13,7 +13,8 @@ triangular solve: the n-th component of a product depends on the n-th
 component of the second factor only through the term a_0^(p^n) * b_n.
 
 Over F_q only WittVector uses the tables; the p-adic numbers of ``lattice``
-compute in the Galois ring W_N(F_q) = GR(p^N, e) of ``galois`` instead.
+and the matrices of random_sl and mat_inv compute in the Galois ring
+W_N(F_q) = GR(p^N, e) of ``galois`` instead.
 """
 
 from __future__ import annotations
@@ -262,53 +263,44 @@ def mat_det(A):
     return acc
 
 
+def _galois_matrix(A):
+    """Entries of a matrix over W_N(F_q) as elements of GR(p^N, e)."""
+    from .galois import of_digits
+
+    return [[of_digits(x.ring, x.coords) for x in row] for row in A]
+
+
+def _witt_matrix(field, N, M):
+    """A matrix over GR(p^N, e) as Witt vectors over F_q."""
+    from .galois import digits
+
+    return [[WittVector(field, digits(field, x, N, N)[0]) for x in row] for row in M]
+
+
 def mat_inv(A):
-    """Inverse of a matrix over W_N(A) whose determinant is a unit.
+    """Inverse of a matrix over W_N(F_q) whose determinant is a unit,
+    computed in the Galois ring GR(p^N, e) = W_N(F_q)."""
+    from .galois import mat_inv as inverse
 
-    Gauss-Jordan with unit pivots; a unit pivot exists in every column of an
-    invertible matrix over the local ring W_N.
-    """
-    n = len(A)
-    ring = A[0][0].ring
-    N = A[0][0].length
-    work = [list(row) for row in A]
-    inv = mat_identity(ring, n, N)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if work[r][col].is_unit():
-                piv = r
-                break
-        if piv is None:
-            raise NonUnit("matrix is not invertible over W_N")
-        work[col], work[piv] = work[piv], work[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = witt_inv(work[col][col])
-        work[col] = [x * scale for x in work[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if factor.is_zero():
-                continue
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return inv
+    field, N = A[0][0].ring, A[0][0].length
+    return _witt_matrix(field, N, inverse(field, _galois_matrix(A), N))
 
 
-def random_sl(ring, n, N, rng):
-    """Random element of SL_n(W_N(ring)).
+def random_sl(field, n, N, rng):
+    """Random element of SL_n(W_N(F_q)).
 
     Draw random integral matrices until the determinant is a unit, then divide
-    the first column by the determinant.
+    the first column by the determinant, in GR(p^N, e) = W_N(F_q).
     """
+    from .galois import det, inv, mul
+
+    p, mod = field.p, field.p**N
     while True:
-        A = [[witt_random(ring, N, rng) for _ in range(n)] for _ in range(n)]
-        d = mat_det(A)
-        if d.is_unit():
+        A = _galois_matrix([[witt_random(field, N, rng) for _ in range(n)] for _ in range(n)])
+        d = det(field, A, mod)
+        if any(c % p for c in d):
             break
-    dinv = witt_inv(d)
-    for i in range(n):
-        A[i][0] = A[i][0] * dinv
-    return A
+    dinv = inv(field, d, N)
+    for row in A:
+        row[0] = mul(field, row[0], dinv, mod)
+    return _witt_matrix(field, N, A)

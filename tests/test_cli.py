@@ -132,6 +132,22 @@ def test_truncation_length_below_one_is_refused(capsys, argv, N):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["grass", "image", "--lambda", "1,x"],
+        ["hilbert", "hf", "--lambda", "1,,-1", "--n", "3", "--p", "2", "--N", "3"],
+    ],
+)
+def test_a_bad_cocharacter_literal_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --lambda: bad cocharacter literal" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["lattice", "enumerate", "--n", "2", "--q", "0", "--window", "1"],
         ["grass", "count", "--n", "2", "--q", "0", "--window", "1", "--oracle", "witt"],
         ["grass", "image", "--lambda", "1,-1", "--q", "0"],

@@ -7,8 +7,10 @@ import pytest
 
 from wittgrass.errors import NotStable, SizeGuard, UsageError
 from wittgrass.fields import GF
+from wittgrass import grassmann
 from wittgrass.grassmann import (
     degeneration_family_ideal,
+    ideal_points,
     image_check,
     points_lattice,
     standard_cell_lattice,
@@ -81,17 +83,26 @@ def test_points_lattice_rejects_unstable():
         points_lattice(bad, shift=0)
 
 
+def brute_force_points(I):
+    """The oracle for ideal_points: every one of the q^(nN) candidate points,
+    tested against every generator."""
+    field, n, N = I.ring.coeff, I.n, I.N
+    return [
+        coords
+        for coords in itertools.product(field.elements(), repeat=n * N)
+        if all(g.evaluate(list(coords)).is_zero() for g in I.generators)
+    ]
+
+
 def _is_submodule(I):
     """Brute-force reference: the F_q points of V(I) are nonempty and closed
     under Witt addition and the W_N(F_q) scalar action."""
     field, n, N = I.ring.coeff, I.n, I.N
-    elems = field.elements()
     points = {
         tuple(WittVector(field, c[i * N:(i + 1) * N]) for i in range(n))
-        for c in itertools.product(elems, repeat=n * N)
-        if all(g.evaluate(list(c)).is_zero() for g in I.generators)
+        for c in brute_force_points(I)
     }
-    scalars = [WittVector(field, c) for c in itertools.product(elems, repeat=N)]
+    scalars = [WittVector(field, c) for c in itertools.product(field.elements(), repeat=N)]
     return (
         bool(points)
         and all(tuple(x + y for x, y in zip(a, b)) in points for a in points for b in points)
@@ -139,8 +150,61 @@ def test_points_lattice_count_matches_brute_force_closure():
 
 def test_points_guard_names_the_parameters_to_lower():
     I = GradedIdeal(ambient_ring(F2, 3, 7), 3, 7, [])
-    with pytest.raises(SizeGuard, match="lower q = 2, n = 3 or N = 7"):
+    with pytest.raises(SizeGuard, match="lower q = 2, n = 3 or N = 7") as exc:
         points_lattice(I, shift=0, check_stable=False)
+    assert "--q" in str(exc.value) and "--lambda" in str(exc.value)
+
+
+def _assert_walk_is_brute_force(I):
+    walked = ideal_points(I)
+    assert len(set(walked)) == len(walked)
+    assert set(walked) == set(brute_force_points(I))
+
+
+def _image_or_not_stable(I, shift):
+    try:
+        return points_lattice(I, shift=shift, check_stable=False)
+    except NotStable:
+        return NotStable
+
+
+def _walk_cases(lam, q):
+    """The cocharacter ideal of lam over F_q and two of its orbit images."""
+    field, N = GF(q), lam[0] - lam[-1] + 1
+    rng = random.Random(q)
+    I = ideal_I_lambda(field, lam, N)
+    return [I] + [act_on_ideal(random_sl(field, len(lam), N, rng), I) for _ in range(2)]
+
+
+@pytest.mark.parametrize("lam, q", [
+    ((1, -1), 2), ((1, -1), 3), ((1, -1), 4), ((1, -1), 5), ((2, -2), 2), ((1, 0, -1), 2),
+])
+def test_level_walk_matches_brute_force_on_orbit_images(monkeypatch, lam, q):
+    ideals = _walk_cases(lam, q)
+    for I in ideals:
+        _assert_walk_is_brute_force(I)
+    images = [_image_or_not_stable(I, -lam[-1]) for I in ideals]
+    monkeypatch.setattr(grassmann, "ideal_points", brute_force_points)
+    assert images == [_image_or_not_stable(I, -lam[-1]) for I in ideals]
+
+
+def test_level_walk_matches_brute_force_on_non_closed_ideals(monkeypatch):
+    ideals = [I for I, closed in _closure_cases() if not closed]
+    for I in ideals:
+        _assert_walk_is_brute_force(I)
+    assert all(_image_or_not_stable(I, 0) is NotStable for I in ideals)
+    monkeypatch.setattr(grassmann, "ideal_points", brute_force_points)
+    assert all(_image_or_not_stable(I, 0) is NotStable for I in ideals)
+
+
+def test_the_guard_counts_the_walk_not_the_candidates():
+    # q^(nN) = 4^12 candidates, far past the guard, but the walk tests 16 per
+    # level: only x[1,5] is free, so the points are p^5 T(F_4) x {0}
+    R = ambient_ring(F4, 2, 6)
+    I = GradedIdeal(R, 2, 6, [R.var(k) for k in range(12) if k != 5])
+    assert F4.q ** (2 * 6) > grassmann.POINTS_GUARD
+    assert len(ideal_points(I)) == 4
+    assert points_lattice(I, shift=0, check_stable=False).cell() == (6, 5)
 
 
 # -- cell tables ------------------------------------------------------------------

@@ -88,10 +88,17 @@ WITT_STACK = [
     "wittgrass", "wittgrass.cli", "wittgrass.errors", "wittgrass.fields", "wittgrass.structure",
     "wittgrass.textio", "wittgrass.witt",
 ]
-# Hilbert functions: the Groebner stack and the cocharacter parser, no Witt arithmetic
+# Hilbert functions: the Groebner stack, no Witt arithmetic and no text parser
+# (--lambda is read by argparse)
 HILBERT_HF_STACK = [
     "wittgrass", "wittgrass.cli", "wittgrass.errors", "wittgrass.fields", "wittgrass.groebner",
-    "wittgrass.hilbert", "wittgrass.poly", "wittgrass.textio",
+    "wittgrass.hilbert", "wittgrass.poly",
+]
+# the image report: Groebner, points and lattices, the Greenberg action and the
+# Witt arithmetic it runs over polynomial rings; no text parser
+GRASS_IMAGE_STACK = HILBERT_HF_STACK + [
+    "wittgrass.galois", "wittgrass.grassmann", "wittgrass.greenberg", "wittgrass.lattice",
+    "wittgrass.rings", "wittgrass.structure", "wittgrass.witt",
 ]
 
 
@@ -103,7 +110,8 @@ HILBERT_HF_STACK = [
      WITT_STACK + ["wittgrass.greenberg", "wittgrass.poly"]),
     (["hilbert", "hf", "--lambda", "1,0,-1", "--n", "3", "--p", "2", "--N", "4", "--bound", "24"],
      HILBERT_HF_STACK),
-], ids=["witt", "witt-laurent", "greenberg-realize", "hilbert-hf"])
+    (["grass", "image", "--lambda", "1,-1", "--q", "2", "--samples", "2"], GRASS_IMAGE_STACK),
+], ids=["witt", "witt-laurent", "greenberg-realize", "hilbert-hf", "grass-image"])
 def test_command_loads_exactly(tmp_path, argv, modules):
     """The modules a one-shot command loads, pinned: a new import on one of
     these paths fails here instead of adding compile time unnoticed."""

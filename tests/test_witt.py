@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from wittgrass.errors import NonUnit, NotPerfect, RingMismatch
 from wittgrass.fields import GF
@@ -160,6 +162,54 @@ def test_matrix_helpers():
         gi = mat_inv(g)
         assert mat_mul(g, gi) == mat_identity(F4, 2, 3)
         assert mat_mul(gi, g) == mat_identity(F4, 2, 3)
+
+
+# longest Witt length per field size that the table arithmetic reaches over F_q
+TABLE_N_MAX = {2: 8, 3: 5, 4: 6, 5: 4, 8: 6, 9: 5}
+
+
+@hst.composite
+def _square_matrices(draw):
+    q = draw(hst.sampled_from(sorted(TABLE_N_MAX)))
+    F = GF(q)
+    N = draw(hst.integers(1, TABLE_N_MAX[q]))
+    n = draw(hst.integers(1, 3))
+    coord = hst.sampled_from(F.elements())
+    entry = hst.lists(coord, min_size=N, max_size=N).map(lambda c: WittVector(F, c))
+    A = draw(hst.lists(hst.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return F, n, N, A, draw(hst.integers(0, 2**32))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_square_matrices())
+def test_galois_ring_matrices_agree_with_the_tables(case):
+    """random_sl and mat_inv compute in GR(p^N, e); their results are checked
+    in the table arithmetic of WittVector: det 1, and g * g^-1 = 1 both ways.
+    A matrix is invertible exactly when its residue matrix over F_q is."""
+    F, n, N, A, seed = case
+    one = mat_identity(F, n, N)
+    g = random_sl(F, n, N, random.Random(seed))
+    assert mat_det(g) == witt_one(F, N)
+    for M in (g, A):
+        if not mat_det([[x.coords[0] for x in row] for row in M]).is_unit():
+            with pytest.raises(NonUnit):
+                mat_inv(M)
+            continue
+        Mi = mat_inv(M)
+        assert mat_mul(M, Mi) == one
+        assert mat_mul(Mi, M) == one
+
+
+def test_seeded_random_sl_draws_are_pinned():
+    """random_sl draws the coordinates in the order the table version drew
+    them, so a seed gives the matrix it always gave."""
+    assert repr(random_sl(F4, 2, 3, random.Random(25))) == (
+        "[[(1,u,0), (0,0,u+1)], [(u+1,u+1,u), (1,u,u+1)]]"
+    )
+    assert repr(random_sl(F9, 3, 2, random.Random(25))) == (
+        "[[(u,1), (u+2,u), (u,u+2)], [(1,2), (2*u+2,2*u), (u+2,2*u)], "
+        "[(u+1,2*u+2), (2*u,2), (2*u+2,u+1)]]"
+    )
 
 
 @pytest.mark.parametrize("q, N", [(2, 3), (4, 2), (3, 2)])
