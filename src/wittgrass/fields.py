@@ -5,6 +5,11 @@ basis 1, u, ..., u^{e-1}, where u is a root of a fixed irreducible polynomial
 shipped in IRREDUCIBLE below.  The choice is static so that printed literals
 like ``u+1`` are stable across runs, and so that p-th roots are computed
 deterministically as a |-> a^(p^(e-1)).
+
+This module owns the one product in that basis: ``mul`` multiplies coefficient
+tuples modulo any power of p, and ``power`` takes powers with it.  F_q is the
+Galois ring GR(p, e), so FiniteField builds its tables with them at modulus p,
+and ``galois`` uses them for GR(p^L, e) = W_L(F_q).
 """
 
 from __future__ import annotations
@@ -25,6 +30,36 @@ IRREDUCIBLE = {
 }
 
 SUPPORTED_PRIMES = (2, 3, 5)
+
+
+def mul(field, a, b, mod):
+    """a * b in GR(p^L, e) = (Z/p^L)[u]/(f~), mod = p^L and f~ the stored
+    polynomial read over Z: the one product of coefficient tuples, for
+    F_q = GR(p, e) and for the Galois rings of ``galois``."""
+    e = len(a)
+    conv = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+    f = IRREDUCIBLE.get((field.p, field.e), ())  # u^e = -sum_i f[i] u^i
+    for k in range(2 * e - 2, e - 1, -1):
+        c = conv.pop()
+        if c:
+            for i, t in enumerate(f):
+                conv[k - e + i] -= c * t
+    return tuple([x % mod for x in conv])
+
+
+def power(field, a, n, mod):
+    """a^n in GR(p^L, e), mod = p^L, for n >= 0: square-and-multiply with ``mul``."""
+    acc = (1,) + (0,) * (field.e - 1)
+    while n:
+        if n & 1:
+            acc = mul(field, acc, a, mod)
+        a = mul(field, a, a, mod)
+        n >>= 1
+    return acc
 
 
 class FFElt:
@@ -104,91 +139,28 @@ class FiniteField:
         self.e = e
         self.q = p**e
         self.is_perfect = True
-        # reduction table: u^k for e <= k <= 2e-2 as coefficient tuples
-        self._red = []
-        if e > 1:
-            top = tuple((-c) % p for c in IRREDUCIBLE[(p, e)])
-            cur = top
-            self._red.append(cur)
-            for _ in range(e - 2):
-                # multiply cur by u and reduce
-                carry = cur[-1]
-                shifted = (0,) + cur[:-1]
-                cur = tuple((shifted[i] + carry * top[i]) % p for i in range(e))
-                self._red.append(cur)
-        self.zero = FFElt(self, (0,) * e)
-        self.one = FFElt(self, (1,) + (0,) * (e - 1))
         self._ready = True
         # The field is tiny (q <= 125): intern every element and precompute all
-        # binary operation tables, so coefficient arithmetic is dict lookups.
-        self._intern = {}
-        for x in self._raw_elements():
-            self._intern[x.val] = x
-        self.zero = self._intern[self.zero.val]
-        self.one = self._intern[self.one.val]
-        elems = list(self._intern.values())
+        # tables, with the product of GR(p, e) = F_q, so coefficient arithmetic
+        # is dict lookups.
+        vals = [tuple(code // p**i % p for i in range(e)) for code in range(self.q)]
+        self._intern = intern = {v: FFElt(self, v) for v in vals}
+        self._elements = tuple(intern.values())
+        self.zero = intern[(0,) * e]
+        self.one = intern[(1,) + (0,) * (e - 1)]
         self._add_t = {}
         self._mul_t = {}
         self._neg_t = {}
         self._inv_t = {}
         self._root_t = {}
-        for a in elems:
-            self._neg_t[a.val] = self._intern[self._neg_raw(a).val]
-            self._root_t[a.val] = self._intern[self._pow_raw(a, p ** (e - 1)).val]
-            if any(a.val):
-                self._inv_t[a.val] = self._intern[self._pow_raw(a, self.q - 2).val]
-            for b in elems:
-                self._add_t[(a.val, b.val)] = self._intern[self._add_raw(a, b).val]
-                self._mul_t[(a.val, b.val)] = self._intern[self._mul_raw(a, b).val]
-
-    def _raw_elements(self):
-        p, e = self.p, self.e
-        out = []
-        for code in range(self.q):
-            coeffs = []
-            c = code
-            for _ in range(e):
-                coeffs.append(c % p)
-                c //= p
-            out.append(FFElt(self, tuple(coeffs)))
-        return out
-
-    def _add_raw(self, a, b):
-        p = self.p
-        return FFElt(self, tuple((x + y) % p for x, y in zip(a.val, b.val)))
-
-    def _neg_raw(self, a):
-        p = self.p
-        return FFElt(self, tuple((-x) % p for x in a.val))
-
-    def _mul_raw(self, a, b):
-        p, e = self.p, self.e
-        if e == 1:
-            return FFElt(self, ((a.val[0] * b.val[0]) % p,))
-        conv = [0] * (2 * e - 1)
-        for i, x in enumerate(a.val):
-            if x:
-                for j, y in enumerate(b.val):
-                    if y:
-                        conv[i + j] += x * y
-        out = [c % p for c in conv[:e]]
-        for k in range(e, 2 * e - 1):
-            c = conv[k] % p
-            if c:
-                red = self._red[k - e]
-                for i in range(e):
-                    out[i] = (out[i] + c * red[i]) % p
-        return FFElt(self, tuple(out))
-
-    def _pow_raw(self, a, n):
-        acc = self.one
-        base = a
-        while n:
-            if n & 1:
-                acc = self._mul_raw(acc, base)
-            base = self._mul_raw(base, base)
-            n >>= 1
-        return acc
+        for a in vals:
+            self._neg_t[a] = intern[tuple(-x % p for x in a)]
+            self._root_t[a] = intern[power(self, a, p ** (e - 1), p)]
+            if any(a):
+                self._inv_t[a] = intern[power(self, a, self.q - 2, p)]
+            for b in vals:
+                self._add_t[(a, b)] = intern[tuple((x + y) % p for x, y in zip(a, b))]
+                self._mul_t[(a, b)] = intern[mul(self, a, b, p)]
 
     def from_int(self, n):
         return self._intern[(n % self.p,) + (0,) * (self.e - 1)]
@@ -205,8 +177,9 @@ class FiniteField:
         return self._intern[tuple(x % self.p for x in c)]
 
     def elements(self):
-        """All q elements in a deterministic order (lexicographic in coeff tuples)."""
-        return [self._intern[x.val] for x in self._raw_elements()]
+        """All q elements, interned, in a deterministic order: lexicographic in
+        the coefficient tuples read from the top coefficient down."""
+        return self._elements
 
     def random(self, rng):
         return self._intern[tuple(rng.randrange(self.p) for _ in range(self.e))]

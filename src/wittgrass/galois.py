@@ -8,31 +8,17 @@ sum_i p^i * T(a_i^(p^-i)), where T(c) = c^(q^(L-1)) for any integer lift of c
 is the Teichmuller lift, so Witt coordinates are needed only to read or print
 a value.  det and mat_inv serve the small matrices of witt.random_sl and
 witt.mat_inv.
+
+The product ``mul`` and the powers ``power`` are those of ``fields``, which
+builds the tables of F_q = GR(p, e) with the same product.
 """
 
 from __future__ import annotations
 
 from .errors import NonUnit
-from .fields import IRREDUCIBLE
+from .fields import mul, power
 
 _TEICH = {}  # (field, L) -> {residue tuple: its Teichmuller lift mod p^L}
-
-
-def mul(field, a, b, mod):
-    """a * b modulo mod, a power of p."""
-    e = len(a)
-    conv = [0] * (2 * e - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                conv[i + j] += x * y
-    f = IRREDUCIBLE.get((field.p, field.e), ())  # u^e = -sum_i f[i] u^i
-    for k in range(2 * e - 2, e - 1, -1):
-        c = conv.pop()
-        if c:
-            for i, t in enumerate(f):
-                conv[k - e + i] -= c * t
-    return tuple(x % mod for x in conv)
 
 
 def inv(field, a, L):
@@ -56,19 +42,11 @@ def teichmuller(field, L):
     key = (field, L)
     table = _TEICH.get(key)
     if table is None:
-        mod = field.p**L
-        table = {}
-        for c in field.elements():
-            x = c.val
-            for _ in range(L - 1):  # x -> x^q, L - 1 times
-                acc, base, n = (1,) + (0,) * (field.e - 1), x, field.q
-                while n:
-                    if n & 1:
-                        acc = mul(field, acc, base, mod)
-                    base = mul(field, base, base, mod)
-                    n >>= 1
-                x = acc
-            table[c.val] = x
+        if L == 0:  # q^(L - 1) is no integer; T(c) is only read mod p^0 = 1
+            table = {c.val: c.val for c in field.elements()}
+        else:
+            n, mod = field.q ** (L - 1), field.p**L
+            table = {c.val: power(field, c.val, n, mod) for c in field.elements()}
         _TEICH[key] = table
     return table
 

@@ -29,23 +29,20 @@ Generation cost is governed by the number of monomials of weighted degree p^n
 T_i^(p^(n-i)) of lower levels.  Each is taken from T_i itself by repeated
 squaring, its coefficients reduced mod p^(n+1-i) after every product, so a
 product that is not a square has the small T_i as one factor.
-Products are taken by Kronecker substitution (``_kron_mul``) along a pair of
-variable slots u, v and a weight w: the terms of each operand are grouped by
-their key with the u and v fields cleared and by s = e_u + w*e_v, each group's
-coefficients are packed into one integer at digit e_v, and the product
-multiplies group by group, one big-integer product per pair of groups; a
-square visits each unordered pair once.  The product is exact for every pair;
-the pair decides how many terms share a group, and so how many pairs of groups
-a product visits.  ``solve_levels`` packs the pair each op's grading makes
-dense: if v weighs w times u under the grading that makes the levels
-homogeneous, fixing the other variables fixes s, and a group holds every power
-of v its terms use.  ``add`` is homogeneous in total weight, where X0 and Y0
-both weigh 1, so it packs (X0, Y0, 1) and Y0's exponent, up to p^n, leaves the
-group key: the largest product of the p = 3 table, T_3^2 * T_3 at level 4,
-visits 128,935 pairs of groups, against 699,111 with X0 and X1.
-``mul`` is bihomogeneous, X0 and Y0 in different blocks, so X0 and Y0 would
-leave one term per group; it packs (X0, X1, p), X1 weighing p under the
-X-block weight, and so does ``neg``, which has no Y.
+The products of ``add`` are taken by Kronecker substitution (``_kron_mul``)
+along a pair of variable slots u, v and a weight w: the terms of each operand
+are grouped by their key with the u and v fields cleared and by
+s = e_u + w*e_v, each group's coefficients are packed into one integer at
+digit e_v, and the product multiplies group by group, one big-integer product
+per pair of groups; a square visits each unordered pair once.  The product is
+exact for every pair; the pair decides how many terms share a group, and so
+how many pairs of groups a product visits.  ``add`` is homogeneous in total
+weight, where X0 and Y0 both weigh 1, so it packs (X0, Y0, 1): fixing the
+other variables fixes s, and Y0's exponent, up to p^n, leaves the group key.
+The largest product of the p = 3 table, T_3^2 * T_3 at level 4, visits
+128,935 pairs of groups, against 699,111 with X0 and X1.  The levels of
+``mul`` and ``neg`` are small enough that the schoolbook ``ip_mul`` is faster
+than any packing.
 
 Over a finite field F_q every coordinate satisfies x^q = x, so Witt
 arithmetic evaluates the laws in R_q = Z[X, Y]/(X_j^q - X_j, Y_j^q - Y_j),
@@ -95,11 +92,11 @@ The monomial count explodes combinatorially: for p = 5 the level-4 addition
 polynomial has more than 10^8 potential terms, and its powers would have to
 be taken over all of them, which no desk machine does in reasonable time.
 Generation therefore refuses, with TableLimit, any level whose potential
-support exceeds a configurable bound (default 200,000 monomials, which admits
-p=2 up to length 6, p=3 up to length 5 and p=5 up to length 4) instead of
-grinding without hope of finishing.  A level solved in R_p has at most p^v
-monomials in its v variables, so its support counts as the smaller of the
-two; that admits W_8(F_2), whose level 7 has at most 2^16.
+support exceeds TERM_LIMIT = 200,000 monomials (which admits p=2 up to length
+6, p=3 up to length 5 and p=5 up to length 4) instead of grinding without hope
+of finishing; the message names the longest length in reach.  A level solved
+in R_p has at most p^v monomials in its v variables, so its support counts as
+the smaller of the two; that admits W_8(F_2), whose level 7 has at most 2^16.
 """
 
 from __future__ import annotations
@@ -122,8 +119,7 @@ _HALF_BITS = SHIFT * MAX_SLOTS  # a key is its X half, then its Y half
 _HALF_MASK = (1 << _HALF_BITS) - 1
 
 OPS = ("add", "mul", "neg")
-DEFAULT_TERM_LIMIT = 200_000
-_ENV_LIMIT = "WITTGRASS_TABLE_LIMIT"
+TERM_LIMIT = 200_000  # the largest potential support of a level generated
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +395,6 @@ def level_cost(p, n, op):
     return one_sided_count(p, n) ** 2  # mul: bidegree (p^n, p^n)
 
 
-def term_limit():
-    raw = os.environ.get(_ENV_LIMIT)
-    if not raw:
-        return DEFAULT_TERM_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise UsageError(f"{_ENV_LIMIT} must be an integer, not {raw!r}") from None
-    if limit < 1:
-        raise UsageError(f"{_ENV_LIMIT} must be a positive integer, not {raw!r}")
-    return limit
-
-
 # ---------------------------------------------------------------------------
 # triangular ghost solve
 # ---------------------------------------------------------------------------
@@ -435,21 +418,21 @@ def _ghost_target(p, n, op, keys=None):
 def _check_limits(p, op, start, N, folded):
     """Raise TableLimit unless levels start..N-1 of the op table are in reach;
     a level solved in R_p (``folded``) has at most p^v monomials in its v
-    variables."""
+    variables.  The support grows with the level, so the first level beyond
+    TERM_LIMIT is also the longest length in reach."""
     if p not in SUPPORTED_PRIMES:
         raise TableLimit(f"prime {p} not supported; supported: {SUPPORTED_PRIMES}")
     if not (1 <= N <= MAX_N):
         raise TableLimit(f"table length {N} outside 1..{MAX_N}")
-    limit = term_limit()
     for n in range(start, N):
         cost = level_cost(p, n, op)
         if folded:
             cost = min(cost, p ** ((n + 1) * (1 if op == "neg" else 2)))
-        if cost > limit:
+        if cost > TERM_LIMIT:
             raise TableLimit(
                 f"structure table {op} level {n} for p={p} has a potential support of "
-                f"{cost} monomials, beyond the limit of {limit}; this is out of reach "
-                f"for exact generation (set {_ENV_LIMIT} to override at your own risk)"
+                f"{cost} monomials, beyond the limit of {TERM_LIMIT}; this is out of reach "
+                f"for exact generation, so use a length N of at most {n}"
             )
 
 
@@ -467,7 +450,7 @@ def solve_levels(p, op, N, known=None, q=None):
     1..p-1.  ``known`` is a prefix of the levels solved in the same ring,
     unfolded or in R_p, in packed keys.  Raises TableLimit,
     before solving any level, when one of the missing levels has a potential
-    monomial support beyond the configured bound.
+    monomial support beyond TERM_LIMIT.
     """
     folded = q == p  # the whole solve runs in R_p, on class keys
     levels = [dict(t) for t in (known or [])][:N]
@@ -476,9 +459,10 @@ def solve_levels(p, op, N, known=None, q=None):
     if folded:
         levels = [{keys.encode(k): c for k, c in level.items()} for level in levels]
         mul = keys.mul
-    else:  # the slot pair and weight that op's grading makes dense (module docstring)
-        u, v, w = (0, MAX_SLOTS, 1) if op == "add" else (0, 1, p)
-        mul = functools.partial(_kron_mul, u=u, v=v, w=w)
+    elif op == "add":  # X0 and Y0, dense under add's grading (module docstring)
+        mul = functools.partial(_kron_mul, u=0, v=MAX_SLOTS, w=1)
+    else:
+        mul = ip_mul
     for n in range(len(levels), N):
         numerator = _ghost_target(p, n, op, keys)
         for i in range(n):  # from T_i: each product that is not a square has T_i as a factor

@@ -98,16 +98,12 @@ def teichmuller(ring, c, N):
 
 
 def witt_from_int(ring, n, N):
-    """Image of the integer n in W_N(ring), via double-and-add."""
-    if n < 0:
-        return -witt_from_int(ring, -n, N)
-    acc = witt_zero(ring, N)
-    one = witt_one(ring, N)
-    for bit in bin(n)[2:]:
-        acc = acc + acc
-        if bit == "1":
-            acc = acc + one
-    return acc
+    """Image of the integer n in W_N(ring): the Witt coordinates of n mod p^N
+    in W_N(F_p) = Z/p^N, mapped into the ring coordinate by coordinate."""
+    from .galois import digits
+
+    coords, _ = digits(FiniteField(ring.p), (n % ring.p**N,), N, N)
+    return WittVector(ring, [ring.from_int(c.val[0]) for c in coords])
 
 
 def _fold_size(ring):

@@ -58,13 +58,17 @@ def test_lattice_commands_take_no_laurent_flag(capsys, cmd):
 def test_laurent_witt_beyond_the_table_limit_is_refused_before_work(capsys, monkeypatch, tmp_path):
     # restored after the test, whatever --cache-dir sets
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("WITTGRASS_TABLE_LIMIT", raising=False)
     argv = ["--cache-dir", str(tmp_path), "witt", "mul", "--laurent", "--p", "3", "--N", "6",
             "(1,t,0,0,0,0)", "(1,0,0,0,0,t^-1)"]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "WITTGRASS_TABLE_LIMIT" in captured.err
+    # the whole table is generated, so its add levels refuse first
+    assert captured.err == (
+        "error: structure table add level 5 for p=3 has a potential support of 62251674 "
+        "monomials, beyond the limit of 200000; this is out of reach for exact generation, "
+        "so use a length N of at most 5\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 
@@ -95,8 +99,7 @@ def test_witt_vectors_of_length_8_over_f2_are_the_integers_mod_256(capsys, a, b)
      "structure table add level 6 for p=2 has a potential support of 1357608 monomials"),
     (["add", "--p", "2", "--N", "9"], "table length 9 outside 1..8"),
 ], ids=["F3-N6", "F4-N7", "N9"])
-def test_finite_field_witt_beyond_the_tables_is_refused(capsys, monkeypatch, argv, problem):
-    monkeypatch.delenv("WITTGRASS_TABLE_LIMIT", raising=False)
+def test_finite_field_witt_beyond_the_tables_is_refused(capsys, argv, problem):
     N = int(argv[-1])
     one = "(" + ",".join(["1"] + ["0"] * (N - 1)) + ")"
     assert cli.main(["witt", *argv, one, one]) == 1
@@ -104,8 +107,10 @@ def test_finite_field_witt_beyond_the_tables_is_refused(capsys, monkeypatch, arg
     assert captured.out == ""
     assert f"error: {problem}" in captured.err
     if "support" in problem:
-        assert ("beyond the limit of 200000; this is out of reach for exact generation "
-                "(set WITTGRASS_TABLE_LIMIT to override at your own risk)") in captured.err
+        assert captured.err == (
+            f"error: {problem}, beyond the limit of 200000; this is out of reach for exact "
+            f"generation, so use a length N of at most {N - 1}\n"
+        )
 
 
 @pytest.mark.parametrize("op", ["neg", "inv"])

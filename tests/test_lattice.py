@@ -475,9 +475,9 @@ def test_galois_descent_on_the_enumeration(n, q, window):
     assert fixed == prime
 
 
-# N = 2 is the tight window of (1,-1): it keeps the F_8 and F_9 point lists at
-# q^4 candidates (q^6 at N = 3)
-@pytest.mark.parametrize("q,N", [(4, 3), (8, 2), (9, 2)])
+# N = 2 is the tight window of (1,-1): it keeps the F_8, F_9 and F_25 point
+# lists at q^4 candidates (q^6 at N = 3)
+@pytest.mark.parametrize("q,N", [(4, 3), (8, 2), (9, 2), (25, 2)])
 def test_points_lattice_is_frobenius_equivariant(q, N):
     """points_lattice(sigma(I)) = sigma(points_lattice(I)) on orbit images of
     I_(1,-1), sigma acting on the coefficients of the generators: the

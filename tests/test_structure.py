@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from wittgrass import cli, structure as st
-from wittgrass.errors import CacheCorrupt, TableLimit, UsageError
+from wittgrass.errors import CacheCorrupt, TableLimit
 
 
 def poly_text(levels):
@@ -138,20 +138,7 @@ def test_support_counts_monotone():
     # the guard's cost model: two-sided slices grow with the level
     costs = [st.level_cost(3, n, "add") for n in range(5)]
     assert costs == sorted(costs)
-    assert st.level_cost(5, 4, "add") > st.DEFAULT_TERM_LIMIT
-
-
-def test_malformed_table_limit_is_a_usage_error(monkeypatch):
-    monkeypatch.setenv("WITTGRASS_TABLE_LIMIT", "lots")
-    with pytest.raises(UsageError, match="WITTGRASS_TABLE_LIMIT"):
-        st.term_limit()
-
-
-@pytest.mark.parametrize("raw", ["0", "-5"])
-def test_non_positive_table_limit_is_a_usage_error(monkeypatch, raw):
-    monkeypatch.setenv("WITTGRASS_TABLE_LIMIT", raw)
-    with pytest.raises(UsageError, match="WITTGRASS_TABLE_LIMIT"):
-        st.term_limit()
+    assert st.level_cost(5, 4, "add") > st.TERM_LIMIT
 
 
 def test_each_cache_dir_gets_its_own_table(tmp_path):
@@ -286,8 +273,8 @@ def _factor_polys(digit_slot):
     )
 
 
-# (u, v, w): the pairs the tables pack, (X0, Y0, 1) for add and (X0, X1, p) for
-# mul and neg, and any other pair of distinct slots with any w
+# (u, v, w): the pair the add table packs, (X0, Y0, 1), the (X0, X1, p) of
+# exact_levels, and any other pair of distinct slots with any w
 _packed_pairs = hst.one_of(
     hst.sampled_from([(0, st.MAX_SLOTS, 1), (0, 1, 2), (0, 1, 3), (0, 1, 5)]),
     hst.tuples(
