@@ -4,7 +4,9 @@ Subcommands mirror the package layout: witt, greenberg, lattice, hilbert,
 grass and selftest.  Exit status 0 on success, 1 on domain errors (guards,
 precision, non-units), 2 on usage errors.  Output is deterministic for fixed
 inputs and seeds; --format json switches to a stable machine-readable schema
-(schema version in the "schema" field).
+(schema version in the "schema" field).  When the reader closes standard
+output early (``wittgrass selftest | head -1``), the command stops quietly
+with exit status 1.
 
 Importing this module loads only errors and fields.  Each subcommand imports
 its modules when it runs, so a one-shot process loads, and with bytecode
@@ -392,12 +394,19 @@ def main(argv=None):
     if args.cache_dir:
         os.environ[_ENV_CACHE] = args.cache_dir
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except WittgrassError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed standard output (``wittgrass selftest | head -1``);
+        # what is left unwritten goes to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -34,7 +34,6 @@ from .hilbert import (
     var_index,
 )
 from .lattice import (
-    Lattice,
     PadicWittNumber,
     bruhat_leq,
     dominant_or_raise,
@@ -130,27 +129,11 @@ def points_lattice(I, shift=0, check_stable=True):
     return lat
 
 
-def standard_cell_lattice(field, lam, prec=None):
-    """The diagonal lattice of a dominant cocharacter, as a Lattice value."""
-    n = len(lam)
-    window = max(abs(v) for v in lam) if lam else 0
-    prec = prec if prec is not None else 2 * n * max(window, 1) + 2
-    cols = []
-    for i in range(n):
-        col = [padic_zero(field, prec + n * window) for _ in range(n)]
-        col[i] = padic_p_power(field, lam[i], prec)
-        cols.append(col)
-    from .lattice import WittMatrix
-
-    mat = WittMatrix(field, [[cols[j][i] for j in range(n)] for i in range(n)])
-    return Lattice(mat)
-
-
 # ---------------------------------------------------------------------------
 # degeneration families as ideals over F_q(t)
 # ---------------------------------------------------------------------------
 
-def degeneration_family_ideal(field, e, d, N=None):
+def degeneration_family_ideal(field, e, d, N):
     """Ideal over F_q(t) of the family lattice with columns
     (p^(e-1-d), 0) and ([t^2], p) inside W_N^2 (the window -d shifted model).
 
@@ -160,8 +143,6 @@ def degeneration_family_ideal(field, e, d, N=None):
     """
     if e <= d:
         raise UsageError("family needs e > d")
-    if N is None:
-        N = max(e - d, 2)
     K = RationalFunctionField(field)
     p = field.p
     nparams = 2 * N

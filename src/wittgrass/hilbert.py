@@ -14,8 +14,7 @@ saturation J : t^inf with t set to 0, read off one Groebner basis in which
 generic one, which the tests cross-check two independent ways:
 ``hilbert_function`` counts the standard monomials of the leading-term ideal
 from its Hilbert series, without listing them, and ``hilbert_function_linalg``
-(behind ``generic_hilbert``) takes ranks of the degree slices, with no
-Groebner basis.  One slice builder and one elimination pass make that
+takes ranks of the degree slices, with no Groebner basis.  One slice builder and one elimination pass make that
 rank-based reference.
 
 Loading this module loads only the Groebner stack (groebner, poly); greenberg,
@@ -181,11 +180,6 @@ class HilbertFunction:
 
     def __eq__(self, other):
         return isinstance(other, HilbertFunction) and self.values == other.values
-
-    def dominates(self, other):
-        """Pointwise >=, with strict inequality somewhere on the common range."""
-        pairs = list(zip(self.values, other.values))
-        return all(a >= b for a, b in pairs) and any(a > b for a, b in pairs)
 
     def __repr__(self):
         return ",".join(str(v) for v in self.values)
@@ -416,8 +410,3 @@ def flat_limit(family):
     at_zero = [ring.zero, ring.zero] + [ring.var(k) for k in range(len(ring.names))]
     sat = [g.map_into(ring, at_zero) for g in gb if not any(m[0] for m in g.terms)]
     return GradedIdeal(ring, n, N, buchberger(sat))
-
-
-def generic_hilbert(family, bound):
-    """Hilbert function of the generic fiber of a family over F_q(t)."""
-    return hilbert_function_linalg(family, bound)

@@ -197,13 +197,12 @@ class Polynomial:
 
     # -- substitution / evaluation --
 
-    def map_into(self, target, var_images, coeff_map=None):
-        """Ring map: variable i -> var_images[i], coefficients through coeff_map."""
+    def map_into(self, target, var_images):
+        """Ring map: variable i -> var_images[i], coefficients unchanged."""
         out = target.zero
-        cmap = coeff_map if coeff_map is not None else target.inject_coeff
         pow_cache = {}
         for m, c in self.terms.items():
-            term = target.const(cmap(c))
+            term = target.const(c)
             for i, e in enumerate(m):
                 if not e:
                     continue
@@ -320,10 +319,6 @@ class PolyRing:
 
     def from_int(self, n):
         return self.const(self.coeff.from_int(n))
-
-    def inject_coeff(self, c):
-        """Default coefficient map for map_into: identity on the coeff ring."""
-        return c
 
     def pth_root(self, a):
         raise NotPerfect("polynomial rings are not perfect")

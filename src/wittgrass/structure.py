@@ -70,33 +70,37 @@ exponents 1..p-1.
 
 Generated tables for the other coefficient rings (polynomial, Laurent and
 F_q(t) rings) are cached on disk, one polynomial per line, in the format
-``ADD n: <polynomial>``; finite fields never read or write the cache.  Cache
-writes are atomic (write a temp file, then rename), so concurrent processes
-can share a cache directory.  Writing renders each key as its X half and its Y
-half, each through a memo (``render_ip``).  Loading reads the file once and
-checks every line head at once: each line names a known op and the next level
-of it.  The polynomial after the colon is kept as text and parsed the first
-time a call reads that level, so a call that adds never parses the
-multiplication table.  Parsing checks the syntax: each term has a nonzero
-integer coefficient spelled as render_ip spells it, and distinct variables
-X_i/Y_i with i < MAX_SLOTS and exponents 1..EXP_MASK, written in slot order,
-so no token can alias another monomial.  It checks too that each coefficient
-is a residue 1..p-1; a file written before the tables held residues has
-integer coefficients such as -1 and is refused, not misread.  A bad level is
-refused when it is first read, with the file and the line named; before a
-cache file is rewritten every level in it is parsed, so corrupt data is
-refused rather than written back.  Nothing re-checks the ghost identities; a
-well-formed but wrong residue is read as it stands.
+``ADD n: <polynomial>``; finite fields never read or write the cache.  Each op
+has its own length in the file: a call that needs more levels of an op than
+the file holds solves that op's missing levels alone, so a file holds only the
+ops calls evaluated, each at the longest length asked for.  Cache writes are
+atomic (write a temp file, then rename), so concurrent processes can share a
+cache directory.  Writing renders each key as its X half and its Y half, each
+through a memo (``render_ip``).  Loading reads the file once and checks every
+line head at once: each line names a known op and the next level of it.  The
+polynomial after the colon is kept as text and parsed the first time a call
+reads that level, so a call that adds never parses the multiplication table.
+Parsing checks the syntax: each term has a nonzero integer coefficient spelled
+as render_ip spells it, and distinct variables X_i/Y_i with i < MAX_SLOTS and
+exponents 1..EXP_MASK, written in slot order, so no token can alias another
+monomial.  It checks too that each coefficient is a residue 1..p-1; a file
+written before the tables held residues has integer coefficients such as -1
+and is refused, not misread.  A bad level is refused when it is first read,
+with the file and the line named; before a cache file is rewritten every level
+in it is parsed, so corrupt data is refused rather than written back.  Nothing
+re-checks the ghost identities; a well-formed but wrong residue is read as it
+stands.
 
 The monomial count explodes combinatorially: for p = 5 the level-4 addition
-polynomial has more than 10^8 potential terms, and its powers would have to
-be taken over all of them, which no desk machine does in reasonable time.
+polynomial has more than 10^8 potential terms, and its powers would have to be
+taken over all of them, which no desk machine does in reasonable time.
 Generation therefore refuses, with TableLimit, any level whose potential
 support exceeds TERM_LIMIT = 200,000 monomials (which admits p=2 up to length
 6, p=3 up to length 5 and p=5 up to length 4) instead of grinding without hope
-of finishing; the message names the longest length in reach.  A level solved
-in R_p has at most p^v monomials in its v variables, so its support counts as
-the smaller of the two; that admits W_8(F_2), whose level 7 has at most 2^16.
+of finishing; the message names the op and the longest length in reach, and a
+call is refused only for an op it evaluates.  A level solved in R_p has at
+most p^v monomials in its v variables, so its support counts as the smaller of
+the two; that admits W_8(F_2), whose level 7 has at most 2^16.
 """
 
 from __future__ import annotations
@@ -751,7 +755,7 @@ class StructurePolynomialTable:
     ``levels(op, N)`` gives the levels 0..N-1 of op, each a packed polynomial
     with coefficients in 1..p-1.  ``reduced(op, q, N)`` gives them in the form
     Witt arithmetic evaluates (``_evaluation_form``), the coefficients in
-    1..p-1.  N None means every level of the table.
+    1..p-1.
 
     With ``q`` None the form is the level itself, valid over every ring of
     characteristic p (polynomial rings, Laurent rings, F_q(t)).  For a finite
@@ -762,14 +766,14 @@ class StructurePolynomialTable:
     nothing, and no edit of the cache file changes its result.
 
     The handle is per prime and cache directory, and ``get`` reads nothing.
-    The unfolded levels are read from the cache file, with the levels it lacks
-    generated and the file rewritten, on the first ``levels`` or ``reduced(op,
-    None)`` call that needs them.  Each stage is a prefix list per op that
-    grows on demand: a level read from the file stays text until a call first
-    reads it, then is parsed (``parse_level``) and turned into its form, and
-    each result is kept.  So ``witt add --laurent --N 3`` parses three lines of
-    the file whatever else it holds.  A table of length N serves every length
-    up to N; ``N`` is the longest length asked for, or the file's once read.
+    The first ``levels`` call reads the cache file once.  Each op is then a
+    prefix list of its own, which grows by itself: a level read from the file
+    stays text until a call first reads it, then is parsed (``parse_level``)
+    in place, and each evaluation form is kept once built.  So ``witt add --laurent --N 3``
+    parses three lines of the file whatever else it holds.  A call that needs
+    more levels of op than the file holds checks TableLimit for op alone,
+    solves only op's missing levels and rewrites the file, every level in it
+    parsed first; the other ops keep the lengths the file gave them.
     """
 
     _registry: dict = {}
@@ -778,70 +782,54 @@ class StructurePolynomialTable:
         self.p = p
         self.cache_dir = cache_dir
         self.path = _cache_path(cache_dir, p)
-        self.N = 0
-        self._read = None  # the length read from the file or generated, once read
-        self._bodies = {}  # op -> the text of each level the file holds
-        self._levels = {op: [] for op in OPS}  # op -> the parsed levels, a prefix
+        # op -> each level of the file: its text until first read, then parsed
+        self._levels = None
         self._forms = {}  # (op, q) -> evaluation forms, a prefix of the table
 
-    def _load(self, N):
-        """Read the cache file; generate the levels it lacks below length N and
-        write them back, every level of the file parsed first."""
-        p, path = self.p, self.path
-        try:
-            bodies = load_cache(p, self.cache_dir)
-        except OSError:
-            bodies = {op: [] for op in OPS}
-        length = max(N, min(len(bodies[op]) for op in OPS))
-        missing = [op for op in OPS if len(bodies[op]) < length]
-        levels = None
-        if missing:
-            for op in missing:  # refuse before solving any op
-                _check_limits(p, op, len(bodies[op]), length, folded=False)
+    def _parsed(self, op, N):
+        """Levels 0..N-1 of op, each parsed at its first read."""
+        levels = self._levels[op]
+        for n in range(N):
+            if isinstance(levels[n], str):
+                levels[n] = parse_level(self.path, self.p, op, n, levels[n])
+        return levels[:N]
+
+    def levels(self, op, N):
+        if self._levels is None:
+            try:
+                self._levels = load_cache(self.p, self.cache_dir)
+            except OSError:
+                self._levels = {o: [] for o in OPS}
+        table = self._levels
+        if len(table[op]) < N:
+            _check_limits(self.p, op, len(table[op]), N, folded=False)
             # the file is rewritten whole, so every level in it is parsed
             # first: corrupt data is refused, never written back
-            levels = {
-                op: [parse_level(path, p, op, n, text) for n, text in enumerate(bodies[op])]
-                for op in OPS
-            }
-            for op in missing:
-                levels[op] = solve_levels(p, op, length, known=levels[op])
+            for o in OPS:
+                self._parsed(o, len(table[o]))
+            table[op] = solve_levels(self.p, op, N, known=table[op])
             try:
-                write_cache(p, self.cache_dir, levels)
+                write_cache(self.p, self.cache_dir, table)
             except OSError as exc:  # the cache is an optimization; carry on in memory
-                print(f"wittgrass: could not write structure cache {path}: {exc}", file=sys.stderr)
-        self.N = max(self.N, length)
-        self._read = length
-        self._bodies = {op: bodies[op][:length] for op in OPS}
-        self._levels = {op: list(levels[op][:length]) if levels else [] for op in OPS}
+                print(f"wittgrass: could not write structure cache {self.path}: {exc}",
+                      file=sys.stderr)
+        return self._parsed(op, N)
 
-    def levels(self, op, N=None):
-        if self._read is None or self._read < (N or self.N):
-            self._load(N or self.N)
-        N = self.N if N is None else N
-        parsed, bodies = self._levels[op], self._bodies[op]
-        while len(parsed) < N:
-            n = len(parsed)
-            parsed.append(parse_level(self.path, self.p, op, n, bodies[n]))
-        return parsed[:N]
-
-    def reduced(self, op, q=None, N=None):
+    def reduced(self, op, q, N):
         """Evaluation forms of op; the first N entries are those of levels 0..N-1."""
-        N = self.N if N is None else N
-        if len(self._forms.get((op, q), ())) < N:
+        form = self._forms.setdefault((op, q), [])
+        if len(form) < N:
             levels = self.levels(op, N) if q is None else solve_levels(self.p, op, N, q=q)
-            form = self._forms.setdefault((op, q), [])
             form += map(_evaluation_form, levels[len(form):])
-        return self._forms.get((op, q), [])
+        return form
 
     @classmethod
-    def get(cls, p, N, cache_dir=None):
-        """The table of prime p and the cache directory, serving length N; reads nothing."""
+    def get(cls, p, cache_dir=None):
+        """The table of prime p and the cache directory; reads nothing."""
         key = (p, resolve_cache_dir(cache_dir))
         table = cls._registry.get(key)
         if table is None:
             table = cls._registry[key] = cls(*key)
-        table.N = max(table.N, N)
         return table
 
     @classmethod
@@ -853,4 +841,4 @@ def gen_structure_polys(p, N, op, cache_dir=None):
     """Levels 0..N-1 of the requested operation table, with coefficients in 1..p-1."""
     if op not in OPS:
         raise UsageError(f"op must be add, mul or neg, not {op!r}")
-    return StructurePolynomialTable.get(p, N, cache_dir=cache_dir).levels(op, N)
+    return StructurePolynomialTable.get(p, cache_dir=cache_dir).levels(op, N)

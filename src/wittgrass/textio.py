@@ -142,17 +142,6 @@ def parse_expression(ring, text, resolve):
     return node
 
 
-def parse_polynomial(ring, text):
-    """Parse an expression into a Polynomial of the PolyRing ``ring``, whose
-    variables are written by their names, bare or indexed like ``x[i,j]``."""
-
-    def resolve(name, indices):
-        display = name if indices is None else f"{name}[{indices[0]},{indices[1]}]"
-        return ring.var(ring.index_of(display))
-
-    return parse_expression(ring, text, resolve)
-
-
 def scalar_resolver(ring):
     """Resolver of u (the generator of F_q) and t (the variable of
     F_q[t,1/t] or F_q(t)) to elements of the coefficient ring ``ring``."""

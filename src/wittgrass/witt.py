@@ -152,7 +152,7 @@ def witt_arith(op, a, b=None):
     if N != b.length:
         raise RingMismatch(f"length mismatch: {N} vs {b.length}")
     ring = a.ring
-    forms = StructurePolynomialTable.get(ring.p, N).reduced(op, _fold_size(ring), N)
+    forms = StructurePolynomialTable.get(ring.p).reduced(op, _fold_size(ring), N)
     coords = a.coords + (ring.zero,) * (MAX_SLOTS - N) + b.coords
     zero_mask = _zero_mask(a.coords) | _zero_mask(b.coords, MAX_SLOTS)
     powers = {}
@@ -169,7 +169,7 @@ def witt_inv(a):
     ring = a.ring
     N = a.length
     p = ring.p
-    mul = StructurePolynomialTable.get(p, N).reduced("mul", _fold_size(ring), N)
+    mul = StructurePolynomialTable.get(p).reduced("mul", _fold_size(ring), N)
     inv0 = a.coords[0].inv()
     coords = list(a.coords) + [ring.zero] * (MAX_SLOTS - N) + [inv0] + [ring.zero] * (N - 1)
     # b_1..b_{N-1} count as zero until solved, so no power of one is cached early
@@ -224,11 +224,6 @@ def witt_random(ring, N, rng):
 # small dense matrices over W_N(A); mat_mul and mat_det use only +, - and *,
 # so they also serve the p-adic entries of lattice.WittMatrix
 # ---------------------------------------------------------------------------
-
-def mat_identity(ring, n, N):
-    one, zero = witt_one(ring, N), witt_zero(ring, N)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
 
 def mat_mul(A, B):
     n, m, k = len(A), len(B[0]), len(B)

@@ -1,7 +1,11 @@
 """Command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,29 @@ def test_selftest_quick_passes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines
     assert all(line.startswith(("PASS ", "SKIP ")) for line in lines), lines
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_standard_output_ends_quietly(tmp_path, unbuffered):
+    # as in ``wittgrass selftest | head -1``, with the reader gone before the
+    # first line: unbuffered, the first print fails; buffered, the final flush
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "wittgrass.cli", "--cache-dir", str(tmp_path),
+             "selftest", "--quick"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
 
 
 def test_selftest_takes_no_table_parameters():
@@ -63,13 +90,21 @@ def test_laurent_witt_beyond_the_table_limit_is_refused_before_work(capsys, monk
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    # the whole table is generated, so its add levels refuse first
+    # only the table of the op evaluated is generated, so mul refuses
     assert captured.err == (
-        "error: structure table add level 5 for p=3 has a potential support of 62251674 "
+        "error: structure table mul level 5 for p=3 has a potential support of 33965584 "
         "monomials, beyond the limit of 200000; this is out of reach for exact generation, "
         "so use a length N of at most 5\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+def test_laurent_witt_neg_is_not_bound_by_the_add_table(capsys):
+    # add level 6 for p = 2 is out of reach; neg needs only its own table.
+    # -1 = (1, 1, 1, ...) in W(F_2) and [t] * (a_i) = (t^(2^i) * a_i), so
+    # -[t] = (t, t^2, t^4, ...)
+    assert cli.main(["witt", "neg", "--laurent", "--p", "2", "--N", "7", "(t,0,0,0,0,0,0)"]) == 0
+    assert capsys.readouterr().out.strip() == "(t,t^2,t^4,t^8,t^16,t^32,t^64)"
 
 
 def _bits(n, N=8):

@@ -13,7 +13,6 @@ from wittgrass.grassmann import (
     ideal_points,
     image_check,
     points_lattice,
-    standard_cell_lattice,
 )
 from wittgrass.hilbert import (
     GradedIdeal,
@@ -25,12 +24,17 @@ from wittgrass.hilbert import (
     is_module_stable,
 )
 from wittgrass import zadic
-from wittgrass.lattice import witt_cell_table, zadic_cell_table
+from wittgrass.lattice import Lattice, diag_p_matrix, witt_cell_table, zadic_cell_table
 from wittgrass.witt import WittVector, random_sl
 from wittgrass.zadic import zadic_oracle
 
 F2 = GF(2)
 F4 = GF(4)
+
+
+def diagonal_lattice(field, lam, prec=6):
+    """The lattice with basis diag(p^lam_1, ..., p^lam_n)."""
+    return Lattice(diag_p_matrix(field, lam, prec))
 
 
 # -- points_lattice -------------------------------------------------------------
@@ -40,14 +44,14 @@ def test_zero_ideal_gives_standard_lattice():
     I = GradedIdeal(R, 2, 2, [])
     lat = points_lattice(I, shift=0)
     assert lat.cell() == (0, 0)
-    assert lat == standard_cell_lattice(F2, (0, 0))
+    assert lat == diagonal_lattice(F2, (0, 0))
 
 
 def test_cocharacter_ideal_maps_to_its_diagonal_lattice():
     I = ideal_I_lambda(F2, (1, -1), 3)
     lat = points_lattice(I, shift=1)
     assert lat.cell() == (1, -1)
-    assert lat == standard_cell_lattice(F2, (1, -1))
+    assert lat == diagonal_lattice(F2, (1, -1))
 
 
 def test_points_lattice_spans_only_the_points_and_the_kernel():
@@ -63,12 +67,12 @@ def test_swapped_coordinate_ideal_same_cell_other_lattice():
     I = GradedIdeal(R, 2, 2, [R.var(2), R.var(3)])  # second block killed
     lat = points_lattice(I, shift=1)
     assert lat.cell() == (1, -1)
-    assert lat != standard_cell_lattice(F2, (1, -1))
+    assert lat != diagonal_lattice(F2, (1, -1))
 
 
 def test_boundary_ideals_map_to_standard_over_f4():
     R = ambient_ring(F4, 2, 2)
-    expected = standard_cell_lattice(F4, (0, 0))
+    expected = diagonal_lattice(F4, (0, 0))
     for a in F4.elements():
         J = GradedIdeal(R, 2, 2, [R.var(0) + R.var(2).scale(a), R.var(2) ** 2])
         lat = points_lattice(J, shift=1)

@@ -17,7 +17,7 @@ from wittgrass.greenberg import (
     witt_poly_ring,
 )
 from wittgrass.poly import Polynomial
-from wittgrass.textio import parse_polynomial
+from wittgrass.textio import parse_expression
 from wittgrass.structure import MAX_SLOTS, gen_structure_polys, key_exponents
 from wittgrass.witt import (
     WittVector,
@@ -39,7 +39,14 @@ def T(field, N, arity, l):
 
 
 def expect(ring, text):
-    return parse_polynomial(ring, text)
+    """The polynomial of ``ring`` that ``text`` spells, its variables written
+    by their names, bare or indexed like ``x[i,j]``."""
+
+    def resolve(name, indices):
+        display = name if indices is None else f"{name}[{indices[0]},{indices[1]}]"
+        return ring.var(ring.index_of(display))
+
+    return parse_expression(ring, text, resolve)
 
 
 def test_sum_map_components():

@@ -17,7 +17,6 @@ from wittgrass.hilbert import (
     ambient_ring,
     family_ring,
     flat_limit,
-    generic_hilbert,
     hilbert_function,
     hilbert_function_linalg,
     ideal_I_lambda,
@@ -26,7 +25,7 @@ from wittgrass.hilbert import (
     monomials_of_weight,
     var_index,
 )
-from wittgrass.textio import parse_polynomial
+from wittgrass.textio import parse_expression
 from wittgrass.witt import random_sl, teichmuller, witt_one, witt_zero
 
 F2 = GF(2)
@@ -34,7 +33,20 @@ F4 = GF(4)
 
 
 def poly(ring, text):
-    return parse_polynomial(ring, text)
+    """The polynomial of ``ring`` that ``text`` spells, its variables written
+    by their names, bare or indexed like ``x[i,j]``."""
+
+    def resolve(name, indices):
+        display = name if indices is None else f"{name}[{indices[0]},{indices[1]}]"
+        return ring.var(ring.index_of(display))
+
+    return parse_expression(ring, text, resolve)
+
+
+def dominates(h, other):
+    """Pointwise >=, with strict inequality somewhere on the common range."""
+    pairs = list(zip(h.values, other.values))
+    return all(a >= b for a, b in pairs) and any(a > b for a, b in pairs)
 
 
 # -- cocharacter ideals -------------------------------------------------------
@@ -276,14 +288,12 @@ def test_hf_dominance_along_bruhat():
     h_small = hilbert_function(small, bound)
     h_big = hilbert_function(big, bound)
     assert h_big.values[0] == h_small.values[0] == 1
-    assert h_big.dominates(h_small)
+    assert dominates(h_big, h_small)
     # an SL_3 pair
     small3 = ideal_for_window(F2, (1, 0, -1), 4, 1)
     big3 = ideal_for_window(F2, (2, 0, -2), 4, 2)
     small3_embedded = ideal_for_window(F2, (1, 0, -1), 4, 2)
-    assert hilbert_function(big3, bound).dominates(
-        hilbert_function(small3_embedded, bound)
-    )
+    assert dominates(hilbert_function(big3, bound), hilbert_function(small3_embedded, bound))
 
 
 # -- flat limits -----------------------------------------------------------------
@@ -305,7 +315,7 @@ def test_flat_limit_of_lattice_family():
     limit = flat_limit(fam)
     R = ambient_ring(F2, 2, 2)
     assert limit == GradedIdeal(R, 2, 2, [R.var(2), R.var(0) ** 2])
-    assert hilbert_function(limit, 8) == generic_hilbert(fam, 8)
+    assert hilbert_function(limit, 8) == hilbert_function_linalg(fam, 8)
     assert is_module_stable(limit)
 
 
@@ -332,7 +342,7 @@ def _families(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_families())
 def test_flat_limit_keeps_the_generic_hilbert_function(fam):
-    assert hilbert_function(flat_limit(fam), 10) == generic_hilbert(fam, 10)
+    assert hilbert_function(flat_limit(fam), 10) == hilbert_function_linalg(fam, 10)
 
 
 # -- the elimination pass --------------------------------------------------------

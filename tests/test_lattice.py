@@ -22,7 +22,7 @@ from wittgrass.errors import (
     ZeroAtPrecision,
 )
 from wittgrass.fields import GF
-from wittgrass.grassmann import points_lattice, standard_cell_lattice
+from wittgrass.grassmann import points_lattice
 from wittgrass.hilbert import GradedIdeal, act_on_ideal, ambient_ring, ideal_I_lambda
 from wittgrass.lattice import (
     Lattice,
@@ -557,8 +557,8 @@ def test_key_ignores_basis_window_and_precision(lam):
     else:
         ideal = ideal_I_lambda(F2, lam, 3)
     keys = {
-        standard_cell_lattice(F2, lam, prec=3).canonical_key(),
-        standard_cell_lattice(F2, lam, prec=6).canonical_key(),
+        Lattice(diag_p_matrix(F2, lam, 3)).canonical_key(),
+        Lattice(diag_p_matrix(F2, lam, 6)).canonical_key(),
         points_lattice(ideal, shift=1).canonical_key(),
     }
     assert len(keys) == 1

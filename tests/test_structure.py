@@ -115,7 +115,7 @@ def test_cache_write_load_and_corruption(tmp_path):
     }
     st.write_cache(2, cdir, tables)
     loaded = st.StructurePolynomialTable(2, cdir)
-    assert {op: loaded.levels(op) for op in st.OPS} == tables
+    assert {op: loaded.levels(op, 3) for op in st.OPS} == tables
     path = os.path.join(cdir, "structure_p2.txt")
     with open(path, "a") as fh:
         fh.write("ADD 9 garbage\n")
@@ -143,9 +143,9 @@ def test_support_counts_monotone():
 
 def test_each_cache_dir_gets_its_own_table(tmp_path):
     for name in ("a", "b"):
-        table = st.StructurePolynomialTable.get(2, 2, cache_dir=str(tmp_path / name))
+        table = st.StructurePolynomialTable.get(2, cache_dir=str(tmp_path / name))
         assert not (tmp_path / name).exists()  # get reads and writes nothing
-        table.levels("add")
+        table.levels("add", 2)
         assert (tmp_path / name / "structure_p2.txt").exists()
 
 
@@ -157,7 +157,7 @@ def test_table_loads_once_per_prime_and_cache_dir(tmp_path, monkeypatch):
     )
     cdir = str(tmp_path / "a")
     for N in (3, 2, 3):
-        st.StructurePolynomialTable.get(2, N, cache_dir=cdir).levels("add", N)
+        st.StructurePolynomialTable.get(2, cache_dir=cdir).levels("add", N)
     assert loads == [(2, cdir)]
     for op in st.OPS:
         assert len(st.gen_structure_polys(2, 2, op, cache_dir=cdir)) == 2
@@ -165,18 +165,19 @@ def test_table_loads_once_per_prime_and_cache_dir(tmp_path, monkeypatch):
     # a load keeps every level the file holds, and serves shorter lengths
     fuller = str(tmp_path / "b")
     st.write_cache(2, fuller, {op: st.solve_levels(2, op, 3) for op in st.OPS})
-    table = st.StructurePolynomialTable.get(2, 2, cache_dir=fuller)
+    solves = _record_solves(monkeypatch)
+    table = st.StructurePolynomialTable.get(2, cache_dir=fuller)
     table.levels("mul", 2)
-    assert table.N == 3
-    st.StructurePolynomialTable.get(2, 3, cache_dir=fuller).levels("mul", 3)
+    st.StructurePolynomialTable.get(2, cache_dir=fuller).levels("mul", 3)
     assert loads == [(2, cdir), (2, fuller)]
+    assert solves == []
 
 
 def test_failed_cache_write_is_reported_and_table_still_works(tmp_path, capsys):
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
-    table = st.StructurePolynomialTable.get(2, 2, cache_dir=str(not_a_dir))
-    assert table.levels("add") == st.solve_levels(2, "add", 2)
+    table = st.StructurePolynomialTable.get(2, cache_dir=str(not_a_dir))
+    assert table.levels("add", 2) == st.solve_levels(2, "add", 2)
     err = capsys.readouterr().err
     assert "could not write structure cache" in err
     assert str(not_a_dir) in err
@@ -235,9 +236,9 @@ def _record_parses(monkeypatch):
 )
 def test_cache_rejects_terms_render_ip_never_writes(tmp_path, body):
     cache = _cache_with(tmp_path, 2, 2, "ADD 0", body)
-    table = st.StructurePolynomialTable.get(2, 2, cache_dir=str(tmp_path))
+    table = st.StructurePolynomialTable.get(2, cache_dir=str(tmp_path))
     with pytest.raises(CacheCorrupt):  # refused at the first read of the level
-        table.levels("add")
+        table.levels("add", 2)
     assert (tmp_path / "structure_p2.txt").read_text() == cache
 
 
@@ -323,7 +324,9 @@ def test_kronecker_product_at_the_field_limits(u, v, w):
     (5, 4, "678bfc778283c6182d08b33b189c8a300fc2e21fb797840fac2a2ea442997da0"),
 ])
 def test_generated_cache_files_keep_their_bytes(tmp_path, p, N, digest):
-    st.StructurePolynomialTable.get(p, N, cache_dir=str(tmp_path)).levels("add")
+    table = st.StructurePolynomialTable.get(p, cache_dir=str(tmp_path))
+    for op in st.OPS:
+        table.levels(op, N)
     body = (tmp_path / f"structure_p{p}.txt").read_bytes()
     assert hashlib.sha256(body).hexdigest() == digest
 
@@ -355,7 +358,7 @@ def test_tables_reduce_only_the_ops_a_call_evaluates(tmp_path, monkeypatch):
     assert forms == []
 
     def reduced_exactly(op):
-        levels = st.StructurePolynomialTable.get(3, 3).levels(op)
+        levels = st.StructurePolynomialTable.get(3).levels(op, 3)
         return len(forms) == len(levels) and all(a is b for a, b in zip(forms, levels))
 
     for _ in range(2):  # the second call reuses the forms
@@ -365,6 +368,18 @@ def test_tables_reduce_only_the_ops_a_call_evaluates(tmp_path, monkeypatch):
     forms.clear()
     assert cli.main(["witt", "inv", "--laurent", "--p", "3", "--N", "3", "(1,t,0)"]) == 0
     assert reduced_exactly("mul")
+
+
+def test_a_laurent_product_solves_and_writes_only_the_mul_table(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    solves = _record_solves(monkeypatch)
+    argv = ["witt", "mul", "--laurent", "--p", "3", "--N", "5", "(1,t,0,0,2)", "(t,0,1,0,t^-1)"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.strip() == "(t,t^4,1,t^9,2*t^81+t^-1)"
+    assert solves == [(3, "mul", 5, None)]
+    lines = (tmp_path / "structure_p3.txt").read_text().splitlines()
+    assert lines[1:] == [f"MUL {n}: {st.render_ip(level)}"
+                         for n, level in enumerate(st.solve_levels(3, "mul", 5))]
 
 
 def test_fold_is_built_once_per_op_and_field_size(tmp_path, monkeypatch):
@@ -385,21 +400,24 @@ def test_fold_is_built_once_per_op_and_field_size(tmp_path, monkeypatch):
 
 
 def test_folding_by_x_to_the_q_shrinks_the_tables():
-    table = st.StructurePolynomialTable.get(2, 6)
-    top = {q: len(table.reduced("add", q)[5]) for q in (None, 2, 4)}
+    table = st.StructurePolynomialTable.get(2)
+    top = {q: len(table.reduced("add", q, 6)[5]) for q in (None, 2, 4)}
     assert top == {None: 4565, 2: 33, 4: 927}
 
 
 def test_witt_calls_parse_only_the_lines_they_read(tmp_path, monkeypatch):
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
     add = ["witt", "add", "--laurent", "--p", "3", "--N", "5", "(1,2,0,1,2)", "(2,2,1,0,t)"]
-    assert cli.main(add) == 0  # generates the tables, parsing nothing
+    assert cli.main(add) == 0  # generates the add table, parsing nothing
     bodies = st.load_cache(3, str(tmp_path))
-    assert [len(bodies[op]) for op in st.OPS] == [5, 5, 5]
+    assert [len(bodies[op]) for op in st.OPS] == [5, 0, 0]
+    inv = ["witt", "inv", "--laurent", "--p", "3", "--N", "5", "(1,2,0,t,2)"]
+    assert cli.main(inv) == 0  # generates the mul table
+    bodies = st.load_cache(3, str(tmp_path))
+    assert [len(bodies[op]) for op in st.OPS] == [5, 5, 0]
     parses = []
     real_parse = st.parse_ip
     monkeypatch.setattr(st, "parse_ip", lambda text: parses.append(text) or real_parse(text))
-    inv = ["witt", "inv", "--laurent", "--p", "3", "--N", "5", "(1,2,0,t,2)"]
     for argv, op in ((add, "add"), (inv, "mul")):
         st.StructurePolynomialTable.drop_registry()  # as in a fresh process
         parses.clear()
@@ -410,11 +428,12 @@ def test_witt_calls_parse_only_the_lines_they_read(tmp_path, monkeypatch):
 def test_a_longer_cache_parses_only_the_levels_below_the_length(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
     st.write_cache(2, str(tmp_path), {op: st.solve_levels(2, op, 6) for op in st.OPS})
+    cache = (tmp_path / "structure_p2.txt").read_bytes()
     parsed = _record_parses(monkeypatch)
     assert cli.main(["witt", "add", "--laurent", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,0)"]) == 0
     assert capsys.readouterr().out.strip() == "(0,0,1)"  # 3 + 1 = 4 in Z/8
     assert parsed == [("add", 0), ("add", 1), ("add", 2)]
-    assert st.StructurePolynomialTable.get(2, 3).N == 6
+    assert (tmp_path / "structure_p2.txt").read_bytes() == cache  # nothing rewritten
 
 
 def test_grass_image_parses_no_level_it_does_not_evaluate(tmp_path, monkeypatch, capsys):
@@ -467,9 +486,9 @@ def test_a_cache_file_of_integer_coefficients_is_refused(tmp_path, monkeypatch, 
     monkeypatch.setattr(
         st, "solve_levels", lambda *a, **k: solved.append(a) or real_solve(*a, **k)
     )
-    # length 4 needs a new level of every op, so every level is parsed first
+    # length 4 needs a new level of neg, so every level of the file is parsed first
     with pytest.raises(CacheCorrupt, match="line ADD 1: coefficient -1 .* predate residue"):
-        st.StructurePolynomialTable.get(2, 4).levels("add")
+        st.StructurePolynomialTable.get(2).levels("neg", 4)
     assert solved == []
     assert path.read_bytes() == cache
 
@@ -514,9 +533,9 @@ def test_corrupt_data_is_refused_before_the_cache_is_rewritten(tmp_path, monkeyp
     monkeypatch.setattr(
         st, "solve_levels", lambda *a, **k: solved.append(a) or real_solve(*a, **k)
     )
-    # length 3 needs a new level of every op, so the file would be rewritten
+    # length 3 needs a new level of add, so the file would be rewritten
     with pytest.raises(CacheCorrupt, match="line NEG 1: variables repeated or out of order"):
-        st.StructurePolynomialTable.get(2, 3).levels("neg")
+        st.StructurePolynomialTable.get(2).levels("add", 3)
     assert solved == []
     assert (tmp_path / "structure_p2.txt").read_text() == cache
 
