@@ -16,8 +16,9 @@ structure, witt and textio, and rings as well with ``--laurent``;
 ``grass count`` load lattice and galois, and ``zadic`` for the z-adic count;
 ``lattice snf`` and ``classify`` add only textio to those two; ``hilbert hf``
 loads hilbert, groebner and poly, and no Witt arithmetic; ``grass image`` adds
-grassmann, lattice, galois, greenberg, witt, structure and rings to those.
-Neither loads textio: ``--lambda`` is read by its argparse type.
+grassmann, lattice, galois, greenberg, witt and structure to those, and rings
+only for the F_q(t) family of (1,-1).  Neither loads textio: ``--lambda`` is
+read by its argparse type.
 ``witt_cell_table``, ``witt_arith`` and ``witt_inv`` are attributes of this
 module, resolved on first use by the module ``__getattr__``, so that they can
 be patched and wrapped.  Lazily imported functions are never stored in this
@@ -32,9 +33,9 @@ import json
 import os
 import sys
 
-from . import _ENV_CACHE
+from . import _ENV_CACHE, SUPPORTED_PRIMES
 from .errors import UsageError, WittgrassError
-from .fields import GF, SUPPORTED_PRIMES
+from .fields import GF
 
 SCHEMA = "wittgrass/1"
 

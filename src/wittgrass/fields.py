@@ -14,6 +14,7 @@ and ``galois`` uses them for GR(p^L, e) = W_L(F_q).
 
 from __future__ import annotations
 
+from . import SUPPORTED_PRIMES
 from .errors import NonUnit, UsageError
 
 # Irreducible polynomial for (p, e), given by the coefficients of the
@@ -28,8 +29,6 @@ IRREDUCIBLE = {
     (5, 2): (2, 0),          # u^2 + 2
     (5, 3): (1, 1, 0),       # u^3 + u + 1  (no roots mod 5: 0,2,4,3,4 -> nonzero)
 }
-
-SUPPORTED_PRIMES = (2, 3, 5)
 
 
 def mul(field, a, b, mod):
@@ -186,6 +185,14 @@ class FiniteField:
 
     def add(self, a, b):
         return self._add_t[(a.val, b.val)]
+
+    def sum(self, elts):
+        """The sum of elements by a running +: each step is one table lookup."""
+        add_t = self._add_t
+        acc = self.zero
+        for a in elts:
+            acc = add_t[(acc.val, a.val)]
+        return acc
 
     def sub(self, a, b):
         return self._add_t[(a.val, self._neg_t[b.val].val)]

@@ -42,7 +42,6 @@ from .lattice import (
     padic_zero,
 )
 from .poly import PolyRing
-from .rings import RationalFunctionField
 from .witt import WittVector, teichmuller, witt_from_int, random_sl
 
 # Candidates the point walk may test at one Witt level: partial points times
@@ -143,6 +142,8 @@ def degeneration_family_ideal(field, e, d, N):
     """
     if e <= d:
         raise UsageError("family needs e > d")
+    from .rings import RationalFunctionField
+
     K = RationalFunctionField(field)
     p = field.p
     nparams = 2 * N

@@ -72,9 +72,6 @@ class GradedIdeal:
             self._gb = buchberger(self.generators)
         return self._gb
 
-    def contains(self, f):
-        return ideal_contains(self.basis(), f)
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedIdeal)

@@ -17,6 +17,7 @@ computations are run: Witt vectors whose coordinates are polynomial variables.
 from __future__ import annotations
 
 from math import comb
+from operator import add
 
 from .errors import NonUnit, NotPerfect, RingMismatch, UsageError
 
@@ -96,6 +97,12 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1 == len(b):
+            # monomial times monomial: one coefficient product, one exponent sum
+            (m1, c1), = a.items()
+            (m2, c2), = b.items()
+            s = c1 * c2
+            return Polynomial(self.ring, {} if s.is_zero() else {tuple(map(add, m1, m2)): s})
         if len(a) == 1:
             # monomial times polynomial: pure exponent shift
             (m1, c1), = a.items()
@@ -110,13 +117,13 @@ class Polynomial:
             for m2, c2 in b.items():
                 s = c1 * c2
                 if not s.is_zero():
-                    out[tuple(x + y for x, y in zip(m1, m2))] = s
+                    out[tuple(map(add, m1, m2))] = s
             return Polynomial(self.ring, out)
         out = {}
         get = out.get
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 s = get(m)
                 s = c1 * c2 if s is None else s + c1 * c2
                 if s.is_zero():
@@ -198,22 +205,25 @@ class Polynomial:
     # -- substitution / evaluation --
 
     def map_into(self, target, var_images):
-        """Ring map: variable i -> var_images[i], coefficients unchanged."""
-        out = target.zero
+        """Ring map: variable i -> var_images[i], coefficients unchanged.  The
+        images of the terms go to ``target.sum`` one at a time."""
         pow_cache = {}
-        for m, c in self.terms.items():
-            term = target.const(c)
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                key = (i, e)
-                pw = pow_cache.get(key)
-                if pw is None:
-                    pw = var_images[i] ** e
-                    pow_cache[key] = pw
-                term = term * pw
-            out = out + term
-        return out
+
+        def images():
+            for m, c in self.terms.items():
+                term = target.const(c)
+                for i, e in enumerate(m):
+                    if not e:
+                        continue
+                    key = (i, e)
+                    pw = pow_cache.get(key)
+                    if pw is None:
+                        pw = var_images[i] ** e
+                        pow_cache[key] = pw
+                    term = term * pw
+                yield term
+
+        return target.sum(images())
 
     def evaluate(self, point):
         """Evaluate at coefficient-ring elements; returns a coefficient."""
@@ -316,6 +326,25 @@ class PolyRing:
         if c.is_zero():
             return self.zero
         return Polynomial(self, {self._unit_exps: c})
+
+    def sum(self, polys):
+        """The sum of polynomials of this ring, added into one dict in one pass
+        over their terms; a running + copies the sum so far at every step.  The
+        terms come out in the order that a running + leaves them."""
+        out = {}
+        get = out.get
+        for f in polys:
+            for m, c in f.terms.items():
+                s = get(m)
+                if s is None:
+                    out[m] = c
+                else:
+                    s = s + c
+                    if s.is_zero():
+                        del out[m]
+                    else:
+                        out[m] = s
+        return Polynomial(self, out)
 
     def from_int(self, n):
         return self.const(self.coeff.from_int(n))

@@ -210,15 +210,18 @@ class LaurentRing:
         return LaurentElt(self, ((k, c),) if not c.is_zero() else ())
 
     def add(self, a, b):
-        acc = dict(a.terms)
-        for k, c in b.terms:
-            s = acc.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-        return LaurentElt(self, tuple(sorted(acc.items())))
+        return self.sum((a, b))
+
+    def sum(self, elts):
+        """The sum of elements, added into one dict and sorted once; a running
+        + copies and sorts the sum so far at every step."""
+        acc = {}
+        get = acc.get
+        for a in elts:
+            for k, c in a.terms:
+                s = get(k)
+                acc[k] = c if s is None else s + c
+        return LaurentElt(self, tuple(sorted((k, c) for k, c in acc.items() if not c.is_zero())))
 
     def neg(self, a):
         return LaurentElt(self, tuple((k, -c) for k, c in a.terms))
@@ -378,6 +381,23 @@ class RationalFunctionField:
             return self.make(uadd(k, a.num, b.num), a.den)
         num = uadd(k, umul(k, a.num, b.den), umul(k, b.num, a.den))
         return self.make(num, umul(k, a.den, b.den))
+
+    def sum(self, elts):
+        """The sum of elements: the numerators over each denominator are added
+        into one coefficient list, and only the sums over distinct
+        denominators are added as fractions."""
+        k = self.base
+        nums = {}  # denominator -> coefficient list of the numerators over it
+        for a in elts:
+            num = nums.setdefault(a.den, [])
+            if len(num) < len(a.num):
+                num += [k.zero] * (len(a.num) - len(num))
+            for i, c in enumerate(a.num):
+                num[i] = num[i] + c
+        acc = self.zero
+        for den, num in nums.items():
+            acc = self.add(acc, self.make(num, den))
+        return acc
 
     def neg(self, a):
         return RatFunc(self, uneg(self.base, a.num), a.den)

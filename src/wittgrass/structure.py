@@ -101,6 +101,9 @@ of finishing; the message names the op and the longest length in reach, and a
 call is refused only for an op it evaluates.  A level solved in R_p has at
 most p^v monomials in its v variables, so its support counts as the smaller of
 the two; that admits W_8(F_2), whose level 7 has at most 2^16.
+
+This module loads only ``errors`` and the package root, which holds
+SUPPORTED_PRIMES, so a cold table set-up compiles no finite-field layer.
 """
 
 from __future__ import annotations
@@ -111,9 +114,8 @@ import re
 import sys
 import tempfile
 
-from . import _ENV_CACHE
+from . import _ENV_CACHE, SUPPORTED_PRIMES
 from .errors import CacheCorrupt, TableLimit, UsageError
-from .fields import SUPPORTED_PRIMES
 
 MAX_N = 8
 MAX_SLOTS = 8          # one block of variable slots per letter

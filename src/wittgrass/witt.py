@@ -8,9 +8,13 @@ far fewer terms; ``StructurePolynomialTable`` solves them in memory, so a
 finite-field call reads no cache file.  Other rings evaluate the levels as
 generated or read from the cache.  Each call marks its zero coordinates in a
 bitmask once, so a term that uses one costs a single AND, and shares one cache
-of coordinate powers across all levels.  Inversion is the componentwise
-triangular solve: the n-th component of a product depends on the n-th
-component of the second factor only through the term a_0^(p^n) * b_n.
+of coordinate powers across all levels.  The coefficient ring sums each
+level (``ring.sum``): polynomial, Laurent and F_q(t) rings add all of a
+level's products in one pass, where a running + would copy the sum so far
+once per term, and a finite field keeps its running + of table lookups.
+Inversion is the componentwise triangular solve: the n-th component of a
+product depends on the n-th component of the second factor only through the
+term a_0^(p^n) * b_n.
 
 Over F_q only WittVector uses the tables; the p-adic numbers of ``lattice``
 and the matrices of random_sl and mat_inv compute in the Galois ring
@@ -115,27 +119,30 @@ def _zero_mask(coords, first_slot=0):
     return sum(1 << (first_slot + i) for i, c in enumerate(coords) if c.is_zero())
 
 
-def _eval_level(terms, coords, zero_mask, powers, consts):
+def _eval_level(ring, terms, coords, zero_mask, powers, consts):
     """Evaluate one level of an evaluation form at the given coordinates.
 
     ``coords`` is indexed by slot (X_i at i, Y_i at MAX_SLOTS + i); a term whose
     mask meets ``zero_mask`` vanishes.  ``powers`` caches coordinate powers by
     variable and may be shared by the levels of one call; ``consts[c]`` is the
-    ring element c.
+    ring element c.  The products go to ``ring.sum`` one at a time, so a level
+    never holds all of them at once.
     """
-    acc = consts[0]
     get = powers.get
-    for mask, variables, c in terms:
-        if mask & zero_mask:
-            continue
-        prod = consts[c]
-        for v in variables:
-            pw = get(v)
-            if pw is None:
-                pw = powers[v] = coords[v >> SHIFT] ** (v & EXP_MASK)
-            prod = prod * pw
-        acc = acc + prod
-    return acc
+
+    def products():
+        for mask, variables, c in terms:
+            if mask & zero_mask:
+                continue
+            prod = consts[c]
+            for v in variables:
+                pw = get(v)
+                if pw is None:
+                    pw = powers[v] = coords[v >> SHIFT] ** (v & EXP_MASK)
+                prod = prod * pw
+            yield prod
+
+    return ring.sum(products())
 
 
 def witt_arith(op, a, b=None):
@@ -158,7 +165,7 @@ def witt_arith(op, a, b=None):
     powers = {}
     consts = [ring.from_int(c) for c in range(ring.p)]
     return WittVector(
-        ring, [_eval_level(forms[n], coords, zero_mask, powers, consts) for n in range(N)]
+        ring, [_eval_level(ring, forms[n], coords, zero_mask, powers, consts) for n in range(N)]
     )
 
 
@@ -177,7 +184,7 @@ def witt_inv(a):
     powers = {}
     consts = [ring.from_int(c) for c in range(p)]
     for n in range(1, N):
-        partial = _eval_level(mul[n], coords, zero_mask, powers, consts)
+        partial = _eval_level(ring, mul[n], coords, zero_mask, powers, consts)
         # product component n = a_0^(p^n) * b_n + partial, and must be 0
         b_n = coords[MAX_SLOTS + n] = -partial * (inv0 ** (p**n))
         if not b_n.is_zero():

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package or of its tests imports a name it
-never reads, and every top-level function or class of the package is used by
-the package or by the benchmark; a definition that only tests use belongs in
-the tests.
+never reads, and every top-level function or class of the package, and every
+method of a top-level class, is used by the package or by the benchmark; a
+definition that only tests use belongs in the tests.
 
 pyflakes and ruff are not dependencies, so the checks are small ``ast`` scans.
 A name counts as read when any ``Name`` node of the module carries it, in any
@@ -90,25 +90,38 @@ def _references(tree):
     return names
 
 
+def _definitions(tree):
+    """(name, node) of each top-level function and class of the module, and
+    ("Class.method", node) of each method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    yield f"{node.name}.{member.name}", member
+
+
 def dead_definitions(package, users):
     """(module, name) of each top-level function or class of the ``package``
-    sources ({module: source}) used nowhere but in its own definition, across
-    the package and the ``users`` sources.  Dunder functions such as a module
-    ``__getattr__`` are called by the interpreter and are skipped."""
+    sources ({module: source}), and of each method of a top-level class, used
+    nowhere but in its own definition, across the package and the ``users``
+    sources.  Uses are matched by name alone, so a method counts as used when
+    any attribute of that name is read.  Dunder functions and methods, such as
+    a module ``__getattr__`` or ``__add__``, are called by the interpreter and
+    are skipped."""
     uses = {}
     for source in [*package.values(), *users]:
         for name in _references(ast.parse(source)):
             uses[name] = uses.get(name, 0) + 1
     dead = []
     for module, source in package.items():
-        for node in ast.parse(source).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for qualname, node in _definitions(ast.parse(source)):
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             own = _references(node).count(node.name)
             if uses.get(node.name, 0) == own:
-                dead.append((module, node.name))
+                dead.append((module, qualname))
     return sorted(dead)
 
 
@@ -122,13 +135,22 @@ def test_the_scan_finds_a_dead_definition():
             "def mentioned():\n"
             "    'Only a docstring names used and mentioned.'\n"
             "class Traced:\n"
-            "    pass\n"
+            "    def run(self):\n"
+            "        return self.step()\n"
+            "    def step(self):\n"
+            "        return 1\n"
+            "    def unread(self):\n"
+            "        return self.unread\n"
+            "    def __add__(self, other):\n"
+            "        return self\n"
             "def __getattr__(name):\n"
             "    raise AttributeError(name)\n"
         ),
     }
     users = ["from m import used\nused()\nTARGETS = ('m', 'Traced.run')\n"]
-    assert dead_definitions(package, users) == [("m", "mentioned"), ("m", "recursive")]
+    assert dead_definitions(package, users) == [
+        ("m", "Traced.unread"), ("m", "mentioned"), ("m", "recursive"),
+    ]
 
 
 def test_every_definition_is_used():

@@ -95,10 +95,11 @@ HILBERT_HF_STACK = [
     "wittgrass.hilbert", "wittgrass.poly",
 ]
 # the image report: Groebner, points and lattices, the Greenberg action and the
-# Witt arithmetic it runs over polynomial rings; no text parser
+# Witt arithmetic it runs over polynomial rings; no text parser, and F_q(t)
+# (rings) only for the degeneration family of (1,-1)
 GRASS_IMAGE_STACK = HILBERT_HF_STACK + [
     "wittgrass.galois", "wittgrass.grassmann", "wittgrass.greenberg", "wittgrass.lattice",
-    "wittgrass.rings", "wittgrass.structure", "wittgrass.witt",
+    "wittgrass.structure", "wittgrass.witt",
 ]
 
 
@@ -110,8 +111,11 @@ GRASS_IMAGE_STACK = HILBERT_HF_STACK + [
      WITT_STACK + ["wittgrass.greenberg", "wittgrass.poly"]),
     (["hilbert", "hf", "--lambda", "1,0,-1", "--n", "3", "--p", "2", "--N", "4", "--bound", "24"],
      HILBERT_HF_STACK),
-    (["grass", "image", "--lambda", "1,-1", "--q", "2", "--samples", "2"], GRASS_IMAGE_STACK),
-], ids=["witt", "witt-laurent", "greenberg-realize", "hilbert-hf", "grass-image"])
+    (["grass", "image", "--lambda", "1,-1", "--q", "2", "--samples", "2"],
+     GRASS_IMAGE_STACK + ["wittgrass.rings"]),
+    (["grass", "image", "--lambda", "2,-2", "--q", "2", "--samples", "1"], GRASS_IMAGE_STACK),
+], ids=["witt", "witt-laurent", "greenberg-realize", "hilbert-hf", "grass-image",
+        "grass-image-2-2"])
 def test_command_loads_exactly(tmp_path, argv, modules):
     """The modules a one-shot command loads, pinned: a new import on one of
     these paths fails here instead of adding compile time unnoticed."""
@@ -157,6 +161,22 @@ def test_witt_names_resolve_without_being_stored():
         "      any(name in vars(m) for m in (cli, lattice) for name in ('witt_arith', 'witt_inv')))\n"
     )
     assert _python(code).split() == ["False", "True", "True", "True", "False"]
+
+
+COLD_SETUP = """\
+import json, sys
+import wittgrass
+wittgrass.gen_structure_polys(3, 3, "add", cache_dir=sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("wittgrass"))))
+"""
+
+
+def test_cold_table_setup_loads_only_the_tables(tmp_path):
+    """Generating a table through the package loads structure and what it
+    imports, errors and the package root; not the finite-field layer."""
+    loaded = json.loads(_python(COLD_SETUP, str(tmp_path)))
+    assert loaded == ["wittgrass", "wittgrass.errors", "wittgrass.structure"]
+    assert [path.name for path in tmp_path.iterdir()] == ["structure_p3.txt"]
 
 
 def test_package_surface_is_lazy():
