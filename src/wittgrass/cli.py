@@ -10,8 +10,8 @@ with exit status 1.
 
 Importing this module loads only errors and fields.  Each subcommand imports
 its modules when it runs, so a one-shot process loads, and with bytecode
-writing off compiles, only what it uses: a ``witt`` call over F_q loads
-structure, witt and textio, and rings as well with ``--laurent``;
+writing off compiles, only what it uses: a ``witt`` call loads structure, witt
+and textio, galois as well over F_q with q > p, and rings with ``--laurent``;
 ``greenberg realize`` adds greenberg and poly; ``lattice enumerate`` and
 ``grass count`` load lattice and galois, and ``zadic`` for the z-adic count;
 ``lattice snf`` and ``classify`` add only textio to those two; ``hilbert hf``

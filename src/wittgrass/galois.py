@@ -6,8 +6,8 @@ integers modulo p^L, the coefficients of 1, u, ..., u^(e-1); for a prime
 field it is a 1-tuple.  A Witt vector (a_0, ..., a_{L-1}) is the element
 sum_i p^i * T(a_i^(p^-i)), where T(c) = c^(q^(L-1)) for any integer lift of c
 is the Teichmuller lift, so Witt coordinates are needed only to read or print
-a value.  det and mat_inv serve the small matrices of witt.random_sl and
-witt.mat_inv.
+a value.  ``witt`` computes W_N(F_q) here for q > p; det and mat_inv serve the
+small matrices of witt.random_sl and witt.mat_inv.
 
 The product ``mul`` and the powers ``power`` are those of ``fields``, which
 builds the tables of F_q = GR(p, e) with the same product.

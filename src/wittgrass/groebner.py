@@ -32,7 +32,6 @@ def _lcm(a, b):
 def normal_form(f, basis):
     """Full normal form of f modulo the (not necessarily Groebner) basis."""
     ring = f.ring
-    key = ring.order_key
     remainder = ring.zero
     work = f
     lms = [(g.lm(), g) for g in basis if not g.is_zero()]

@@ -46,8 +46,7 @@ __all__ = [
     "CellTable", "Lattice", "PadicWittNumber", "WittMatrix", "bruhat_leq", "classify_cell",
     "column_reduce", "diag_p_matrix", "dominant_or_raise", "enumerate_lattices",
     "lattice_from_columns", "normalize_basis", "padic_from_witt", "padic_p_power",
-    "padic_zero", "smith_normal_form", "stabilizes_standard", "witt_cell_table",
-    "zadic_cell_table",
+    "padic_zero", "smith_normal_form", "witt_cell_table", "zadic_cell_table",
 ]
 
 
@@ -446,11 +445,6 @@ def bruhat_leq(lam, mu):
         if acc_l > acc_m:
             return False
     return True
-
-
-def stabilizes_standard(g):
-    """True iff g fixes the standard lattice: all of g, g^{-1} integral."""
-    return all(v == 0 for v in classify_cell(g))
 
 
 def normalize_basis(M, big_lambda, prec=None, pad=None):

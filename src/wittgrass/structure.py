@@ -44,29 +44,26 @@ The largest product of the p = 3 table, T_3^2 * T_3 at level 4, visits
 ``mul`` and ``neg`` are small enough that the schoolbook ``ip_mul`` is faster
 than any packing.
 
-Over a finite field F_q every coordinate satisfies x^q = x, so Witt
-arithmetic evaluates the laws in R_q = Z[X, Y]/(X_j^q - X_j, Y_j^q - Y_j),
-where a monomial is folded: each exponent e >= 1 becomes ((e - 1) mod (q - 1))
-+ 1.  ``solve_levels(p, op, N, q=q)`` gives these folded levels.  The solve is
-exact in R_q: R_q is a free Z-module, so the ghost identities hold there and
+Over F_p every coordinate satisfies x^p = x, so Witt arithmetic there
+evaluates the laws in R_p = Z[X, Y]/(X_j^p - X_j, Y_j^p - Y_j), where a
+monomial is folded: each exponent e >= 1 becomes ((e - 1) mod (p - 1)) + 1.
+``solve_levels(p, op, N, folded=True)`` runs the whole solve in R_p.  It is
+exact there: R_p is a free Z-module, so the ghost identities hold there and
 the division by p^n stays exact; the power lemma above holds in every
 commutative ring; and folding and reduction mod p^k are ring maps, so they may
-be applied after any product.  Where to fold is derived from q.  Over F_q
-with q > p folding keeps most terms (p = 3 ``add`` level 4 over F_9: 16,534
-of 49,278) and breaks the grading the Kronecker products pack by, so the levels
-are solved unfolded and each is folded once.  Over F_p (q = p) the whole solve
-runs in R_p, and the levels stay tiny (p = 2 ``add`` level 5: 33 terms,
-against 4,565 unfolded).  There a monomial is a class key (``_ClassKeys``): on
-F_p, x^e depends only on whether e >= 1 and on e mod (p - 1), so a key holds
-one support bit per slot and, per slot, the class e mod (p - 1) in a field of
-log2(p - 1) + 1 bits.  p - 1 is 1, 2 or 4, a power of two, so the class of a
-product is the sum of the classes masked to the field's low bits, and the
-field's spare top bit takes the carry of that sum, which never reaches the
-next field: a product key is ``(k1 + k2) & classes | (k1 | k2) & support``,
+be applied after any product.  The levels stay tiny (p = 2 ``add`` level 5: 33
+terms, against 4,565 unfolded).  A monomial is a class key (``_ClassKeys``):
+on F_p, x^e depends only on whether e >= 1 and on e mod (p - 1), so a key
+holds one support bit per slot and, per slot, the class e mod (p - 1) in a
+field of log2(p - 1) + 1 bits.  p - 1 is 1, 2 or 4, a power of two, so the
+class of a product is the sum of the classes masked to the field's low bits,
+and the field's spare top bit takes the carry of that sum, which never reaches
+the next field: a product key is ``(k1 + k2) & classes | (k1 | k2) & support``,
 a few integer operations in place of a fold.  For p = 2 there is one class,
 the key is its support mask and the product an OR.  The ghost target is built
 in class keys, and each finished level is decoded once to packed keys with
-exponents 1..p-1.
+exponents 1..p-1.  Witt arithmetic over a larger field F_q runs in the Galois
+ring of ``galois`` and uses no table.
 
 Generated tables for the other coefficient rings (polynomial, Laurent and
 F_q(t) rings) are cached on disk, one polynomial per line, in the format
@@ -282,35 +279,8 @@ def ghost(p, n, var):
 
 
 # ---------------------------------------------------------------------------
-# the quotient R_q = Z[X, Y]/(X_j^q - X_j, Y_j^q - Y_j)
+# the quotient R_p = Z[X, Y]/(X_j^p - X_j, Y_j^p - Y_j)
 # ---------------------------------------------------------------------------
-
-class _Fold(dict):
-    """Memo: packed key -> the key of its monomial in R_q, each exponent e >= 1
-    replaced by ((e - 1) mod (q - 1)) + 1.  The rule is the same in every
-    field, so the memo serves the X and Y halves of keys as well as keys."""
-
-    def __init__(self, q):
-        super().__init__()
-        self.period = q - 1
-
-    def __missing__(self, key):
-        period = self.period
-        folded = self[key] = sum(
-            ((e - 1) % period + 1) << (SHIFT * slot) for slot, e in key_exponents(key)
-        )
-        return folded
-
-
-def _fold_poly(a, fold):
-    """a in R_q, each key folded as its X half and its Y half through the memo
-    ``fold``: the halves repeat far more than the keys.  Zero sums are kept."""
-    out = {}
-    for key, c in a.items():
-        k = fold[key & _HALF_MASK] | fold[key >> _HALF_BITS] << _HALF_BITS
-        out[k] = out.get(k, 0) + c
-    return out
-
 
 class _ClassKeys:
     """Class keys: the monomials of R_p as small ints, and their product
@@ -442,13 +412,12 @@ def _check_limits(p, op, start, N, folded):
             )
 
 
-def solve_levels(p, op, N, known=None, q=None):
+def solve_levels(p, op, N, known=None, folded=False):
     """Return levels 0..N-1 of the op table mod p, reusing any known prefix.
 
-    With q, the levels of the table over F_q, folded into R_q (module
-    docstring).  Over a larger F_q the levels are solved unfolded and folded
-    once each.  Over F_p the solve runs in R_p on class keys (``_ClassKeys``):
-    a monomial keeps, per variable, only whether it occurs and its exponent
+    With ``folded``, the levels of the table over F_p, folded into R_p (module
+    docstring); the solve runs in R_p on class keys (``_ClassKeys``): a
+    monomial keeps, per variable, only whether it occurs and its exponent
     mod p - 1.  As p - 1 is a power of two, a product's classes are the masked
     sum of the factors' classes, exact because each field has a spare bit for
     its carry, and its support the OR of theirs.  The ghost target is built in
@@ -458,7 +427,6 @@ def solve_levels(p, op, N, known=None, q=None):
     before solving any level, when one of the missing levels has a potential
     monomial support beyond TERM_LIMIT.
     """
-    folded = q == p  # the whole solve runs in R_p, on class keys
     levels = [dict(t) for t in (known or [])][:N]
     _check_limits(p, op, len(levels), N, folded)
     keys = _ClassKeys(p) if folded else None
@@ -487,46 +455,31 @@ def solve_levels(p, op, N, known=None, q=None):
         levels.append(level)
     if folded:
         return [{keys.decode(k): c for k, c in level.items()} for level in levels]
-    if q is not None:
-        fold = _Fold(q)
-        levels = [ip_mod(_fold_poly(level, fold), p) for level in levels]
     return levels
 
 
-def verify_ghost(p, op, levels, q=None):
+def verify_ghost(p, op, levels):
     """True iff every coefficient is a residue 1..p-1 and every level n
     satisfies its ghost congruence
 
-        sum_{i<=n} p^i * T_i^(p^(n-i)) = target  (mod p^(n+1)),
+        sum_{i<=n} p^i * T_i^(p^(n-i)) = target  (mod p^(n+1)).
 
-    in R_q with q, where every key must be folded too.  Given the levels below
-    it, the congruence fixes level n mod p and the residue range fixes it
-    outright.  The schoolbook reference the generator is checked against: it
-    multiplies with ``ip_mul`` and folds each product afterwards, not with the
-    Kronecker or folded products that ``solve_levels`` uses, and takes each
-    power from the one a level below, as (T^(p^(k-1)) mod p^k)^p = T^(p^k) mod
-    p^(k+1).
+    Given the levels below it, the congruence fixes level n mod p and the
+    residue range fixes it outright.  The schoolbook reference the generator
+    is checked against: it multiplies with ``ip_mul``, not with the Kronecker
+    products that ``solve_levels`` uses, and takes each power from the one a
+    level below, as (T^(p^(k-1)) mod p^k)^p = T^(p^k) mod p^(k+1).
     """
     if not all(0 < c < p for level in levels for c in level.values()):
         return False
-    fold = _Fold(q) if q is not None else None
-    if fold is not None and any(fold[key] != key for level in levels for key in level):
-        return False
-
-    def mul(a, b):
-        return ip_mul(a, b) if fold is None else _fold_poly(ip_mul(a, b), fold)
-
-    def reduce(a, m):
-        return ip_mod(a if fold is None else _fold_poly(a, fold), m)
-
     powers = []  # at level n: T_i^(p^(n-i)) mod p^(n+1-i), for i = 0..n
     for n, level in enumerate(levels):
-        powers = [ip_pow(t, p, mul, p ** (n + 1 - i)) for i, t in enumerate(powers)]
+        powers = [ip_pow(t, p, ip_mul, p ** (n + 1 - i)) for i, t in enumerate(powers)]
         powers.append(level)
         acc = {}
         for i, t in enumerate(powers):
             ip_add_inplace(acc, t, scale=p**i)
-        if reduce(acc, p ** (n + 1)) != reduce(_ghost_target(p, n, op), p ** (n + 1)):
+        if ip_mod(acc, p ** (n + 1)) != ip_mod(_ghost_target(p, n, op), p ** (n + 1)):
             return False
     return True
 
@@ -755,17 +708,17 @@ class StructurePolynomialTable:
     """Structure polynomials mod p for the prime p, and their evaluation forms.
 
     ``levels(op, N)`` gives the levels 0..N-1 of op, each a packed polynomial
-    with coefficients in 1..p-1.  ``reduced(op, q, N)`` gives them in the form
-    Witt arithmetic evaluates (``_evaluation_form``), the coefficients in
+    with coefficients in 1..p-1.  ``reduced(op, folded, N)`` gives them in the
+    form Witt arithmetic evaluates (``_evaluation_form``), the coefficients in
     1..p-1.
 
-    With ``q`` None the form is the level itself, valid over every ring of
-    characteristic p (polynomial rings, Laurent rings, F_q(t)).  For a finite
-    field F_q the forms are those of the levels folded into R_q, which
-    ``solve_levels(p, op, N, q=q)`` solves in memory (module docstring): exact
-    at F_q points and far smaller (p = 3 ``add`` level 4: 49,278 terms, 470
-    over F_3).  So a finite-field call reads no file, parses nothing and writes
-    nothing, and no edit of the cache file changes its result.
+    Unfolded, the form is the level itself, valid over every ring of
+    characteristic p (polynomial rings, Laurent rings, F_q(t)).  Folded, for
+    the prime field F_p, the forms are those of the levels folded into R_p,
+    which ``solve_levels(p, op, N, folded=True)`` solves in memory (module
+    docstring): exact at F_p points and far smaller (p = 3 ``add`` level 4:
+    49,278 terms, 470 over F_3).  So an F_p call reads no file, parses nothing
+    and writes nothing, and no edit of the cache file changes its result.
 
     The handle is per prime and cache directory, and ``get`` reads nothing.
     The first ``levels`` call reads the cache file once.  Each op is then a
@@ -786,7 +739,7 @@ class StructurePolynomialTable:
         self.path = _cache_path(cache_dir, p)
         # op -> each level of the file: its text until first read, then parsed
         self._levels = None
-        self._forms = {}  # (op, q) -> evaluation forms, a prefix of the table
+        self._forms = {}  # (op, folded) -> evaluation forms, a prefix of the table
 
     def _parsed(self, op, N):
         """Levels 0..N-1 of op, each parsed at its first read."""
@@ -817,11 +770,12 @@ class StructurePolynomialTable:
                       file=sys.stderr)
         return self._parsed(op, N)
 
-    def reduced(self, op, q, N):
-        """Evaluation forms of op; the first N entries are those of levels 0..N-1."""
-        form = self._forms.setdefault((op, q), [])
+    def reduced(self, op, folded, N):
+        """Evaluation forms of op, folded into R_p or not; the first N entries
+        are those of levels 0..N-1."""
+        form = self._forms.setdefault((op, folded), [])
         if len(form) < N:
-            levels = self.levels(op, N) if q is None else solve_levels(self.p, op, N, q=q)
+            levels = solve_levels(self.p, op, N, folded=True) if folded else self.levels(op, N)
             form += map(_evaluation_form, levels[len(form):])
         return form
 

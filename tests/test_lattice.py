@@ -38,7 +38,6 @@ from wittgrass.lattice import (
     padic_p_power,
     padic_zero,
     smith_normal_form,
-    stabilizes_standard,
     witt_cell_table,
 )
 from wittgrass.poly import Polynomial
@@ -176,6 +175,11 @@ def test_snf_invariance_under_integral_multiplication():
 
 
 # -- cells, dominance, stabilizer -------------------------------------------
+
+def stabilizes_standard(g):
+    """True iff g fixes the standard lattice: all of g, g^{-1} integral."""
+    return all(v == 0 for v in classify_cell(g))
+
 
 def test_classify_identity_and_diag():
     prec = 5

@@ -340,12 +340,13 @@ def _record_forms(monkeypatch):
 
 
 def _record_solves(monkeypatch):
-    """(p, op, N, q) of every solve from now on."""
+    """(p, op, N, folded) of every solve from now on."""
     solves = []
     real = st.solve_levels
     monkeypatch.setattr(
         st, "solve_levels",
-        lambda p, op, N, known=None, q=None: solves.append((p, op, N, q)) or real(p, op, N, known, q),
+        lambda p, op, N, known=None, folded=False:
+            solves.append((p, op, N, folded)) or real(p, op, N, known, folded),
     )
     return solves
 
@@ -376,7 +377,7 @@ def test_a_laurent_product_solves_and_writes_only_the_mul_table(tmp_path, monkey
     argv = ["witt", "mul", "--laurent", "--p", "3", "--N", "5", "(1,t,0,0,2)", "(t,0,1,0,t^-1)"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.strip() == "(t,t^4,1,t^9,2*t^81+t^-1)"
-    assert solves == [(3, "mul", 5, None)]
+    assert solves == [(3, "mul", 5, False)]
     lines = (tmp_path / "structure_p3.txt").read_text().splitlines()
     assert lines[1:] == [f"MUL {n}: {st.render_ip(level)}"
                          for n, level in enumerate(st.solve_levels(3, "mul", 5))]
@@ -388,21 +389,35 @@ def test_fold_is_built_once_per_op_and_field_size(tmp_path, monkeypatch):
     f2 = ["witt", "add", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,1)"]
     for _ in range(2):
         assert cli.main(f2) == 0
-    assert solves == [(2, "add", 3, 2)]
-    for _ in range(2):
-        assert cli.main(["witt", "add", "--p", "2", "--q", "4", "--N", "3", "(u,1,0)", "(1,0,u)"]) == 0
-    assert solves == [(2, "add", 3, 2), (2, "add", 3, 4)]
+    assert solves == [(2, "add", 3, True)]
     # the folded forms live on the table, so dropping the registry drops them
     st.StructurePolynomialTable.drop_registry()
     assert cli.main(f2) == 0
-    assert solves == [(2, "add", 3, 2), (2, "add", 3, 4), (2, "add", 3, 2)]
+    assert solves == [(2, "add", 3, True), (2, "add", 3, True)]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_witt_over_a_larger_field_uses_no_table(tmp_path, monkeypatch):
+    """Over F_q with q > p Witt arithmetic runs in the Galois ring: no call
+    looks a table up or solves a level, while an F_p call still does."""
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    solves = _record_solves(monkeypatch)
+    gets = []
+    real_get = st.StructurePolynomialTable.get
+    monkeypatch.setattr(st.StructurePolynomialTable, "get",
+                        lambda *args, **kwargs: gets.append(args) or real_get(*args, **kwargs))
+    for op, *vectors in (("add", "(u,1,0)", "(1,2*u,u)"), ("mul", "(u,1,0)", "(1,2*u,u)"),
+                         ("neg", "(u,1,0)"), ("inv", "(u,1,0)")):
+        assert cli.main(["witt", op, "--p", "3", "--q", "9", "--N", "3", *vectors]) == 0
+    assert (gets, solves) == ([], [])
+    assert cli.main(["witt", "add", "--p", "3", "--N", "3", "(1,1,0)", "(1,0,1)"]) == 0
+    assert (gets, solves) == ([(3,)], [(3, "add", 3, True)])
 
 
 def test_folding_by_x_to_the_q_shrinks_the_tables():
     table = st.StructurePolynomialTable.get(2)
-    top = {q: len(table.reduced("add", q, 6)[5]) for q in (None, 2, 4)}
-    assert top == {None: 4565, 2: 33, 4: 927}
+    top = {folded: len(table.reduced("add", folded, 6)[5]) for folded in (False, True)}
+    assert top == {False: 4565, True: 33}
 
 
 def test_witt_calls_parse_only_the_lines_they_read(tmp_path, monkeypatch):
