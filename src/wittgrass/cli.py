@@ -11,14 +11,13 @@ with exit status 1.
 Importing this module loads only errors and fields.  Each subcommand imports
 its modules when it runs, so a one-shot process loads, and with bytecode
 writing off compiles, only what it uses: a ``witt`` call loads structure, witt
-and textio, galois as well over F_q with q > p, and rings with ``--laurent``;
-``greenberg realize`` adds greenberg and poly; ``lattice enumerate`` and
-``grass count`` load lattice and galois, and ``zadic`` for the z-adic count;
-``lattice snf`` and ``classify`` add only textio to those two; ``hilbert hf``
-loads hilbert, groebner and poly, and no Witt arithmetic; ``grass image`` adds
-grassmann, lattice, galois, greenberg, witt and structure to those, and rings
-only for the F_q(t) family of (1,-1).  Neither loads textio: ``--lambda`` is
-read by its argparse type.
+and textio, and galois as well over F_q with q > p; ``greenberg realize`` adds
+greenberg and poly; ``lattice enumerate`` and ``grass count`` load lattice and
+galois, and ``zadic`` for the z-adic count; ``lattice snf`` and ``classify``
+add only textio to those two; ``hilbert hf`` loads hilbert, groebner and poly,
+and no Witt arithmetic; ``grass image`` adds grassmann, lattice, galois,
+greenberg, witt and structure to those, and rings only for the F_q(t) family
+of (1,-1).  Neither loads textio: ``--lambda`` is read by its argparse type.
 ``witt_cell_table``, ``witt_arith`` and ``witt_inv`` are attributes of this
 module, resolved on first use by the module ``__getattr__``, so that they can
 be patched and wrapped.  Lazily imported functions are never stored in this
@@ -82,10 +81,6 @@ def cmd_witt(args):
     if args.op in ("neg", "inv") and args.other is not None:
         raise UsageError(f"witt {args.op} takes one vector, not a second {args.other!r}")
     ring = _field(args)
-    if args.laurent:
-        from .rings import LaurentRing
-
-        ring = LaurentRing(ring)
     a = parse_witt_vector(ring, args.vector, args.N)
     if args.op in ("add", "mul"):
         if args.other is None:
@@ -311,9 +306,6 @@ def build_parser():
     w = sub.add_parser("witt", help="Witt vector arithmetic")
     w.add_argument("op", choices=("add", "mul", "neg", "inv"))
     add_common(w)
-    w.add_argument(
-        "--laurent", action="store_true", help="coefficients in F_q[t,1/t] instead of F_q"
-    )
     w.add_argument("vector")
     w.add_argument("other", nargs="?")
     w.set_defaults(fn=cmd_witt)

@@ -1,10 +1,7 @@
-"""Coefficient rings beyond finite fields: F_q[t, 1/t] and F_q(t).
-
-The Laurent ring is a legal coefficient ring for Witt vectors (characteristic
-p, decidable equality, computable units) but is not perfect, so Frobenius
-sections are refused there.  The rational function field is the coefficient
-field of one-parameter families and of the Groebner computations that derive
-them.
+"""The rational function field F_q(t), the coefficient field of one-parameter
+families and of the Groebner computations that derive them.  It is a legal
+coefficient ring for Witt vectors (characteristic p, decidable equality,
+computable units) but is not perfect, so Frobenius sections are refused there.
 
 Univariate polynomials over F_q are plain coefficient tuples (low degree
 first) normalized to have no trailing zeros; () is the zero polynomial.
@@ -14,19 +11,10 @@ from __future__ import annotations
 
 from .errors import NonUnit, NotPerfect, UsageError
 
-# A power that would span more exponents of t than this is refused before it
-# is taken: a**n spans n times what a spans, and a power of a non-monomial
-# fills that span in either ring, one term or coefficient per exponent.
+# A power whose numerator or denominator would have a degree beyond this is
+# refused before it is taken: a**n has n times the degrees of a, and a
+# polynomial is stored densely, one coefficient per exponent of t.
 MAX_POWER_DEGREE = 100_000
-
-
-def _check_power_size(ring, span, n):
-    """Refuse a**n when a spans ``span`` exponents of t beyond its lowest."""
-    if span * abs(n) > MAX_POWER_DEGREE:
-        raise UsageError(
-            f"a power of degree {span} * {abs(n)} in {ring!r} is beyond the bound of "
-            f"{MAX_POWER_DEGREE} on the degree of a power"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +88,13 @@ def ugcd(field, a, b):
     return a
 
 
-def render_terms(terms):
-    """Text of sum c*t^k over the (k, c) pairs, given highest power first."""
+def urender(a):
+    """Text of the polynomial a in t, highest power first."""
     parts = []
-    for k, c in terms:
+    for k in range(len(a) - 1, -1, -1):
+        c = a[k]
+        if c.is_zero():
+            continue
         cs = repr(c)
         need_paren = "+" in cs or "-" in cs[1:]
         if k == 0:
@@ -112,152 +103,6 @@ def render_terms(terms):
         head = "" if cs == "1" else (f"({cs})*" if need_paren else f"{cs}*")
         parts.append(f"{head}t" if k == 1 else f"{head}t^{k}")
     return "+".join(parts) if parts else "0"
-
-
-def urender(a):
-    return render_terms((k, a[k]) for k in range(len(a) - 1, -1, -1) if not a[k].is_zero())
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomial ring F_q[t, 1/t]
-# ---------------------------------------------------------------------------
-
-class LaurentElt:
-    """Element of LaurentRing: canonical sorted tuple of (exponent, coeff)."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = terms  # tuple of (int exp, FFElt), sorted by exp, no zeros
-
-    def __add__(self, other):
-        return self.ring.add(self, other)
-
-    def __sub__(self, other):
-        return self.ring.add(self, self.ring.neg(other))
-
-    def __mul__(self, other):
-        return self.ring.mul(self, other)
-
-    def __neg__(self):
-        return self.ring.neg(self)
-
-    def __pow__(self, n):
-        return self.ring.pow(self, n)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentElt)
-            and self.ring is other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((id(self.ring), self.terms))
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_unit(self):
-        return len(self.terms) == 1
-
-    def inv(self):
-        if len(self.terms) != 1:
-            raise NonUnit(f"{self} is not a unit of the Laurent ring")
-        k, c = self.terms[0]
-        return LaurentElt(self.ring, ((-k, c.inv()),))
-
-    def pth_root(self):
-        raise NotPerfect("Laurent polynomial rings are not perfect")
-
-    def __repr__(self):
-        return render_terms(reversed(self.terms))
-
-
-class LaurentRing:
-    """F_q[t, 1/t]: characteristic-p coefficient ring, not perfect."""
-
-    _cache: dict = {}
-
-    def __new__(cls, field):
-        key = id(field)
-        if key in cls._cache:
-            return cls._cache[key]
-        self = super().__new__(cls)
-        cls._cache[key] = self
-        return self
-
-    def __init__(self, field):
-        if getattr(self, "_ready", False):
-            return
-        self.field = field
-        self.p = field.p
-        self.is_perfect = False
-        self.zero = LaurentElt(self, ())
-        self.one = LaurentElt(self, ((0, field.one),))
-        self._ready = True
-
-    def from_int(self, n):
-        c = self.field.from_int(n)
-        return LaurentElt(self, ((0, c),) if not c.is_zero() else ())
-
-    def const(self, c):
-        return LaurentElt(self, ((0, c),) if not c.is_zero() else ())
-
-    def monomial(self, k, c=None):
-        c = self.field.one if c is None else c
-        return LaurentElt(self, ((k, c),) if not c.is_zero() else ())
-
-    def add(self, a, b):
-        return self.sum((a, b))
-
-    def sum(self, elts):
-        """The sum of elements, added into one dict and sorted once; a running
-        + copies and sorts the sum so far at every step."""
-        acc = {}
-        get = acc.get
-        for a in elts:
-            for k, c in a.terms:
-                s = get(k)
-                acc[k] = c if s is None else s + c
-        return LaurentElt(self, tuple(sorted((k, c) for k, c in acc.items() if not c.is_zero())))
-
-    def neg(self, a):
-        return LaurentElt(self, tuple((k, -c) for k, c in a.terms))
-
-    def mul(self, a, b):
-        acc = {}
-        for k1, c1 in a.terms:
-            for k2, c2 in b.terms:
-                k = k1 + k2
-                s = acc.get(k)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s.is_zero():
-                    acc.pop(k, None)
-                else:
-                    acc[k] = s
-        return LaurentElt(self, tuple(sorted(acc.items())))
-
-    def pow(self, a, n):
-        if a.terms:
-            _check_power_size(self, a.terms[-1][0] - a.terms[0][0], n)
-        if n < 0:
-            return self.pow(a.inv(), -n)
-        acc = self.one
-        base = a
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return acc
-
-    def pth_root(self, a):
-        raise NotPerfect("Laurent polynomial rings are not perfect")
-
-    def __repr__(self):
-        return f"{self.field!r}[t,t^-1]"
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +263,12 @@ class RationalFunctionField:
         return self.make(a.den, a.num)
 
     def pow(self, a, n):
-        _check_power_size(self, max(len(a.num), len(a.den)) - 1, n)
+        degree = max(len(a.num), len(a.den)) - 1
+        if degree * abs(n) > MAX_POWER_DEGREE:
+            raise UsageError(
+                f"a power of degree {degree} * {abs(n)} in {self!r} is beyond the bound of "
+                f"{MAX_POWER_DEGREE} on the degree of a power"
+            )
         if n < 0:
             return self.pow(self.inv(a), -n)
         acc = self.one

@@ -38,7 +38,7 @@ from .lattice import (
     witt_cell_table,
     zadic_cell_table,
 )
-from .rings import LaurentRing
+from .rings import RationalFunctionField
 from .witt import (
     WittVector,
     frobenius,
@@ -94,13 +94,13 @@ def check_inversion():
 
 def check_folded_tables():
     """F_4 computes in the Galois ring and F_3 on tables folded into R_3; both
-    against the unfolded tables over F_q[t, 1/t], which is no finite field."""
+    against the unfolded tables over F_q(t), which is no finite field."""
     rng = random.Random(18)
     for F in (GF(4), GF(3)):
-        L = LaurentRing(F)
+        K = RationalFunctionField(F)
 
         def lift(v):
-            return WittVector(L, tuple(L.const(c) for c in v.coords))
+            return WittVector(K, tuple(K.const(c) for c in v.coords))
 
         for _ in range(40):
             x, y = witt_random(F, 3, rng), witt_random(F, 3, rng)

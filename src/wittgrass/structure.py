@@ -65,8 +65,8 @@ in class keys, and each finished level is decoded once to packed keys with
 exponents 1..p-1.  Witt arithmetic over a larger field F_q runs in the Galois
 ring of ``galois`` and uses no table.
 
-Generated tables for the other coefficient rings (polynomial, Laurent and
-F_q(t) rings) are cached on disk, one polynomial per line, in the format
+Generated tables for the other coefficient rings (polynomial rings and
+F_q(t)) are cached on disk, one polynomial per line, in the format
 ``ADD n: <polynomial>``; finite fields never read or write the cache.  Each op
 has its own length in the file: a call that needs more levels of an op than
 the file holds solves that op's missing levels alone, so a file holds only the
@@ -713,9 +713,9 @@ class StructurePolynomialTable:
     1..p-1.
 
     Unfolded, the form is the level itself, valid over every ring of
-    characteristic p (polynomial rings, Laurent rings, F_q(t)).  Folded, for
-    the prime field F_p, the forms are those of the levels folded into R_p,
-    which ``solve_levels(p, op, N, folded=True)`` solves in memory (module
+    characteristic p (polynomial rings, F_q(t)).  Folded, for the prime field
+    F_p, the forms are those of the levels folded into R_p, which
+    ``solve_levels(p, op, N, folded=True)`` solves in memory (module
     docstring): exact at F_p points and far smaller (p = 3 ``add`` level 4:
     49,278 terms, 470 over F_3).  So an F_p call reads no file, parses nothing
     and writes nothing, and no edit of the cache file changes its result.
@@ -724,11 +724,12 @@ class StructurePolynomialTable:
     The first ``levels`` call reads the cache file once.  Each op is then a
     prefix list of its own, which grows by itself: a level read from the file
     stays text until a call first reads it, then is parsed (``parse_level``)
-    in place, and each evaluation form is kept once built.  So ``witt add --laurent --N 3``
-    parses three lines of the file whatever else it holds.  A call that needs
-    more levels of op than the file holds checks TableLimit for op alone,
-    solves only op's missing levels and rewrites the file, every level in it
-    parsed first; the other ops keep the lengths the file gave them.
+    in place, and each evaluation form is kept once built.  So ``greenberg
+    realize --N 3 --map "T1+T2"``, which evaluates add and mul, parses three
+    lines of each whatever else the file holds.  A call that needs more
+    levels of op than the file holds checks TableLimit for op alone, solves
+    only op's missing levels and rewrites the file, every level in it parsed
+    first; the other ops keep the lengths the file gave them.
     """
 
     _registry: dict = {}

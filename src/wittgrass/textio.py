@@ -2,8 +2,8 @@
 literals.
 
 One expression parser reads every polynomial-like literal: a coordinate of a
-Witt vector (``u+1`` in F_4, ``t^-2+1`` over Laurent coefficients), an ideal
-generator in the ``x[i,j]``, a Witt polynomial map in T1..Td.  It builds
+Witt vector (``u+1`` in F_4), an ideal or family generator in the ``x[i,j]``
+(``t^-2*x[1,0]`` over F_q(t)), a Witt polynomial map in T1..Td.  It builds
 elements of the ring it is given: an integer is ``ring.from_int(n)``, a symbol
 is what the caller's ``resolve(name, indices)`` returns, and the values
 combine with their own + - * **.  Witt vectors print and parse as
@@ -12,11 +12,12 @@ numbers are ``p^v*(a0,...)``; matrices are semicolon-separated rows of
 comma-separated entries, commas inside parentheses binding to their entry.
 Every printer output parses back to an equal value.
 
-This module imports no ring at module level: ``rings`` only when a literal is
-read over F_q[t,1/t] or F_q(t), ``witt`` only in parse_witt_vector and
-``lattice`` only in the p-adic parsers.  So a Witt-vector command over F_q
-loads neither ``poly`` nor ``rings``, and the p-adic commands (``lattice snf``
-and ``classify``) load neither ``witt`` nor ``structure``.
+This module imports no ring at module level and never imports ``rings``: an
+F_q(t) literal is built by the ring it is read over.  It imports ``witt`` only
+in parse_witt_vector and ``lattice`` only in the p-adic parsers.  So a
+Witt-vector command over F_q loads neither ``poly`` nor ``rings``, and the
+p-adic commands (``lattice snf`` and ``classify``) load neither ``witt`` nor
+``structure``.
 """
 
 from __future__ import annotations
@@ -143,17 +144,12 @@ def parse_expression(ring, text, resolve):
 
 
 def scalar_resolver(ring):
-    """Resolver of u (the generator of F_q) and t (the variable of
-    F_q[t,1/t] or F_q(t)) to elements of the coefficient ring ``ring``."""
+    """Resolver of u (the generator of F_q) and t (the variable of F_q(t)) to
+    elements of the coefficient ring ``ring``, F_q or F_q(t)."""
     if isinstance(ring, FiniteField):
         symbols = {"u": ring.gen}
     else:
-        from .rings import LaurentRing
-
-        if isinstance(ring, LaurentRing):
-            symbols = {"u": lambda: ring.const(ring.field.gen()), "t": lambda: ring.monomial(1)}
-        else:
-            symbols = {"u": lambda: ring.const(ring.base.gen()), "t": lambda: ring.t_power(1)}
+        symbols = {"u": lambda: ring.const(ring.base.gen()), "t": lambda: ring.t_power(1)}
 
     def resolve(name, indices):
         if indices is not None:

@@ -8,19 +8,19 @@ mat_inv, and the p-adic numbers of ``lattice``, compute in that ring too.
 
 Every other ring evaluates the universal structure polynomials, which the
 tables hold mod p, at the operand coordinates, so it works uniformly over
-polynomial rings, Laurent rings and F_q(t).  Over a prime field F_p the laws
-are those folded by x^p = x, which hold at every F_p point and have far fewer
-terms; ``StructurePolynomialTable`` solves them in memory, so an F_p call
-reads no cache file.  F_p keeps these tables only until the benchmark's own
+polynomial rings and F_q(t).  Over a prime field F_p the laws are those
+folded by x^p = x, which hold at every F_p point and have far fewer terms;
+``StructurePolynomialTable`` solves them in memory, so an F_p call reads no
+cache file.  F_p keeps these tables only until the benchmark's own
 tests stop expecting an F_p product to look its table up; then it joins the
 Galois ring as well.  Other rings evaluate the levels as generated or read
 from the cache.  Each call marks its zero coordinates in a bitmask once, so a
 term that uses one costs a single AND, and shares one cache of coordinate
 powers across all levels.  The coefficient ring sums each level
-(``ring.sum``): polynomial, Laurent and F_q(t) rings add all of a level's
-products in one pass, where a running + would copy the sum so far once per
-term, and a finite field keeps its running + of table lookups.  Inversion is
-the componentwise triangular solve: the n-th component of a product depends
+(``ring.sum``): polynomial rings and F_q(t) add all of a level's products
+in one pass, where a running + would copy the sum so far once per term, and
+a finite field keeps its running + of table lookups.  Inversion is the
+componentwise triangular solve: the n-th component of a product depends
 on the n-th component of the second factor only through the term
 a_0^(p^n) * b_n.
 """

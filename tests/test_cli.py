@@ -91,48 +91,37 @@ def test_hilbert_hf_at_default_bound_counts_weighted_partitions(capsys):
     assert values == want
 
 
-def test_laurent_witt_product_is_unchanged(capsys):
-    argv = ["witt", "mul", "--p", "2", "--q", "4", "--N", "3", "--laurent",
-            "(t+u,t^-1,1)", "(u*t^2,1+t,t^-2)"]
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out.strip() == (
-        "(u*t^3+(u+1)*t^2,u*t^3+t^2+(u+1)*t+(u+1),"
-        "u*t^8+(u+1)*t^6+(u+1)*t^5+u*t^4+u*t^3+t^2+1+(u+1)*t^-2)"
-    )
-
-
-@pytest.mark.parametrize("cmd", ["snf", "classify"])
-def test_lattice_commands_take_no_laurent_flag(capsys, cmd):
-    # p-adic numbers are over finite fields only
+@pytest.mark.parametrize("argv", [
+    ["lattice", "snf", "--p", "2", "--N", "2", "--laurent", "(0,t)"],
+    ["lattice", "classify", "--p", "2", "--N", "2", "--laurent", "(0,t)"],
+    ["witt", "add", "--p", "2", "--N", "2", "--laurent", "(0,t)", "(1,0)"],
+], ids=["snf", "classify", "witt"])
+def test_lattice_commands_take_no_laurent_flag(capsys, argv):
+    # the Witt vectors and p-adic numbers of these commands are over finite
+    # fields only
     with pytest.raises(SystemExit) as exc:
-        cli.main(["lattice", cmd, "--p", "2", "--N", "2", "--laurent", "(0,t)"])
+        cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --laurent" in capsys.readouterr().err
 
 
-def test_laurent_witt_beyond_the_table_limit_is_refused_before_work(capsys, monkeypatch, tmp_path):
+def test_a_realization_beyond_the_table_limit_is_refused_before_work(capsys, monkeypatch,
+                                                                     tmp_path):
     # restored after the test, whatever --cache-dir sets
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
-    argv = ["--cache-dir", str(tmp_path), "witt", "mul", "--laurent", "--p", "3", "--N", "6",
-            "(1,t,0,0,0,0)", "(1,0,0,0,0,t^-1)"]
+    argv = ["--cache-dir", str(tmp_path), "greenberg", "realize", "--p", "3", "--N", "6",
+            "--map", "T1+T2"]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    # only the table of the op evaluated is generated, so mul refuses
+    # the map's first product, its coefficient times T1, reads the mul table,
+    # which refuses before any level is solved
     assert captured.err == (
         "error: structure table mul level 5 for p=3 has a potential support of 33965584 "
         "monomials, beyond the limit of 200000; this is out of reach for exact generation, "
         "so use a length N of at most 5\n"
     )
     assert list(tmp_path.iterdir()) == []
-
-
-def test_laurent_witt_neg_is_not_bound_by_the_add_table(capsys):
-    # add level 6 for p = 2 is out of reach; neg needs only its own table.
-    # -1 = (1, 1, 1, ...) in W(F_2) and [t] * (a_i) = (t^(2^i) * a_i), so
-    # -[t] = (t, t^2, t^4, ...)
-    assert cli.main(["witt", "neg", "--laurent", "--p", "2", "--N", "7", "(t,0,0,0,0,0,0)"]) == 0
-    assert capsys.readouterr().out.strip() == "(t,t^2,t^4,t^8,t^16,t^32,t^64)"
 
 
 def _bits(n, N=8):
@@ -344,15 +333,13 @@ def test_hilbert_limit_is_exact_without_a_bound(capsys, tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("where", ["family", "map", "laurent"])
+@pytest.mark.parametrize("where", ["family", "map"])
 def test_a_huge_literal_exponent_is_refused_at_once(capsys, tmp_path, where):
     # the exponent is refused as it is read, before any power is taken
     argv = {
         "family": ["hilbert", "limit", "--n", "2", "--p", "2", "--N", "2", "--family-file",
                    _lines(tmp_path, "family.txt", "x[1,0] + t^1000000000*x[2,0]")],
         "map": ["greenberg", "realize", "--p", "2", "--N", "2", "--map", "T1^1000000000"],
-        "laurent": ["witt", "add", "--laurent", "--p", "2", "--N", "2",
-                    "(t^1000000000,1)", "(1,0)"],
     }[where]
     assert cli.main(argv) == 2  # the first call also imports the command's modules
     err = capsys.readouterr().err

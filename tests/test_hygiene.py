@@ -1,7 +1,9 @@
 """Source hygiene: no module of the package or of its tests imports a name it
 never reads, and every top-level function or class of the package, and every
 method of a top-level class, is used by the package or by the benchmark; a
-definition that only tests use belongs in the tests.
+definition that only tests use belongs in the tests.  Every ``--option`` that
+the package's text names, in a docstring, comment or message, is an option of
+the command line.
 
 pyflakes and ruff are not dependencies, so the checks are small ``ast`` scans.
 A name counts as read when any ``Name`` node of the module carries it, in any
@@ -9,11 +11,14 @@ scope, or when ``__all__`` lists it.  ``from __future__`` imports are compiler
 directives, not names, and are skipped.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+from wittgrass import cli
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -167,3 +172,35 @@ def test_every_definition_is_used():
     package = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     users = [path.read_text(encoding="utf-8") for path in USERS]
     assert dead_definitions(package, users) == []
+
+
+# an option as text names it: two dashes that no word character or dash precedes
+OPTION = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+
+
+def parser_options(parser):
+    """The option strings of the parser and of all its subparsers."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= parser_options(sub)
+    return options
+
+
+def unknown_options(sources, options):
+    """(module, option) of each option the ``sources`` ({module: text}) name
+    that is not among ``options``."""
+    return sorted({(module, name) for module, text in sources.items()
+                   for name in OPTION.findall(text) if name not in options})
+
+
+def test_the_scan_finds_a_removed_option():
+    sources = {"m": '"""So ``witt add --laurent --N 3`` parses three lines; x--y is no option."""'}
+    assert unknown_options(sources, parser_options(cli.build_parser())) == [("m", "--laurent")]
+
+
+def test_every_option_the_package_names_exists():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unknown_options(sources, parser_options(cli.build_parser())) == []

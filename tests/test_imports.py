@@ -105,8 +105,6 @@ GRASS_IMAGE_STACK = HILBERT_HF_STACK + [
 
 @pytest.mark.parametrize("argv, modules", [
     (["witt", "mul", "--p", "2", "--N", "2", "(1,1)", "(1,0)"], WITT_STACK),
-    (["witt", "add", "--p", "2", "--N", "2", "--laurent", "(t,1)", "(1,t^-1)"],
-     WITT_STACK + ["wittgrass.rings"]),
     # the W_N(F_4) coefficients compute in the Galois ring
     (["greenberg", "realize", "--p", "2", "--q", "4", "--N", "2", "--map", "u^-1*T1*T2"],
      WITT_STACK + ["wittgrass.galois", "wittgrass.greenberg", "wittgrass.poly"]),
@@ -115,7 +113,7 @@ GRASS_IMAGE_STACK = HILBERT_HF_STACK + [
     (["grass", "image", "--lambda", "1,-1", "--q", "2", "--samples", "2"],
      GRASS_IMAGE_STACK + ["wittgrass.rings"]),
     (["grass", "image", "--lambda", "2,-2", "--q", "2", "--samples", "1"], GRASS_IMAGE_STACK),
-], ids=["witt", "witt-laurent", "greenberg-realize", "hilbert-hf", "grass-image",
+], ids=["witt", "greenberg-realize", "hilbert-hf", "grass-image",
         "grass-image-2-2"])
 def test_command_loads_exactly(tmp_path, argv, modules):
     """The modules a one-shot command loads, pinned: a new import on one of

@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as hst
 
 from wittgrass import cli, structure as st
 from wittgrass.errors import CacheCorrupt, TableLimit
+from wittgrass.fields import GF
+from wittgrass.poly import coord_ring
+from wittgrass.witt import WittVector, witt_arith, witt_inv
 
 
 def poly_text(levels):
@@ -351,6 +354,12 @@ def _record_solves(monkeypatch):
     return solves
 
 
+def _vector(ring, *coords):
+    """A Witt vector over the polynomial ring: integer coordinates are
+    constants, the others elements of the ring."""
+    return WittVector(ring, [ring.from_int(c) if isinstance(c, int) else c for c in coords])
+
+
 def test_tables_reduce_only_the_ops_a_call_evaluates(tmp_path, monkeypatch):
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
     forms = _record_forms(monkeypatch)
@@ -362,21 +371,23 @@ def test_tables_reduce_only_the_ops_a_call_evaluates(tmp_path, monkeypatch):
         levels = st.StructurePolynomialTable.get(3).levels(op, 3)
         return len(forms) == len(levels) and all(a is b for a, b in zip(forms, levels))
 
+    R = coord_ring(GF(3), 1, 3)
+    x = R.var(0)
     for _ in range(2):  # the second call reuses the forms
-        argv = ["witt", "add", "--laurent", "--p", "3", "--N", "3", "(1,2,0)", "(2,t,1)"]
-        assert cli.main(argv) == 0
+        witt_arith("add", _vector(R, 1, 2, 0), _vector(R, 2, x, 1))
         assert reduced_exactly("add")
     forms.clear()
-    assert cli.main(["witt", "inv", "--laurent", "--p", "3", "--N", "3", "(1,t,0)"]) == 0
+    witt_inv(_vector(R, 1, x, 0))
     assert reduced_exactly("mul")
 
 
-def test_a_laurent_product_solves_and_writes_only_the_mul_table(tmp_path, monkeypatch, capsys):
+def test_a_ring_product_solves_and_writes_only_the_mul_table(tmp_path, monkeypatch):
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
     solves = _record_solves(monkeypatch)
-    argv = ["witt", "mul", "--laurent", "--p", "3", "--N", "5", "(1,t,0,0,2)", "(t,0,1,0,t^-1)"]
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out.strip() == "(t,t^4,1,t^9,2*t^81+t^-1)"
+    R = coord_ring(GF(3), 1, 5)
+    x, y = R.var(0), R.var(1)
+    product = witt_arith("mul", _vector(R, 1, x, 0, 0, 2), _vector(R, x, 0, 1, 0, y))
+    assert product == _vector(R, x, x**4, 1, x**9, R.from_int(2) * x**81 + y)
     assert solves == [(3, "mul", 5, False)]
     lines = (tmp_path / "structure_p3.txt").read_text().splitlines()
     assert lines[1:] == [f"MUL {n}: {st.render_ip(level)}"
@@ -422,31 +433,53 @@ def test_folding_by_x_to_the_q_shrinks_the_tables():
 
 def test_witt_calls_parse_only_the_lines_they_read(tmp_path, monkeypatch):
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
-    add = ["witt", "add", "--laurent", "--p", "3", "--N", "5", "(1,2,0,1,2)", "(2,2,1,0,t)"]
-    assert cli.main(add) == 0  # generates the add table, parsing nothing
+    R = coord_ring(GF(3), 1, 5)
+    x = R.var(0)
+
+    def add():
+        return witt_arith("add", _vector(R, 1, 2, 0, 1, 2), _vector(R, 2, 2, 1, 0, x))
+
+    def inv():
+        return witt_inv(_vector(R, 1, 2, 0, x, 2))
+
+    add()  # generates the add table, parsing nothing
     bodies = st.load_cache(3, str(tmp_path))
     assert [len(bodies[op]) for op in st.OPS] == [5, 0, 0]
-    inv = ["witt", "inv", "--laurent", "--p", "3", "--N", "5", "(1,2,0,t,2)"]
-    assert cli.main(inv) == 0  # generates the mul table
+    inv()  # generates the mul table
     bodies = st.load_cache(3, str(tmp_path))
     assert [len(bodies[op]) for op in st.OPS] == [5, 5, 0]
     parses = []
     real_parse = st.parse_ip
     monkeypatch.setattr(st, "parse_ip", lambda text: parses.append(text) or real_parse(text))
-    for argv, op in ((add, "add"), (inv, "mul")):
+    for call, op in ((add, "add"), (inv, "mul")):
         st.StructurePolynomialTable.drop_registry()  # as in a fresh process
         parses.clear()
-        assert cli.main(argv) == 0
+        call()
         assert parses == bodies[op]  # exactly the five lines of the op, in order
 
 
-def test_a_longer_cache_parses_only_the_levels_below_the_length(tmp_path, monkeypatch, capsys):
+def test_neg_is_not_bound_by_the_add_table(tmp_path, monkeypatch):
+    # add level 6 for p = 2 is out of reach; neg needs only its own table.
+    # -1 = (1, 1, 1, ...) in W(F_2) and [x] * (a_i) = (x^(2^i) * a_i), so
+    # -[x] = (x, x^2, x^4, ...)
+    monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
+    R = coord_ring(GF(2), 1, 7)
+    x = R.var(0)
+    assert witt_arith("neg", _vector(R, x, 0, 0, 0, 0, 0, 0)) == _vector(
+        R, *(x ** (2**i) for i in range(7))
+    )
+    with pytest.raises(TableLimit, match="add level 6 for p=2"):
+        witt_arith("add", _vector(R, x, 0, 0, 0, 0, 0, 0), _vector(R, 1, 0, 0, 0, 0, 0, 0))
+
+
+def test_a_longer_cache_parses_only_the_levels_below_the_length(tmp_path, monkeypatch):
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
     st.write_cache(2, str(tmp_path), {op: st.solve_levels(2, op, 6) for op in st.OPS})
     cache = (tmp_path / "structure_p2.txt").read_bytes()
     parsed = _record_parses(monkeypatch)
-    assert cli.main(["witt", "add", "--laurent", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,0)"]) == 0
-    assert capsys.readouterr().out.strip() == "(0,0,1)"  # 3 + 1 = 4 in Z/8
+    R = coord_ring(GF(2), 1, 3)
+    # 3 + 1 = 4 in Z/8, over F_2[x] as over F_2
+    assert witt_arith("add", _vector(R, 1, 1, 0), _vector(R, 1, 0, 0)) == _vector(R, 0, 0, 1)
     assert parsed == [("add", 0), ("add", 1), ("add", 2)]
     assert (tmp_path / "structure_p2.txt").read_bytes() == cache  # nothing rewritten
 
@@ -468,12 +501,15 @@ def test_grass_image_parses_no_level_it_does_not_evaluate(tmp_path, monkeypatch,
 def test_a_corrupt_level_fails_only_the_calls_that_read_it(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WITTGRASS_CACHE_DIR", str(tmp_path))
     cache = _cache_with(tmp_path, 2, 3, "MUL 2", "1*X0^-1")
-    assert cli.main(["witt", "add", "--laurent", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,0)"]) == 0
-    assert capsys.readouterr().out.strip() == "(0,0,1)"  # 3 + 1 = 4 in Z/8
+    # a sum over F_2[x] reads only the add levels: 3 + 1 = 4 in Z/8
+    R = coord_ring(GF(2), 1, 3)
+    assert witt_arith("add", _vector(R, 1, 1, 0), _vector(R, 1, 0, 0)) == _vector(R, 0, 0, 1)
     # a finite-field product reads no file: 3 * 5 = 15 in Z/8
     assert cli.main(["witt", "mul", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,1)"]) == 0
     assert capsys.readouterr().out.strip() == "(1,1,1)"
-    assert cli.main(["witt", "mul", "--laurent", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,1)"]) == 1
+    # a realization multiplies over a polynomial ring, which reads MUL 2
+    argv = ["greenberg", "realize", "--p", "2", "--N", "3", "--map", "T1+T2"]
+    assert cli.main(argv) == 1
     err = capsys.readouterr().err
     path = str(tmp_path / "structure_p2.txt")
     assert f"structure cache {path}, line MUL 2: bad variable token 'X0^-1'" in err
@@ -490,8 +526,9 @@ def test_a_cache_file_of_integer_coefficients_is_refused(tmp_path, monkeypatch, 
     assert hashlib.sha256(cache).hexdigest() == (
         "0d64a09990a302ef5612f5d2dc1d3b2a372bdd95a16e27da38b2df9bb8356798"
     )
-    problem = f"structure cache {path}, line ADD 1: coefficient -1 is not a residue 1..1"
-    argv = ["witt", "add", "--laurent", "--p", "2", "--N", "3", "(1,1,0)", "(1,0,0)"]
+    # a realization reads the mul levels first, where M_1 has the coefficient 2
+    problem = f"structure cache {path}, line MUL 1: coefficient 2 is not a residue 1..1"
+    argv = ["greenberg", "realize", "--p", "2", "--N", "3", "--map", "T1+T2"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert problem in err
@@ -518,9 +555,14 @@ def test_an_edited_residue_cannot_change_a_finite_field_result(tmp_path, monkeyp
     # 1 + 1 = 2 = (2, 1) in W_2(F_3) = Z/9, whatever the file says
     assert cli.main(["witt", "add", "--p", "3", "--N", "2", "(1,0)", "(1,0)"]) == 0
     assert capsys.readouterr().out.strip() == "(2,1)"
-    # the edit is live: ring arithmetic still reads the file as it stands
-    assert cli.main(["witt", "add", "--laurent", "--p", "3", "--N", "2", "(1,0)", "(1,0)"]) == 0
-    assert capsys.readouterr().out.strip() != "(2,1)"
+    # the edit is live: ring arithmetic still reads the file as it stands, so
+    # the realized sum carries the edited coefficient of x[1,0]^2*x[2,0]
+    argv = ["greenberg", "realize", "--p", "3", "--N", "2", "--map", "T1+T2"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "COMP 1 0: x[1,0] + x[2,0]",
+        "COMP 1 1: x[1,1] + x[1,0]^2*x[2,0] + 2*x[1,0]*x[2,0]^2 + x[2,1]",
+    ]
 
 
 def test_finite_field_calls_read_and_write_no_cache(tmp_path, monkeypatch, capsys):

@@ -13,7 +13,7 @@ from wittgrass.fields import GF
 from wittgrass.greenberg import coord_ring, parse_witt_map
 from wittgrass.hilbert import family_ring
 from wittgrass.lattice import PadicWittNumber
-from wittgrass.rings import MAX_POWER_DEGREE, LaurentRing, RationalFunctionField
+from wittgrass.rings import MAX_POWER_DEGREE, RationalFunctionField
 from wittgrass.textio import (
     MAX_EXPONENT,
     parse_coordinate_poly,
@@ -106,18 +106,6 @@ def test_field_elements_parse_back(q):
         assert parse_scalar(F, repr(c)) == c
 
 
-def _laurent(F):
-    L = LaurentRing(F)
-    term = hst.builds(L.monomial, hst.integers(-4, 4), hst.sampled_from(F.elements()))
-    return hst.lists(term, max_size=4).map(lambda ts: sum(ts, L.zero))
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(hst.one_of(_laurent(GF(3)), _laurent(GF(4))))
-def test_laurent_elements_parse_back(a):
-    assert parse_scalar(a.ring, repr(a)) == a
-
-
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(hst.sampled_from(QS), hst.data())
 def test_coordinate_polynomials_parse_back(q, data):
@@ -174,8 +162,7 @@ def test_literal_exponents_are_bounded():
             parse_scalar(F, text)
 
 
-@pytest.mark.parametrize("ring", [LaurentRing(GF(2)), RationalFunctionField(GF(2))],
-                         ids=["laurent", "rational"])
+@pytest.mark.parametrize("ring", [RationalFunctionField(GF(2))], ids=["rational"])
 def test_powers_past_the_degree_bound_are_refused(ring):
     # values built without the parser: the ring bounds degree times exponent
     t, one = parse_scalar(ring, "t"), ring.one
@@ -184,8 +171,6 @@ def test_powers_past_the_degree_bound_are_refused(ring):
     for base, n in ((t + one, MAX_POWER_DEGREE + 1), (t * t + one, -(MAX_POWER_DEGREE // 2 + 1))):
         with pytest.raises(UsageError, match=f"bound of {MAX_POWER_DEGREE}"):
             base**n
-    if isinstance(ring, LaurentRing):  # a monomial stays one term at any exponent
-        assert (t ** 10**9).terms == ((10**9, ring.field.one),)
 
 
 # text over digits that int() and str.isdigit() take but the grammar does not
@@ -195,7 +180,6 @@ ALPHABET = "0123456789²٣utxTpq+-*^()[],; "
 
 PARSERS = {
     "scalar": lambda text: parse_scalar(GF(4), text),
-    "laurent-scalar": lambda text: parse_scalar(LaurentRing(GF(4)), text),
     "witt-vector": lambda text: parse_witt_vector(GF(4), text, 2),
     "coordinate-poly": lambda text: parse_coordinate_poly(coord_ring(GF(4), 2, 2), text),
     "family-poly": lambda text: parse_coordinate_poly(family_ring(GF(2), 2, 2), text),

@@ -1,4 +1,4 @@
-"""Witt vector arithmetic over finite fields, polynomial and Laurent rings."""
+"""Witt vector arithmetic over finite fields, polynomial rings and F_q(t)."""
 
 import itertools
 import random
@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 
 from wittgrass.errors import NonUnit, NotPerfect, RingMismatch
 from wittgrass.fields import GF
-from wittgrass.rings import LaurentRing
+from wittgrass.rings import RationalFunctionField
 from wittgrass.witt import (
     WittVector,
     frobenius,
@@ -122,16 +122,16 @@ def test_shift_operators():
 
 
 def test_not_perfect_rejections():
-    L = LaurentRing(F2)
-    t = L.monomial(1)
-    w = WittVector(L, (t, L.zero, L.one))
+    K = RationalFunctionField(F2)
+    t = K.t_power(1)
+    w = WittVector(K, (t, K.zero, K.one))
     with pytest.raises(NotPerfect):
         frobenius(w)
     with pytest.raises(NotPerfect):
         p_shift(w)
     # generic multiplication by the constant p still works
-    assert witt_arith("mul", witt_from_int(L, 2, 3), w) == WittVector(
-        L, (L.zero, t * t, L.zero)
+    assert witt_arith("mul", witt_from_int(K, 2, 3), w) == WittVector(
+        K, (K.zero, t * t, K.zero)
     )
 
 
@@ -169,7 +169,7 @@ def test_matrix_helpers():
 
 
 # longest Witt length per field size that the table arithmetic reaches: folded
-# over F_p, unfolded over F_q[t, 1/t] for q > p
+# over F_p, unfolded over F_q(t) for q > p
 TABLE_N_MAX = {2: 8, 3: 5, 4: 6, 5: 4, 8: 6, 9: 5}
 
 
@@ -191,10 +191,10 @@ def test_galois_ring_matrices_agree_with_the_tables(case):
     """random_sl and mat_inv compute in GR(p^N, e); their results are checked
     in the table arithmetic of WittVector: det 1, and g * g^-1 = 1 both ways.
     Over F_q with q > p, WittVector computes in GR too, so the check runs over
-    F_q[t, 1/t] instead, on the unfolded tables.  A matrix is invertible
-    exactly when its residue matrix over F_q is."""
+    F_q(t) instead, on the unfolded tables.  A matrix is invertible exactly
+    when its residue matrix over F_q is."""
     F, n, N, A, seed = case
-    ring = LaurentRing(F) if F.e > 1 else F
+    ring = RationalFunctionField(F) if F.e > 1 else F
     const = ring.const if F.e > 1 else (lambda c: c)
 
     def lift(M):
@@ -228,10 +228,10 @@ def test_seeded_random_sl_draws_are_pinned():
 @pytest.mark.parametrize("q, N", [(2, 3), (4, 2), (3, 2)])
 def test_folded_tables_agree_with_unfolded_ones_exhaustively(q, N):
     F = GF(q)
-    L = LaurentRing(F)  # not a finite field, so its arithmetic is not folded
+    K = RationalFunctionField(F)  # not a finite field, so its arithmetic is not folded
 
     def lift(v):
-        return WittVector(L, tuple(L.const(c) for c in v.coords))
+        return WittVector(K, tuple(K.const(c) for c in v.coords))
 
     vectors = [WittVector(F, c) for c in itertools.product(F.elements(), repeat=N)]
     for a in vectors:
