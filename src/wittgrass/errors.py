@@ -21,10 +21,6 @@ class NonUnit(WittgrassError):
     """Inversion of a non-invertible element was requested."""
 
 
-class NotPerfect(WittgrassError):
-    """A p-th root (Frobenius section) was requested over a non-perfect ring."""
-
-
 class TableLimit(WittgrassError):
     """Structure-polynomial generation refused: (p, N) outside the supported envelope."""
 
@@ -42,7 +38,7 @@ class ZeroAtPrecision(WittgrassError):
 
 
 class DetValuationMismatch(WittgrassError):
-    """normalize_basis: determinant valuation differs from the declared one."""
+    """A basis to classify has a determinant of nonzero valuation."""
 
 
 class NotDominant(WittgrassError):
@@ -50,8 +46,12 @@ class NotDominant(WittgrassError):
 
 
 def dominant_or_raise(lam):
-    if sum(lam) != 0 or any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise NotDominant(f"{lam} is not a dominant cocharacter")
+    """Refuse lam unless it is a dominant cocharacter of SL_n, naming the failed condition."""
+    if sum(lam) != 0:
+        raise NotDominant(f"{lam} sums to {sum(lam)}, not 0: no cocharacter of SL_{len(lam)}")
+    for i in range(len(lam) - 1):
+        if lam[i] < lam[i + 1]:
+            raise NotDominant(f"{lam} is not dominant: it rises from {lam[i]} to {lam[i + 1]}")
 
 
 class WindowTooSmall(WittgrassError):

@@ -137,7 +137,6 @@ class FiniteField:
         self.p = p
         self.e = e
         self.q = p**e
-        self.is_perfect = True
         self._ready = True
         # The field is tiny (q <= 125): intern every element and precompute all
         # tables, with the product of GR(p, e) = F_q, so coefficient arithmetic

@@ -85,7 +85,7 @@ def ideal_points(I):
     return [tuple(point) for point in partial]
 
 
-def points_lattice(I, shift=0, check_stable=True):
+def points_lattice(I, shift=0):
     """Lattice spanned by the F_q points of V(I) in W_N(F_q)^n, unshifted.
 
     The points are lifted to the lattice M they generate together with
@@ -93,13 +93,10 @@ def points_lattice(I, shift=0, check_stable=True):
     W_N(F_q)-submodule exactly when it equals its span M / p^N W^n, which has
     q^(nN - sum a_i) elements for the pivot exponents a_i of M; so
     |S| = q^(nN - sum a_i) is the exact test, and NotStable is raised when it
-    fails.  With check_stable the Groebner stability test runs first.
+    fails.
     """
     field = I.ring.coeff
     n, N = I.n, I.N
-    if check_stable and not is_module_stable(I):
-        raise NotStable("points_lattice needs a module-stable ideal")
-
     points = ideal_points(I)
     # one digit beyond the kernel level N, the deepest pivot the reduction meets
     pad = (field.zero,)
@@ -217,12 +214,14 @@ def image_check(lam, q=2, samples=20, seed=7):
         realized.setdefault(cell, how)
 
     I = ideal_I_lambda(field, lam, N)
-    base = points_lattice(I, shift=window, check_stable=True)
+    if not is_module_stable(I):
+        raise NotStable(f"the cocharacter ideal of {lam} is not module-stable")
+    base = points_lattice(I, shift=window)
     note(base.cell(), "cocharacter ideal")
 
     for _ in range(samples):
         g = random_sl(field, n, N, rng)
-        lat = points_lattice(act_on_ideal(g, I), shift=window, check_stable=False)
+        lat = points_lattice(act_on_ideal(g, I), shift=window)
         note(lat.cell(), "orbit image")
 
     stable_to_standard = set()
@@ -242,7 +241,7 @@ def image_check(lam, q=2, samples=20, seed=7):
         for J, how in candidates:
             if not is_module_stable(J):
                 continue
-            cell = points_lattice(J, shift=window, check_stable=False).cell()
+            cell = points_lattice(J, shift=window).cell()
             note(cell, how)
             if cell == tuple([0] * n):  # the one lattice of this cell is W^n
                 stable_to_standard.add(J)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import NonUnit, NotPerfect, RingMismatch, UsageError
+from .errors import NonUnit, RingMismatch, UsageError
 from .poly import PolyRing, Polynomial, coord_ring
 from .witt import (
     WittVector,
@@ -95,16 +95,6 @@ class RealizedMap:
             out.append(WittVector(scalar, vals))
         return out
 
-    def compose(self, inner):
-        """self after inner (source of self = target of inner)."""
-        if inner.target_arity != self.source_arity or inner.N != self.N:
-            raise RingMismatch("maps do not compose")
-        images = inner.flat_components()
-        comps = [
-            [q.map_into(inner.ring, images) for q in row] for row in self.components
-        ]
-        return RealizedMap(inner.ring, inner.source_arity, self.target_arity, self.N, comps)
-
     def __eq__(self, other):
         return (
             isinstance(other, RealizedMap)
@@ -175,25 +165,6 @@ def realize_ideal(gens):
     rmap = realize_poly_map(gens)
     out = [q for q in rmap.flat_components() if not q.is_zero()]
     return RealizedIdeal(rmap.ring, out, rmap.source_arity, rmap.N)
-
-
-def localized_transition(N, scalar, arity=1):
-    """The realized multiplication-by-p on A^arity: x[i,j] -> x[i,j-1]^p.
-
-    As a point map this sends (a_0, ..., a_{N-1}) to (0, a_0^p, ...); it is
-    the transition map of the shifted models of W[1/p]-affine space.
-    """
-    if not scalar.is_perfect:
-        raise NotPerfect("localized transition maps need a perfect scalar ring")
-    ring = coord_ring(scalar, arity, N)
-    p = scalar.p
-    comps = []
-    for i in range(arity):
-        row = [ring.zero]
-        for j in range(1, N):
-            row.append(ring.var(i * N + (j - 1)) ** p)
-        comps.append(row)
-    return RealizedMap(ring, arity, arity, N, comps)
 
 
 def realize_action(g):

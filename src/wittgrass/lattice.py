@@ -10,8 +10,7 @@ them (parsing, the candidate points of grassmann.points_lattice) and printed
 as them (the ``mantissa``).
 
 On top of that: Smith normal form over the discrete valuation ring W(F_q)
-at finite precision, Schubert-cell classification, the dominance order and
-first-column basis normalization.
+at finite precision, Schubert-cell classification and the dominance order.
 
 Lattices rest on one routine, column_reduce, which brings generating columns
 to the reduced column Hermite form: pivots exactly p^a_i, zeros above them,
@@ -45,8 +44,8 @@ from .fields import GF
 __all__ = [
     "CellTable", "Lattice", "PadicWittNumber", "WittMatrix", "bruhat_leq", "classify_cell",
     "column_reduce", "diag_p_matrix", "dominant_or_raise", "enumerate_lattices",
-    "lattice_from_columns", "normalize_basis", "padic_from_witt", "padic_p_power",
-    "padic_zero", "smith_normal_form", "witt_cell_table", "zadic_cell_table",
+    "lattice_from_columns", "padic_from_witt", "padic_p_power", "padic_zero",
+    "smith_normal_form", "witt_cell_table", "zadic_cell_table",
 ]
 
 
@@ -271,28 +270,6 @@ class WittMatrix:
         zero = padic_zero(ring, prec)
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_witt_rows(cls, rows, prec=None, pad=None):
-        """Lift a matrix of integral WittVectors, zero-padded to `prec` digits.
-
-        `pad` optionally supplies the padding digits: pad(i, j, level) is used
-        for levels >= the vectors' native length (the default pads zeros).
-        """
-        ring = rows[0][0].ring
-        ents = []
-        for i, row in enumerate(rows):
-            out = []
-            for j, w in enumerate(row):
-                coords = list(w.coords)
-                if prec is not None:
-                    while len(coords) < prec:
-                        coords.append(
-                            pad(i, j, len(coords)) if pad is not None else ring.zero
-                        )
-                out.append(PadicWittNumber(ring, 0, coords))
-            ents.append(out)
-        return cls(ring, ents)
-
     def p_times(self, k):
         return WittMatrix(
             self.ring, [[x.p_times(k) for x in row] for row in self.entries]
@@ -302,11 +279,6 @@ class WittMatrix:
         from .witt import mat_mul
 
         return WittMatrix(self.ring, mat_mul(self.entries, other.entries))
-
-    def det(self):
-        from .witt import mat_det
-
-        return mat_det(self.entries)
 
     def eq_at_precision(self, other):
         return all(
@@ -426,8 +398,8 @@ def classify_cell(g):
     _, mu, _ = smith_normal_form(g)
     if sum(mu) != 0:
         raise DetValuationMismatch(
-            f"elementary divisor exponents {mu} do not sum to zero; "
-            "classify_cell expects a determinant-one basis"
+            f"the matrix has determinant valuation {sum(mu)}, not 0 (elementary divisor "
+            f"exponents {mu}); a Schubert cell is classified only for a unit determinant"
         )
     return mu
 
@@ -445,37 +417,6 @@ def bruhat_leq(lam, mu):
         if acc_l > acc_m:
             return False
     return True
-
-
-def normalize_basis(M, big_lambda, prec=None, pad=None):
-    """Turn an integral basis with det valuation big_lambda into a det-1 basis.
-
-    M is a matrix of WittVectors over W_N(F_q).  The entries are zero-padded
-    to the working precision, the matrix is divided by p^(big_lambda/n), and
-    the first column is divided by the (unit) determinant.  By the geometric
-    series perturbation bound the classified cell does not depend on the
-    padding digits.
-    """
-    n = len(M)
-    if big_lambda % n:
-        raise DetValuationMismatch(
-            f"det valuation {big_lambda} is not a multiple of the rank {n}"
-        )
-    N = M[0][0].length
-    prec = prec if prec is not None else N + big_lambda + 2
-    A = WittMatrix.from_witt_rows(M, prec=prec, pad=pad)
-    d = A.det()
-    dval = d.val_or_none()
-    if dval != big_lambda:
-        raise DetValuationMismatch(
-            f"determinant valuation is {dval}, expected {big_lambda}"
-        )
-    g = A.p_times(-(big_lambda // n))
-    u = g.det()  # a unit at precision
-    uinv = u.inv()
-    for i in range(n):
-        g.entries[i][0] = g.entries[i][0] * uinv
-    return g
 
 
 # ---------------------------------------------------------------------------

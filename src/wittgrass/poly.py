@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import comb
 from operator import add
 
-from .errors import NonUnit, NotPerfect, RingMismatch, UsageError
+from .errors import NonUnit, RingMismatch, UsageError
 
 # A power that could have more terms than this is refused before it is taken.
 MAX_POWER_TERMS = 100_000
@@ -68,9 +68,6 @@ class Polynomial:
             raise NonUnit("only constant units are invertible in a polynomial ring")
         (exps, c), = self.terms.items()
         return Polynomial(self.ring, {exps: c.inv()})
-
-    def pth_root(self):
-        raise NotPerfect("polynomial rings are not perfect")
 
     # -- arithmetic --
 
@@ -305,7 +302,6 @@ class PolyRing:
         else:
             raise UsageError(f"unknown monomial order {order!r}")
         self.p = getattr(coeff, "p", None)
-        self.is_perfect = False
         self.zero = Polynomial(self, {})
         nvars = len(self.names)
         self.one = Polynomial(self, {(0,) * nvars: coeff.one})
@@ -348,9 +344,6 @@ class PolyRing:
 
     def from_int(self, n):
         return self.const(self.coeff.from_int(n))
-
-    def pth_root(self, a):
-        raise NotPerfect("polynomial rings are not perfect")
 
     def index_of(self, name):
         try:

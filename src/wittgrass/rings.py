@@ -1,7 +1,7 @@
 """The rational function field F_q(t), the coefficient field of one-parameter
 families and of the Groebner computations that derive them.  It is a legal
 coefficient ring for Witt vectors (characteristic p, decidable equality,
-computable units) but is not perfect, so Frobenius sections are refused there.
+computable units).
 
 Univariate polynomials over F_q are plain coefficient tuples (low degree
 first) normalized to have no trailing zeros; () is the zero polynomial.
@@ -9,7 +9,7 @@ first) normalized to have no trailing zeros; () is the zero polynomial.
 
 from __future__ import annotations
 
-from .errors import NonUnit, NotPerfect, UsageError
+from .errors import NonUnit, UsageError
 
 # A power whose numerator or denominator would have a degree beyond this is
 # refused before it is taken: a**n has n times the degrees of a, and a
@@ -180,7 +180,6 @@ class RationalFunctionField:
             return
         self.base = base
         self.p = base.p
-        self.is_perfect = False
         self.zero = RatFunc(self, (), (base.one,))
         self.one = RatFunc(self, (base.one,), (base.one,))
         self._ready = True
@@ -279,9 +278,6 @@ class RationalFunctionField:
             base = self.mul(base, base)
             n >>= 1
         return acc
-
-    def pth_root(self, a):
-        raise NotPerfect("F_q(t) is not perfect")
 
     def __repr__(self):
         return f"{self.base!r}(t)"

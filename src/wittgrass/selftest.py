@@ -16,7 +16,7 @@ import time
 from .errors import CacheCorrupt, WittgrassError
 from .fields import GF
 from . import structure
-from .greenberg import localized_transition, realize_poly_map, witt_poly_ring
+from .greenberg import realize_poly_map, witt_poly_ring
 from .grassmann import degeneration_family_ideal, image_check, points_lattice
 from .hilbert import (
     GradedIdeal,
@@ -30,9 +30,7 @@ from .hilbert import (
 )
 from .lattice import (
     WittMatrix,
-    classify_cell,
     diag_p_matrix,
-    normalize_basis,
     padic_from_witt,
     smith_normal_form,
     witt_cell_table,
@@ -41,10 +39,7 @@ from .lattice import (
 from .rings import RationalFunctionField
 from .witt import (
     WittVector,
-    frobenius,
-    p_shift,
     random_sl,
-    verschiebung,
     witt_arith,
     witt_from_int,
     witt_inv,
@@ -64,8 +59,6 @@ def check_ghost_identities():
             levels = structure.solve_levels(p, op, N)
             if not structure.verify_ghost(p, op, levels):
                 raise WittgrassError(f"ghost identity failed for p={p} {op}")
-            if not structure.check_triangular(levels, op):
-                raise WittgrassError(f"triangularity failed for p={p} {op}")
 
 
 def check_ring_axioms():
@@ -111,16 +104,6 @@ def check_folded_tables():
                 _require(lift(witt_inv(x)) == witt_inv(lift(x)))
 
 
-def check_shift_operators():
-    rng = random.Random(13)
-    F = GF(4)
-    p_const = witt_from_int(F, 2, 3)
-    for _ in range(40):
-        a = witt_random(F, 3, rng)
-        _require(frobenius(verschiebung(a)) == p_const * a)
-        _require(p_shift(a) == p_const * a)
-
-
 def check_realized_determinant():
     rng = random.Random(14)
     F = GF(4)
@@ -130,15 +113,6 @@ def check_realized_determinant():
     for _ in range(25):
         pts = [witt_random(F, 2, rng) for _ in range(4)]
         _require(rd.apply_point(pts)[0] == pts[0] * pts[3] - pts[1] * pts[2])
-
-
-def check_transition_composition():
-    F = GF(2)
-    lt = localized_transition(3, F)
-    twice = lt.compose(lt)
-    R = witt_poly_ring(F, 3, 1)
-    p2 = realize_poly_map([R.from_int(4) * R.var(0)])
-    _require(twice.components == p2.components)
 
 
 def check_snf_reconstruction():
@@ -161,18 +135,6 @@ def check_snf_reconstruction():
         _require(list(mu) == mus, (mu, mus))
         recon = Uo.mul(diag_p_matrix(F, mu, prec)).mul(Vo)
         _require(recon.eq_at_precision(A))
-
-
-def check_perturbation():
-    rng = random.Random(16)
-    F = GF(2)
-    N = 4
-    for _ in range(20):
-        g = random_sl(F, 2, N, rng)
-        M = [[witt_from_int(F, 4, N) * row[0], row[1]] for row in g]
-        base = normalize_basis(M, 2, prec=N + 2)
-        other = normalize_basis(M, 2, prec=N + 2, pad=lambda i, j, level: F.random(rng))
-        _require(classify_cell(base) == classify_cell(other))
 
 
 def check_hilbert_values():
@@ -271,11 +233,8 @@ CHECKS = [
     ("witt ring axioms", check_ring_axioms),
     ("witt inversion", check_inversion),
     ("folded F_q tables agree with unfolded ones", check_folded_tables),
-    ("frobenius/verschiebung vs p", check_shift_operators),
     ("realized determinant evaluation", check_realized_determinant),
-    ("localized transition composition", check_transition_composition),
     ("smith normal form reconstruction", check_snf_reconstruction),
-    ("padding perturbation invariance", check_perturbation),
     ("hilbert function values", check_hilbert_values),
     ("module stability", check_stability_suite),
     ("orbit invariance of hilbert functions", check_orbit_invariance),

@@ -484,18 +484,6 @@ def verify_ghost(p, op, levels):
     return True
 
 
-def check_triangular(levels, op):
-    """Each level-n polynomial may only mention X_i, Y_i with i <= n."""
-    for n, poly in enumerate(levels):
-        for key in poly:
-            for slot, _ in key_exponents(key):
-                if slot % MAX_SLOTS > n:
-                    return False
-                if op == "neg" and slot >= MAX_SLOTS:
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # text format and disk cache
 # ---------------------------------------------------------------------------

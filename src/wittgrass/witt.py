@@ -27,7 +27,7 @@ a_0^(p^n) * b_n.
 
 from __future__ import annotations
 
-from .errors import NonUnit, NotPerfect, RingMismatch, UsageError
+from .errors import NonUnit, RingMismatch, UsageError
 from .fields import FiniteField
 from .structure import EXP_MASK, MAX_SLOTS, SHIFT, StructurePolynomialTable
 
@@ -232,37 +232,6 @@ def witt_inv(a):
         if not b_n.is_zero():
             zero_mask &= ~(1 << (MAX_SLOTS + n))
     return WittVector(ring, coords[MAX_SLOTS:MAX_SLOTS + N])
-
-
-def frobenius(a):
-    """F((a_i)) = (a_i^p); requires a perfect coefficient ring."""
-    ring = a.ring
-    if not ring.is_perfect:
-        raise NotPerfect("frobenius requires a perfect coefficient ring")
-    p = ring.p
-    return WittVector(ring, tuple(c**p for c in a.coords))
-
-
-def verschiebung(a):
-    """V((a_0, ..., a_{N-2}, a_{N-1})) = (0, a_0, ..., a_{N-2})."""
-    ring = a.ring
-    return WittVector(ring, (ring.zero,) + a.coords[:-1])
-
-
-def p_shift(a):
-    """Multiplication by p on W_N: (a_i) -> (0, a_0^p, ..., a_{N-2}^p).
-
-    Only valid verbatim over perfect rings; elsewhere multiply by the constant
-    p through witt_arith(mul, ...) instead.
-    """
-    ring = a.ring
-    if not ring.is_perfect:
-        raise NotPerfect(
-            "p_shift requires a perfect coefficient ring; "
-            "use generic multiplication by the constant p instead"
-        )
-    p = ring.p
-    return WittVector(ring, (ring.zero,) + tuple(c**p for c in a.coords[:-1]))
 
 
 def witt_random(ring, N, rng):

@@ -22,6 +22,15 @@ def test_selftest_quick_passes(capsys):
     assert all(line.startswith(("PASS ", "SKIP ")) for line in lines), lines
 
 
+def test_selftest_passes_every_check(capsys):
+    # the full run also takes the checks that --quick skips
+    from wittgrass.selftest import CHECKS
+
+    assert cli.main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" (", 1)[0] for line in lines] == [f"PASS {name}" for name, _ in CHECKS]
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_a_closed_standard_output_ends_quietly(tmp_path, unbuffered):
     # as in ``wittgrass selftest | head -1``, with the reader gone before the
@@ -374,6 +383,26 @@ def test_lattice_classify(capsys):
     matrix = "p*(1,0,0),(0,0,0);(0,0,0),p^-1*(1,0,0)"
     assert cli.main(["lattice", "classify", "--p", "2", "--N", "3", matrix]) == 0
     assert capsys.readouterr().out == "1,-1\n"
+
+
+def test_lattice_classify_refuses_a_nonunit_determinant(capsys):
+    # diag(p, 1): the columns span a lattice of determinant valuation 1
+    argv = ["lattice", "classify", "--p", "2", "--N", "2", "(0,1),(0,0);(0,0),(1,0)"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: the matrix has determinant valuation 1, not 0 (elementary divisor exponents "
+        "(1, 0)); a Schubert cell is classified only for a unit determinant\n"
+    )
+
+
+@pytest.mark.parametrize("lam, message", [
+    ("1,-2", "(1, -2) sums to -1, not 0: no cocharacter of SL_2"),
+    ("-1,0,1", "(-1, 0, 1) is not dominant: it rises from -1 to 0"),
+], ids=["sum", "increasing"])
+def test_a_cocharacter_is_refused_for_the_condition_it_fails(capsys, lam, message):
+    n = str(len(lam.split(",")))
+    assert cli.main(["hilbert", "hf", f"--lambda={lam}", "--n", n, "--p", "2", "--N", "4"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_lattice_snf(capsys):

@@ -58,7 +58,7 @@ def test_points_lattice_spans_only_the_points_and_the_kernel():
     # at shift 0 the points of I_(1,-1) span p^2 W + W, not all of W^2
     assert points_lattice(ideal_I_lambda(F2, (1, -1), 3), shift=0).cell() == (2, 0)
     I = ideal_I_lambda(F2, (2, -1, -1), 4)
-    lat = points_lattice(I, shift=1, check_stable=False)
+    lat = points_lattice(I, shift=1)
     assert lat.cell() == (2, -1, -1)
 
 
@@ -146,16 +146,16 @@ def test_points_lattice_count_matches_brute_force_closure():
     for I, closed in _closure_cases():
         assert _is_submodule(I) is closed, I
         if closed:
-            points_lattice(I, shift=0, check_stable=False)
+            points_lattice(I, shift=0)
         else:
             with pytest.raises(NotStable):
-                points_lattice(I, shift=0, check_stable=False)
+                points_lattice(I, shift=0)
 
 
 def test_points_guard_names_the_parameters_to_lower():
     I = GradedIdeal(ambient_ring(F2, 3, 7), 3, 7, [])
     with pytest.raises(SizeGuard, match="lower q = 2, n = 3 or N = 7") as exc:
-        points_lattice(I, shift=0, check_stable=False)
+        points_lattice(I, shift=0)
     assert "--q" in str(exc.value) and "--lambda" in str(exc.value)
 
 
@@ -167,7 +167,7 @@ def _assert_walk_is_brute_force(I):
 
 def _image_or_not_stable(I, shift):
     try:
-        return points_lattice(I, shift=shift, check_stable=False)
+        return points_lattice(I, shift=shift)
     except NotStable:
         return NotStable
 
@@ -208,7 +208,7 @@ def test_the_guard_counts_the_walk_not_the_candidates():
     I = GradedIdeal(R, 2, 6, [R.var(k) for k in range(12) if k != 5])
     assert F4.q ** (2 * 6) > grassmann.POINTS_GUARD
     assert len(ideal_points(I)) == 4
-    assert points_lattice(I, shift=0, check_stable=False).cell() == (6, 5)
+    assert points_lattice(I, shift=0).cell() == (6, 5)
 
 
 # -- cell tables ------------------------------------------------------------------
@@ -397,5 +397,5 @@ def test_orbit_images_stay_in_cell():
     I = ideal_I_lambda(F2, (1, -1), 3)
     for _ in range(10):
         g = random_sl(F2, 2, 3, rng)
-        lat = points_lattice(act_on_ideal(g, I), shift=1, check_stable=False)
+        lat = points_lattice(act_on_ideal(g, I), shift=1)
         assert lat.cell() == (1, -1)

@@ -7,19 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from wittgrass.errors import NonUnit, NotPerfect, RingMismatch
+from wittgrass.errors import NonUnit, RingMismatch
 from wittgrass.fields import GF
 from wittgrass.rings import RationalFunctionField
 from wittgrass.witt import (
     WittVector,
-    frobenius,
     mat_det,
     mat_inv,
     mat_mul,
-    p_shift,
     random_sl,
     teichmuller,
-    verschiebung,
     witt_arith,
     witt_from_int,
     witt_inv,
@@ -105,34 +102,20 @@ def test_ring_axioms_sample():
             assert x + (-x) == zero
 
 
-def test_shift_operators():
-    # p_shift((1,0,0)) = (0,1,0) over any prime field
-    for p in (2, 3, 5):
-        F = GF(p)
-        w = WittVector(F, (F.one, F.zero, F.zero))
-        assert p_shift(w) == WittVector(F, (F.zero, F.one, F.zero))
-    assert p_shift(witt_zero(F4, 3)) == witt_zero(F4, 3)
-    rng = random.Random(3)
-    p_const = witt_from_int(F4, 2, 3)
-    for _ in range(100):
-        a = witt_random(F4, 3, rng)
-        assert frobenius(verschiebung(a)) == p_const * a
-        assert verschiebung(frobenius(a)) == p_const * a
-        assert p_shift(a) == p_const * a
-
-
-def test_not_perfect_rejections():
+def test_multiplication_by_p():
+    # p * (a_0, a_1, a_2) = (0, a_0^p, a_1^p) over F_q(t), which is not perfect,
+    # and over F_4, where it is Galois-ring arithmetic
     K = RationalFunctionField(F2)
     t = K.t_power(1)
     w = WittVector(K, (t, K.zero, K.one))
-    with pytest.raises(NotPerfect):
-        frobenius(w)
-    with pytest.raises(NotPerfect):
-        p_shift(w)
-    # generic multiplication by the constant p still works
     assert witt_arith("mul", witt_from_int(K, 2, 3), w) == WittVector(
         K, (K.zero, t * t, K.zero)
     )
+    rng = random.Random(3)
+    for _ in range(100):
+        a = witt_random(F4, 3, rng)
+        pa = WittVector(F4, (F4.zero, a.coords[0] ** 2, a.coords[1] ** 2))
+        assert witt_from_int(F4, 2, 3) * a == pa
 
 
 def test_length_and_ring_mismatch():
