@@ -263,7 +263,7 @@ def cmd_grass_image(args):
 def cmd_selftest(args):
     from .selftest import run_selftest
 
-    failures = run_selftest(quick=args.quick)
+    failures = run_selftest()
     if failures:
         print(f"{failures} properties failed", file=sys.stderr)
         return 1
@@ -375,13 +375,17 @@ def build_parser():
     gi.set_defaults(fn=cmd_grass_image)
 
     st = sub.add_parser("selftest", help="run the invariant suite")
-    st.add_argument("--quick", action="store_true")
     st.set_defaults(fn=cmd_selftest)
 
     return top
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value like -1,1 for an option; glued to its flag it is a value
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] == "--lambda" and argv[k][:1] == "-" and argv[k][1:2].isdigit():
+            argv[k - 1:k + 1] = [f"--lambda={argv[k]}"]
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.cache_dir:

@@ -23,11 +23,11 @@ import random
 
 from .errors import NotStable, SizeGuard, UsageError
 from .fields import GF
+from .greenberg import realize_action
 from .hilbert import (
     GradedIdeal,
     act_on_ideal,
     ambient_ring,
-    family_ring,
     flat_limit,
     ideal_I_lambda,
     is_module_stable,
@@ -41,8 +41,7 @@ from .lattice import (
     padic_p_power,
     padic_zero,
 )
-from .poly import PolyRing
-from .witt import WittVector, teichmuller, witt_from_int, random_sl
+from .witt import teichmuller, witt_from_int, random_sl
 
 # Candidates the point walk may test at one Witt level: partial points times
 # the q^n values of the next level.  It also bounds the point count.
@@ -131,50 +130,27 @@ def points_lattice(I, shift=0):
 
 def degeneration_family_ideal(field, e, d, N):
     """Ideal over F_q(t) of the family lattice with columns
-    (p^(e-1-d), 0) and ([t^2], p) inside W_N^2 (the window -d shifted model).
+    c1 = (p^(e-1-d), 0) and c2 = ([t^2], p) inside W_N^2 (the window -d
+    shifted model).
 
-    Derived by eliminating the parametrization: the span of the two columns is
-    the image of (x, y) -> x*c1 + y*c2, and a block elimination order projects
-    the graph ideal onto the coordinate block.
+    The matrix h = [[p, -[t^2]], [1, 0]] has the unit determinant [t^2] and
+    maps the family lattice onto diag(p^(e-d), 1) W^2, so the lattice is the
+    set of x with p x1 - [t^2] x2 in p^(e-d) W: its ideal is the first e - d
+    Witt coordinates of that entry of the realized action of h.  This is the
+    ideal that eliminating the parametrization (x, y) -> x c1 + y c2 gives:
+    both are prime (one the kernel of a map into a polynomial ring, the other
+    a linear ideal moved by an automorphism), and both have the same points
+    over an algebraic closure of F_q(t).
     """
     if e <= d:
         raise UsageError("family needs e > d")
     from .rings import RationalFunctionField
 
     K = RationalFunctionField(field)
-    p = field.p
-    nparams = 2 * N
-    names = tuple(f"w[{l},{j}]" for l in range(1, 3) for j in range(N))
-    names += tuple(f"x[{i},{j}]" for i in range(1, 3) for j in range(N))
-    weights = tuple(p**j for _ in range(2) for j in range(N)) * 2
-    elim = PolyRing(K, names, weights, order=("elim", nparams))
-
-    wvec = []
-    for l in range(2):
-        wvec.append(WittVector(elim, tuple(elim.var(l * N + j) for j in range(N))))
-    pk = witt_from_int(elim, p ** (e - 1 - d), N)
-    pone = witt_from_int(elim, p, N)
-    t2 = teichmuller(elim, elim.const(K.t_power(2)), N)
-    v1 = pk * wvec[0] + t2 * wvec[1]
-    v2 = pone * wvec[1]
-    relations = []
-    for i, v in enumerate((v1, v2), start=1):
-        for j in range(N):
-            relations.append(elim.var(nparams + (i - 1) * N + j) - v.coords[j])
-    from .groebner import buchberger
-
-    gb = buchberger(relations)
-    fam = family_ring(field, 2, N)
-    coord_only = []
-    for g in gb:
-        if all(not any(m[:nparams]) for m in g.terms):
-            coord_only.append(
-                g.map_into(
-                    fam,
-                    [fam.zero] * nparams + [fam.var(k) for k in range(2 * N)],
-                )
-            )
-    return GradedIdeal(fam, 2, N, coord_only)
+    t2 = witt_from_int(K, -1, N) * teichmuller(K, K.t_power(2), N)
+    h = [[witt_from_int(K, field.p, N), t2], [witt_from_int(K, 1, N), witt_from_int(K, 0, N)]]
+    rmap = realize_action(h)
+    return GradedIdeal(rmap.ring, 2, N, rmap.components[0][:e - d])
 
 
 # ---------------------------------------------------------------------------

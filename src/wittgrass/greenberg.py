@@ -75,11 +75,9 @@ class RealizedMap:
     k[x[l,m] : 1 <= l <= d, 0 <= m < N].
     """
 
-    def __init__(self, ring, source_arity, target_arity, N, components):
+    def __init__(self, ring, source_arity, components):
         self.ring = ring
         self.source_arity = source_arity
-        self.target_arity = target_arity
-        self.N = N
         self.components = components
 
     def flat_components(self):
@@ -112,11 +110,9 @@ class RealizedMap:
 class RealizedIdeal:
     """Generators over k of the coordinate-wise realization of a Witt ideal."""
 
-    def __init__(self, ring, generators, arity, N):
+    def __init__(self, ring, generators):
         self.ring = ring
         self.generators = generators
-        self.arity = arity
-        self.N = N
 
     def __repr__(self):
         return "\n".join(f"GEN {i}: {g!r}" for i, g in enumerate(self.generators))
@@ -157,14 +153,14 @@ def realize_poly_map(polys):
                     term = term * vecs[l]
             acc = acc + term
         components.append(list(acc.coords))
-    return RealizedMap(ring, arity, len(polys), W.N, components)
+    return RealizedMap(ring, arity, components)
 
 
 def realize_ideal(gens):
     """All Witt components of all generators; identically-zero ones dropped."""
     rmap = realize_poly_map(gens)
     out = [q for q in rmap.flat_components() if not q.is_zero()]
-    return RealizedIdeal(rmap.ring, out, rmap.source_arity, rmap.N)
+    return RealizedIdeal(rmap.ring, out)
 
 
 def realize_action(g):

@@ -245,19 +245,10 @@ CHECKS = [
     ("table cache round trip", check_cache_roundtrip),
 ]
 
-QUICK_SKIP = {
-    "smith normal form reconstruction",
-    "witt vs z-adic cell tables",
-    "image report",
-}
 
-
-def run_selftest(quick=False, out=print):
+def run_selftest(out=print):
     failures = 0
     for name, fn in CHECKS:
-        if quick and name in QUICK_SKIP:
-            out(f"SKIP {name}")
-            continue
         start = time.perf_counter()
         try:
             fn()

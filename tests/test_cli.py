@@ -15,20 +15,20 @@ from wittgrass import cli, poly, textio
 from wittgrass.witt import WittVector
 
 
-def test_selftest_quick_passes(capsys):
-    assert cli.main(["selftest", "--quick"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines
-    assert all(line.startswith(("PASS ", "SKIP ")) for line in lines), lines
-
-
 def test_selftest_passes_every_check(capsys):
-    # the full run also takes the checks that --quick skips
     from wittgrass.selftest import CHECKS
 
     assert cli.main(["selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.rsplit(" (", 1)[0] for line in lines] == [f"PASS {name}" for name, _ in CHECKS]
+
+
+def test_selftest_takes_no_quick_flag(capsys):
+    # every check runs on every call; there is no subset to pick
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--quick"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
@@ -44,7 +44,7 @@ def test_a_closed_standard_output_ends_quietly(tmp_path, unbuffered):
     try:
         done = subprocess.run(
             [sys.executable, "-m", "wittgrass.cli", "--cache-dir", str(tmp_path),
-             "selftest", "--quick"],
+             "selftest"],
             stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
         )
     finally:
@@ -395,13 +395,18 @@ def test_lattice_classify_refuses_a_nonunit_determinant(capsys):
     )
 
 
-@pytest.mark.parametrize("lam, message", [
-    ("1,-2", "(1, -2) sums to -1, not 0: no cocharacter of SL_2"),
-    ("-1,0,1", "(-1, 0, 1) is not dominant: it rises from -1 to 0"),
-], ids=["sum", "increasing"])
-def test_a_cocharacter_is_refused_for_the_condition_it_fails(capsys, lam, message):
-    n = str(len(lam.split(",")))
-    assert cli.main(["hilbert", "hf", f"--lambda={lam}", "--n", n, "--p", "2", "--N", "4"]) == 1
+HF = ["hilbert", "hf", "--p", "2", "--N", "4", "--n"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (HF + ["2", "--lambda=1,-2"], "(1, -2) sums to -1, not 0: no cocharacter of SL_2"),
+    (HF + ["3", "--lambda=-1,0,1"], "(-1, 0, 1) is not dominant: it rises from -1 to 0"),
+    # a value with a leading minus sign, spaced from its flag, is still the value
+    (HF + ["2", "--lambda", "-1,1"], "(-1, 1) is not dominant: it rises from -1 to 1"),
+    (["grass", "image", "--lambda", "-1,1"], "(-1, 1) is not dominant: it rises from -1 to 1"),
+], ids=["sum", "increasing", "spaced-hf", "spaced-image"])
+def test_a_cocharacter_is_refused_for_the_condition_it_fails(capsys, argv, message):
+    assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -14,10 +14,12 @@ from wittgrass.grassmann import (
     image_check,
     points_lattice,
 )
+from wittgrass.groebner import buchberger
 from wittgrass.hilbert import (
     GradedIdeal,
     act_on_ideal,
     ambient_ring,
+    family_ring,
     flat_limit,
     hilbert_function,
     ideal_I_lambda,
@@ -25,7 +27,9 @@ from wittgrass.hilbert import (
 )
 from wittgrass import zadic
 from wittgrass.lattice import Lattice, diag_p_matrix, witt_cell_table, zadic_cell_table
-from wittgrass.witt import WittVector, random_sl
+from wittgrass.poly import PolyRing
+from wittgrass.rings import RationalFunctionField
+from wittgrass.witt import WittVector, random_sl, teichmuller, witt_from_int
 from wittgrass.zadic import zadic_oracle
 
 F2 = GF(2)
@@ -344,6 +348,48 @@ def test_family_ideal_generators():
     )
 
 
+def eliminated_family_ideal(field, e, d, N):
+    """The family ideal by elimination, the reference for the builder: the
+    span of the columns c1 = (p^(e-1-d), 0) and c2 = ([t^2], p) is the image
+    of (w1, w2) -> w1 c1 + w2 c2, and a block order eliminating the w's
+    projects the graph ideal onto the coordinate block."""
+    K = RationalFunctionField(field)
+    p = field.p
+    nparams = 2 * N
+    names = tuple(f"w[{l},{j}]" for l in range(1, 3) for j in range(N))
+    names += tuple(f"x[{i},{j}]" for i in range(1, 3) for j in range(N))
+    weights = tuple(p**j for _ in range(2) for j in range(N)) * 2
+    elim = PolyRing(K, names, weights, order=("elim", nparams))
+    w1, w2 = (WittVector(elim, [elim.var(l * N + j) for j in range(N)]) for l in range(2))
+    t2 = teichmuller(elim, elim.const(K.t_power(2)), N)
+    v1 = witt_from_int(elim, p ** (e - 1 - d), N) * w1 + t2 * w2
+    v2 = witt_from_int(elim, p, N) * w2
+    graph = [
+        elim.var(nparams + i * N + j) - v.coords[j]
+        for i, v in enumerate((v1, v2))
+        for j in range(N)
+    ]
+    fam = family_ring(field, 2, N)
+    to_x = [fam.zero] * nparams + [fam.var(k) for k in range(2 * N)]
+    coordinate_only = [g for g in buchberger(graph) if not any(any(m[:nparams]) for m in g.terms)]
+    return GradedIdeal(fam, 2, N, [g.map_into(fam, to_x) for g in coordinate_only])
+
+
+# (e, d, N, q): (1,-1) over several fields and lengths, (2,-2), and two with e - d > N
+FAMILY_GRID = [(1, -1, 3, q) for q in (2, 3, 4, 5, 9)] + [
+    (1, -1, 2, 2), (1, -1, 4, 2), (2, -2, 4, 2), (2, -2, 5, 3), (2, -1, 2, 2), (3, -2, 4, 2),
+]
+
+
+@pytest.mark.parametrize("e, d, N, q", FAMILY_GRID)
+def test_family_ideal_matches_the_elimination(e, d, N, q):
+    field = GF(q)
+    fam = degeneration_family_ideal(field, e, d, N)
+    reference = eliminated_family_ideal(field, e, d, N)
+    assert fam == reference
+    assert flat_limit(fam).generators == flat_limit(reference).generators
+
+
 def test_family_flat_limit_reaches_lower_cell():
     fam = degeneration_family_ideal(F2, 1, -1, N=2)
     limit = flat_limit(fam)
@@ -371,6 +417,15 @@ def test_image_check_minuscule():
     assert rep["bruhat_ok"]
     assert rep["standard_fiber_ideals"] >= 2
     assert (1, -1) in rep["realized"] and (0, 0) in rep["realized"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_image_check_finds_the_whole_standard_fiber_of_1_1(q):
+    # the flat limit of the family and the q boundary ideals: q + 1 distinct
+    # stable ideals, each mapping to the standard lattice
+    rep = image_check((1, -1), q=q, samples=2)
+    assert rep["standard_fiber_ideals"] == q + 1
+    assert rep["observed"][(0, 0)] == q + 1
 
 
 def test_image_check_bigger_cell_subset():
