@@ -1,5 +1,9 @@
 """Command-line front end."""
 
+import argparse
+import ast
+import gc
+import importlib.util
 import json
 import os
 import random
@@ -13,6 +17,8 @@ import pytest
 from test_galois_ring import GaloisRing
 from wittgrass import cli, poly, textio
 from wittgrass.witt import WittVector
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_selftest_passes_every_check(capsys):
@@ -52,6 +58,145 @@ def test_a_closed_standard_output_ends_quietly(tmp_path, unbuffered):
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert "Exception ignored" not in done.stderr
+
+
+def run_process(tmp_path, *argv):
+    """A ``python -m wittgrass.cli`` process with a fresh cache: its exit code,
+    standard output and standard error."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    done = subprocess.run(
+        [sys.executable, "-m", "wittgrass.cli", "--cache-dir", str(tmp_path), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+WITT = ["witt", "add", "--p", "2", "--N", "3"]
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    # W_3(F_2) is Z/8 with (a0,a1,a2) = a0 + 2 a1 + 4 a2: 3 + 1 = 4
+    (WITT + ["(1,1,0)", "(1,0,0)", "--format", "json"], 0,
+     '{"result": "(0,0,1)", "schema": "wittgrass/1"}\n', ""),
+    (["witt", "inv", "--p", "2", "--N", "3", "(0,1,0)"], 1,
+     "", "error: leading Witt component is not invertible\n"),
+    (["witt", "neg", "--p", "2", "--N", "3", "(1,0,0)", "(1,0,0)"], 2,
+     "", "usage error: witt neg takes one vector, not a second '(1,0,0)'\n"),
+], ids=["json", "domain-error", "usage-error"])
+def test_a_process_ends_with_the_exit_code_and_output_of_main(tmp_path, argv, code, out, err):
+    assert run_process(tmp_path, *argv) == (code, out, err)
+
+
+def test_a_process_ends_an_argparse_error_with_exit_code_2(tmp_path):
+    code, out, err = run_process(tmp_path, *WITT[:-1], "0", "(1)", "(1)")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: wittgrass witt ")
+    assert err.endswith("\nwittgrass witt: error: argument --N: truncation length must be at "
+                        "least 1, not 0\n")
+
+
+@pytest.fixture
+def unfrozen():
+    yield
+    gc.unfreeze()
+
+
+def test_only_the_process_entry_freezes_the_collector(capsys, monkeypatch, unfrozen):
+    # in-process callers keep a collector that sees everything; the process
+    # entry freezes it once main has returned, for a cheaper exit
+    argv = WITT + ["(1,1,0)", "(1,0,0)"]
+    frozen = gc.get_freeze_count()
+    assert cli.main(argv) == 0
+    assert gc.get_freeze_count() == frozen
+    monkeypatch.setattr(sys, "argv", ["wittgrass", *argv])
+    assert cli.console_main() == 0
+    assert gc.get_freeze_count() > frozen
+    assert capsys.readouterr().out == "(0,0,1)\n" * 2
+
+
+def test_the_installed_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["wittgrass"]
+    module, _, name = target.partition(":")
+    script = getattr(importlib.import_module(module), name)
+    tree = ast.parse((ROOT / "src" / "wittgrass" / "cli.py").read_text(encoding="utf-8"))
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (statement,) = block.body
+    exit_call = statement.value
+    assert ast.unparse(exit_call.func) == "sys.exit"
+    (entry_call,) = exit_call.args
+    assert entry_call.args == [] and entry_call.keywords == []
+    assert getattr(cli, entry_call.func.id) is script
+
+
+def parse_outcome(capsys, parser, argv):
+    """The namespace, or the exit code, of one parse, with what it printed."""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+def _perfbench_argvs():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = {("--cache-dir", "D", *job["argv"], "--format", "json"): None
+             for workload in workloads.WORKLOADS for seed in (1, 2, 3)
+             for job in workloads.jobs(workload, seed)}
+    return [list(argv) for argv in argvs]  # the cells jobs do not depend on the seed
+
+
+HELP = [[*command, "--help"] for command in [
+    [], ["witt"], ["greenberg"], ["greenberg", "realize"], ["lattice"], ["lattice", "snf"],
+    ["lattice", "classify"], ["lattice", "enumerate"], ["hilbert"], ["hilbert", "hf"],
+    ["hilbert", "stable"], ["hilbert", "limit"], ["grass"], ["grass", "count"],
+    ["grass", "image"], ["selftest"],
+]]
+LAZY_PARSER_CASES = HELP + _perfbench_argvs() + [
+    ["--cache", "witt", "lattice", "enumerate", "--n", "2", "--q", "2", "--window", "1"],
+    ["--cache-dir=D", "grass", "count", "--n", "2", "--q", "2", "--window", "1"],
+    [],  # no command
+    ["frob"],  # an unknown one
+    ["--cache-dir"],  # no value
+    ["witt"],  # no arguments
+    ["selftest", "--bogus"],  # reported by the top level, whose usage lists every command
+    ["-h", "witt"],  # the top level's help
+]
+
+
+@pytest.mark.parametrize("argv", LAZY_PARSER_CASES, ids=" ".join)
+def test_the_parser_of_one_command_parses_as_the_full_parser(capsys, argv):
+    lazy = parse_outcome(capsys, cli.build_parser(cli.dispatched_command(argv)), argv)
+    assert lazy == parse_outcome(capsys, cli.build_parser(), argv)
+    if argv == ["selftest", "--bogus"]:
+        assert "{witt,greenberg,lattice,hilbert,grass,selftest}" in lazy[2]
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["--cache", "witt", "lattice", "enumerate"], "lattice"),  # --cache-dir abbreviated
+    (["--cache-dir=witt", "grass", "count"], "grass"),
+    (["-h", "witt"], "witt"),
+    (["--cache-dir"], None),
+    (["frob"], None),
+    ([], None),
+])
+def test_only_the_dispatched_command_gets_its_arguments(argv, command):
+    assert cli.dispatched_command(argv) == command
+    (commands,) = [action.choices for action in cli.build_parser(command)._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert list(commands) == [name for name, _, _ in cli.COMMANDS]
+    # a built command has arguments besides -h, or subcommands, or else its fn
+    built = {name for name, parser in commands.items()
+             if len(parser._actions) > 1 or parser.get_default("fn")}
+    assert built == ({command} if command else set(commands))
 
 
 BROKEN_HILBERT_FUNCTION = """\
@@ -404,7 +549,10 @@ HF = ["hilbert", "hf", "--p", "2", "--N", "4", "--n"]
     # a value with a leading minus sign, spaced from its flag, is still the value
     (HF + ["2", "--lambda", "-1,1"], "(-1, 1) is not dominant: it rises from -1 to 1"),
     (["grass", "image", "--lambda", "-1,1"], "(-1, 1) is not dominant: it rises from -1 to 1"),
-], ids=["sum", "increasing", "spaced-hf", "spaced-image"])
+    # and so it is after an abbreviated flag, which argparse accepts too
+    (HF + ["2", "--lam", "-1,1"], "(-1, 1) is not dominant: it rises from -1 to 1"),
+    (["grass", "image", "--lam", "-1,1"], "(-1, 1) is not dominant: it rises from -1 to 1"),
+], ids=["sum", "increasing", "spaced-hf", "spaced-image", "abbrev-hf", "abbrev-image"])
 def test_a_cocharacter_is_refused_for_the_condition_it_fails(capsys, argv, message):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
